@@ -52,6 +52,7 @@ from .ordering import (
     ErrorSet,
     OrderingExtremes,
     PermutationResult,
+    ccc_error_form,
     ccc_error_form1,
     ccc_error_form2,
     chebyshev_check,

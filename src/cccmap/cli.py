@@ -36,18 +36,19 @@ from .lk_bounds import (
 from .losses import LossParams, TRACE_COLUMNS, loss, loss_gradient, training_trace
 from .mse_bounds import (
     MSE_REGION_COLUMNS,
+    CenteredGold,
     bounds_given_mse,
     ccc_from_mse_cov,
     center_gold,
+    _identity_residual,
     lower_envelope,
     mse_region_table,
-    upper_envelope,
-    variance_identity_residual,
 )
 from .oracles import lk_sphere_oracle, mse_sphere_oracle, permutation_oracle
 from .ordering import (
     GOLD_MINUS_PRED,
     PRED_MINUS_GOLD,
+    ErrorSet,
     error_set,
     optimal_permutations,
 )
@@ -134,12 +135,24 @@ def _load_columns(args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarra
     return out
 
 
-def _digest(arr: np.ndarray) -> dict:
-    return {
-        "n": int(arr.size),
-        "mean": float(arr.mean()),
-        "std": float(np.sqrt(population_variance(arr))),
-    }
+def _digest(n: int, mean: float, var: float) -> dict:
+    return {"n": int(n), "mean": float(mean), "std": float(np.sqrt(var))}
+
+
+def _digest_of(arr: np.ndarray) -> dict:
+    return _digest(arr.size, arr.mean(), population_variance(arr))
+
+
+def _load_gold(args) -> CenteredGold:
+    return center_gold(_load_columns(args, [("gold", args.gold_col)])["gold"])
+
+
+def _load_errors(args) -> tuple[np.ndarray, ErrorSet, dict]:
+    """Gold column, error multiset and their input digests."""
+    cols = _load_columns(args, [("gold", args.gold_col), ("errors", args.error_col)])
+    errors = error_set(cols["errors"])
+    digests = {"gold": _digest_of(cols["gold"]), "errors": _digest_of(errors.values)}
+    return cols["gold"], errors, digests
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +263,10 @@ def cmd_analyze(args) -> dict:
     gold, pred = cols["gold"], cols["pred"]
     stats = pair_stats(gold, pred)
     report = _report_skeleton(args, "analyze")
-    report["inputs"] = {"gold": _digest(gold), "pred": _digest(pred)}
+    report["inputs"] = {
+        "gold": _digest(stats.n, stats.mu_x, stats.var_x),
+        "pred": _digest(stats.n, stats.mu_y, stats.var_y),
+    }
     report["results"] = {
         "n": stats.n,
         "mu_gold": stats.mu_x,
@@ -266,7 +282,9 @@ def cmd_analyze(args) -> dict:
         "mae": stats.mae,
         "ccc": stats.ccc,
         "ccc_via_mse_map": ccc_from_mse_cov(stats.mse, stats.cov_xy),
-        "variance_identity_residual": variance_identity_residual(gold, pred),
+        "variance_identity_residual": _identity_residual(
+            stats.var_x, stats.var_y, stats.mu_x, stats.mu_y, stats.mse, stats.cov_xy
+        ),
     }
     return report
 
@@ -274,11 +292,10 @@ def cmd_analyze(args) -> dict:
 def cmd_bounds_mse(args) -> dict:
     if args.mse is None:
         raise InvalidInput("bounds-mse requires --mse")
-    cols = _load_columns(args, [("gold", args.gold_col)])
-    gold = center_gold(cols["gold"])
+    gold = _load_gold(args)
     result = bounds_given_mse(gold, args.mse)
     report = _report_skeleton(args, "bounds-mse")
-    report["inputs"] = {"gold": _digest(gold.gold)}
+    report["inputs"] = {"gold": _digest(gold.n, gold.mu_g, gold.var_g)}
     report["results"] = {
         "mse": args.mse,
         "sigma_g": float(np.sqrt(gold.var_g)),
@@ -305,14 +322,13 @@ def cmd_bounds_mse(args) -> dict:
 def cmd_bounds_lk(args) -> dict:
     if args.k is None or args.lk is None:
         raise InvalidInput("bounds-lk requires --k and --lk")
-    cols = _load_columns(args, [("gold", args.gold_col)])
-    gold = center_gold(cols["gold"])
+    gold = _load_gold(args)
     sigma_g = float(np.sqrt(gold.var_g))
     band = theta_band(args.k, gold.n, args.lk)
     thetas = theta_grid(band.theta_max, args.theta_steps)
     envelope = envelope_given_lk(args.k, gold.n, args.lk, sigma_g, theta=1.0)
     report = _report_skeleton(args, "bounds-lk")
-    report["inputs"] = {"gold": _digest(gold.gold)}
+    report["inputs"] = {"gold": _digest(gold.n, gold.mu_g, gold.var_g)}
     report["results"] = {
         "k": args.k,
         "n": gold.n,
@@ -327,25 +343,38 @@ def cmd_bounds_lk(args) -> dict:
         "ccc_lower": envelope.ccc_lower,
         "theta_at_min": envelope.theta_at_min,
         "lower_by_theta": [
-            {
-                "theta": float(t),
-                "ccc_lower_at_theta": envelope_given_lk(
-                    args.k, gold.n, args.lk, sigma_g, theta=float(t)
-                ).ccc_lower_at_theta,
-            }
-            for t in thetas
+            {"theta": float(t), "ccc_lower_at_theta": float(v)}
+            for t, v in zip(thetas, lower_envelope(thetas * envelope.x))
         ],
     }
     return report
 
 
+def _permutation_audit(gold, errors, extremes):
+    """(orderings, rows of (name, N! oracle value, closed-form value), agreement)."""
+    add = permutation_oracle(gold, errors, PRED_MINUS_GOLD)
+    sub = permutation_oracle(gold, errors, GOLD_MINUS_PRED)
+    rows = [
+        ("max_add", add.best_value, extremes.max_add.ccc_value),
+        ("min_add", add.worst_value, extremes.min_add.ccc_value),
+        ("max_sub", sub.best_value, extremes.max_sub.ccc_value),
+        ("min_sub", sub.worst_value, extremes.min_sub.ccc_value),
+    ]
+    agrees = all(abs(oracle - closed) <= TOL.attainment_rtol for _, oracle, closed in rows)
+    return add.trials, rows, agrees
+
+
+def _within(oracle, lower: float, upper: float) -> bool:
+    """Whether a sphere oracle's extremes stay inside [lower, upper], up to the oracle slack."""
+    slack = TOL.oracle_slack
+    return oracle.best_value <= upper + slack and oracle.worst_value >= lower - slack
+
+
 def cmd_permute(args) -> dict:
-    cols = _load_columns(args, [("gold", args.gold_col), ("errors", args.error_col)])
-    gold = cols["gold"]
-    errors = error_set(cols["errors"])
+    gold, errors, inputs = _load_errors(args)
     extremes = optimal_permutations(gold, errors)
     report = _report_skeleton(args, "permute")
-    report["inputs"] = {"gold": _digest(gold), "errors": _digest(errors.values)}
+    report["inputs"] = inputs
 
     def block(result):
         return {
@@ -362,21 +391,11 @@ def cmd_permute(args) -> dict:
         "min_sub": block(extremes.min_sub),
     }
     if args.audit:
-        oracle_add = permutation_oracle(gold, errors, PRED_MINUS_GOLD)
-        oracle_sub = permutation_oracle(gold, errors, GOLD_MINUS_PRED)
-        tol = TOL.attainment_rtol
+        orderings, rows, agrees = _permutation_audit(gold, errors, extremes)
         report["results"]["audit"] = {
-            "orderings": oracle_add.trials,
-            "oracle_max_add": oracle_add.best_value,
-            "oracle_min_add": oracle_add.worst_value,
-            "oracle_max_sub": oracle_sub.best_value,
-            "oracle_min_sub": oracle_sub.worst_value,
-            "agrees": bool(
-                abs(oracle_add.best_value - extremes.max_add.ccc_value) <= tol
-                and abs(oracle_add.worst_value - extremes.min_add.ccc_value) <= tol
-                and abs(oracle_sub.best_value - extremes.max_sub.ccc_value) <= tol
-                and abs(oracle_sub.worst_value - extremes.min_sub.ccc_value) <= tol
-            ),
+            "orderings": orderings,
+            **{f"oracle_{name}": oracle for name, oracle, _ in rows},
+            "agrees": agrees,
         }
     if args.out is not None:
         _write_csv(
@@ -407,14 +426,13 @@ def cmd_solve_even_p(args) -> dict:
         raise InvalidInput("solve-even-p requires --k and --lk")
     if args.k != int(args.k):
         raise InvalidInput(f"solve-even-p needs an even integer k, got {args.k}")
-    cols = _load_columns(args, [("gold", args.gold_col)])
-    gold = center_gold(cols["gold"])
+    gold = _load_gold(args)
     prob = StationarityProblem(
         gold=gold, k=int(args.k), lk=args.lk, objective=args.objective
     )
     state = solve(prob, seed=args.seed, max_iters=args.max_iters, restarts=args.restarts)
     report = _report_skeleton(args, "solve-even-p")
-    report["inputs"] = {"gold": _digest(gold.gold)}
+    report["inputs"] = {"gold": _digest(gold.n, gold.mu_g, gold.var_g)}
     results = {
         "k": int(args.k),
         "lk": args.lk,
@@ -453,7 +471,7 @@ def cmd_loss(args) -> dict:
     gold, pred = cols["gold"], cols["pred"]
     params = _loss_params_from_args(args)
     report = _report_skeleton(args, "loss")
-    report["inputs"] = {"gold": _digest(gold), "pred": _digest(pred)}
+    report["inputs"] = {"gold": _digest_of(gold), "pred": _digest_of(pred)}
     grad = loss_gradient(params, gold, pred)
     report["results"] = {
         "variant": args.variant,
@@ -503,66 +521,42 @@ def cmd_region(args) -> dict | None:
 def cmd_audit(args) -> dict:
     report = _report_skeleton(args, "audit")
     if args.oracle == "permutation":
-        cols = _load_columns(args, [("gold", args.gold_col), ("errors", args.error_col)])
-        gold = cols["gold"]
-        errors = error_set(cols["errors"])
-        extremes = optimal_permutations(gold, errors)
-        oracle_add = permutation_oracle(gold, errors, PRED_MINUS_GOLD)
-        oracle_sub = permutation_oracle(gold, errors, GOLD_MINUS_PRED)
-        tol = TOL.attainment_rtol
-        report["inputs"] = {"gold": _digest(gold), "errors": _digest(errors.values)}
-        report["results"] = {
-            "oracle": "permutation",
-            "orderings": oracle_add.trials,
-            "oracle_max_add": oracle_add.best_value,
-            "closed_form_max_add": extremes.max_add.ccc_value,
-            "oracle_min_add": oracle_add.worst_value,
-            "closed_form_min_add": extremes.min_add.ccc_value,
-            "oracle_max_sub": oracle_sub.best_value,
-            "closed_form_max_sub": extremes.max_sub.ccc_value,
-            "oracle_min_sub": oracle_sub.worst_value,
-            "closed_form_min_sub": extremes.min_sub.ccc_value,
-            "agrees": bool(
-                abs(oracle_add.best_value - extremes.max_add.ccc_value) <= tol
-                and abs(oracle_add.worst_value - extremes.min_add.ccc_value) <= tol
-                and abs(oracle_sub.best_value - extremes.max_sub.ccc_value) <= tol
-                and abs(oracle_sub.worst_value - extremes.min_sub.ccc_value) <= tol
-            ),
-        }
+        gold, errors, report["inputs"] = _load_errors(args)
+        orderings, rows, agrees = _permutation_audit(
+            gold, errors, optimal_permutations(gold, errors)
+        )
+        results = {"oracle": "permutation", "orderings": orderings}
+        for name, oracle, closed in rows:
+            results[f"oracle_{name}"] = oracle
+            results[f"closed_form_{name}"] = closed
+        report["results"] = {**results, "agrees": agrees}
         return report
     if args.oracle == "mse-sphere":
         if args.mse is None:
             raise InvalidInput("audit mse-sphere requires --mse")
-        cols = _load_columns(args, [("gold", args.gold_col)])
-        gold = center_gold(cols["gold"])
+        gold = _load_gold(args)
         oracle = mse_sphere_oracle(gold.gold, args.mse, args.trials, args.seed)
-        x = float(np.sqrt(args.mse / gold.var_g))
-        hi = float(upper_envelope(x))
-        lo = float(lower_envelope(x))
-        report["inputs"] = {"gold": _digest(gold.gold)}
+        bounds = bounds_given_mse(gold, args.mse)
+        report["inputs"] = {"gold": _digest(gold.n, gold.mu_g, gold.var_g)}
         report["results"] = {
             "oracle": "mse-sphere",
             "trials": oracle.trials,
-            "x": x,
+            "x": bounds.x_param,
             "best": oracle.best_value,
             "worst": oracle.worst_value,
-            "envelope_upper": hi,
-            "envelope_lower": lo,
-            "bounds_respected": bool(
-                oracle.best_value <= hi + TOL.oracle_slack
-                and oracle.worst_value >= lo - TOL.oracle_slack
-            ),
+            "envelope_upper": bounds.ccc_max,
+            "envelope_lower": bounds.ccc_min,
+            "bounds_respected": _within(oracle, bounds.ccc_min, bounds.ccc_max),
         }
         return report
     # lk-sphere
     if args.k is None or args.lk is None:
         raise InvalidInput("audit lk-sphere requires --k and --lk")
-    cols = _load_columns(args, [("gold", args.gold_col)])
-    gold = center_gold(cols["gold"])
+    gold = _load_gold(args)
     sigma_g = float(np.sqrt(gold.var_g))
     oracle = lk_sphere_oracle(gold.gold, args.k, args.lk, args.trials, args.seed)
     envelope = envelope_given_lk(args.k, gold.n, args.lk, sigma_g, theta=1.0)
-    report["inputs"] = {"gold": _digest(gold.gold)}
+    report["inputs"] = {"gold": _digest(gold.n, gold.mu_g, gold.var_g)}
     report["results"] = {
         "oracle": "lk-sphere",
         "trials": oracle.trials,
@@ -573,10 +567,7 @@ def cmd_audit(args) -> dict:
         "worst": oracle.worst_value,
         "envelope_upper": envelope.ccc_upper,
         "envelope_lower": envelope.ccc_lower,
-        "bounds_respected": bool(
-            oracle.best_value <= envelope.ccc_upper + TOL.oracle_slack
-            and oracle.worst_value >= envelope.ccc_lower - TOL.oracle_slack
-        ),
+        "bounds_respected": _within(oracle, envelope.ccc_lower, envelope.ccc_upper),
     }
     return report
 

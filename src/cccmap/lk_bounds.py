@@ -63,13 +63,13 @@ def theta_band(k: float, n: int, lk: float) -> RmseBand:
         raise InvalidInput(f"k must be positive, got {k}")
     if n < 1:
         raise InvalidInput(f"n must be at least 1, got {n}")
-    if lk < 0:
-        raise InvalidInput(f"lk must be nonnegative, got {lk}")
-    theta_max = float(n) ** (abs(k - 2.0) / (2.0 * k))
-    if k >= 2:
-        rmse_min = lk / np.sqrt(n)
-    else:
-        rmse_min = lk / float(n) ** (1.0 / k)
+    if not 0.0 <= lk < inf:
+        raise InvalidInput(f"lk must be finite and nonnegative, got {lk}")
+    try:
+        theta_max = float(n) ** (abs(k - 2.0) / (2.0 * k))
+        rmse_min = lk / (np.sqrt(n) if k >= 2 else float(n) ** (1.0 / k))
+    except OverflowError:
+        raise InvalidInput(f"band at k={k}, n={n} overflows float64") from None
     return RmseBand(
         k=k,
         n=n,
@@ -121,21 +121,24 @@ def envelope_given_lk(
             f"theta={theta} outside [1, {band.theta_max}] for k={k}, n={n}"
         )
     x = band.rmse_min / sigma_g
-    tmax = band.theta_max
-    if x <= 2.0 / tmax:
-        lower = float(lower_envelope(tmax * x))
-    elif x <= 2.0:
-        lower = -1.0
-    else:
-        lower = float(lower_envelope(x))
     return LkEnvelope(
         x=float(x),
         theta=float(theta),
-        theta_max=tmax,
+        theta_max=band.theta_max,
         ccc_upper=float(upper_envelope(x)),
-        ccc_lower=lower,
+        ccc_lower=float(_piecewise_lower(x, band.theta_max)),
         ccc_lower_at_theta=float(lower_envelope(theta * x)),
         theta_at_min=2.0 / x if x > 0 else inf,
+    )
+
+
+def _piecewise_lower(x, theta_max: float):
+    """min over theta in [1, theta_max] of lower_envelope(theta * x), elementwise."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(
+        x <= 2.0 / theta_max,
+        lower_envelope(theta_max * x),
+        np.where(x <= 2.0, -1.0, lower_envelope(x)),
     )
 
 
@@ -177,22 +180,15 @@ def lk_region_table(
     lower_envelope(theta_j * x) for each theta_j on a geometric grid between
     1 and theta_max. At k = 2 the family collapses onto the single mse curve.
     """
-    if x_max < 0:
+    if not x_max >= 0:
         raise InvalidInput("x_max must be nonnegative")
     if steps < 2:
         raise InvalidInput("steps must be at least 2")
     band = theta_band(k, n, lk=1.0)
     thetas = theta_grid(band.theta_max, theta_steps)
     xs = np.linspace(0.0, x_max, steps)
-    upper = np.asarray(upper_envelope(xs))
-    tmax = band.theta_max
-    lower = np.where(
-        xs <= 2.0 / tmax,
-        lower_envelope(tmax * xs),
-        np.where(xs <= 2.0, -1.0, lower_envelope(xs)),
-    )
     family = np.column_stack([lower_envelope(t * xs) for t in thetas])
-    rows = np.column_stack([xs, upper, lower, family])
+    rows = np.column_stack([xs, upper_envelope(xs), _piecewise_lower(xs, band.theta_max), family])
     return rows, thetas
 
 

@@ -27,7 +27,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import InvalidInput, Singularity
-from .stats import as_sequence, ccc as _ccc, mse as _mse
+from .stats import _as_pair, as_sequence, ccc as _ccc, mse as _mse
 
 Variant = Literal[
     "ratio",
@@ -71,9 +71,9 @@ class LossParams:
             raise InvalidInput(f"unknown variant {self.variant!r}")
         if not self.gamma > 0:
             raise InvalidInput(f"gamma must be positive, got {self.gamma}")
-        if self.alpha < 0:
-            raise InvalidInput(f"alpha must be nonnegative, got {self.alpha}")
-        if self.beta < 0 or int(self.beta) != self.beta:
+        if not 0.0 <= self.alpha < np.inf:
+            raise InvalidInput(f"alpha must be finite and nonnegative, got {self.alpha}")
+        if not 0 <= self.beta < np.inf or int(self.beta) != self.beta:
             raise InvalidInput(f"beta must be a nonnegative integer, got {self.beta}")
         for name in ("per_sample_alpha", "per_sample_eps"):
             vec = getattr(self, name)
@@ -163,9 +163,7 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
 
 
 def loss(params: LossParams, gold, pred) -> float:
-    g, p = as_sequence(gold), as_sequence(pred)
-    if g.size != p.size:
-        raise InvalidInput(f"length mismatch: {g.size} vs {p.size}")
+    g, p = _as_pair(gold, pred)
     inner, _, wrap = _inner_and_grad(params, g, p)
     if not wrap:
         return float(inner)
@@ -173,9 +171,7 @@ def loss(params: LossParams, gold, pred) -> float:
 
 
 def loss_gradient(params: LossParams, gold, pred) -> np.ndarray:
-    g, p = as_sequence(gold), as_sequence(pred)
-    if g.size != p.size:
-        raise InvalidInput(f"length mismatch: {g.size} vs {p.size}")
+    g, p = _as_pair(gold, pred)
     inner, dinner, wrap = _inner_and_grad(params, g, p)
     if not wrap:
         return dinner

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, InvalidInput, Singularity
-from .stats import as_sequence, covariance, mse, population_variance
+from .stats import _as_pair, _moments, _scaled_errors, _unscale, as_sequence
 
 #: Column names of the region table rows produced by :func:`mse_region_table`.
 MSE_REGION_COLUMNS = ("x", "psi_upper", "psi_lower")
@@ -31,12 +31,16 @@ MSE_REGION_COLUMNS = ("x", "psi_upper", "psi_lower")
 
 def ccc_from_mse_cov(mse_value: float, cov: float) -> float:
     """ccc reconstructed from (mse, covariance) alone: 2*cov / (mse + 2*cov)."""
-    if mse_value < 0:
-        raise InvalidInput(f"mse must be nonnegative, got {mse_value}")
+    if not 0.0 <= mse_value < np.inf:
+        raise InvalidInput(f"mse must be finite and nonnegative, got {mse_value}")
     denom = mse_value + 2.0 * cov
     if denom == 0.0:
         raise Singularity("mse + 2*cov is exactly zero; ccc undefined")
     return float(2.0 * cov / denom)
+
+
+def _identity_residual(var_x, var_y, mu_x, mu_y, mse_value, cov) -> float:
+    return float(var_x + var_y + (mu_x - mu_y) ** 2 - (mse_value + 2.0 * cov))
 
 
 def variance_identity_residual(x, y) -> float:
@@ -44,14 +48,11 @@ def variance_identity_residual(x, y) -> float:
 
     Zero in exact arithmetic; the float residual stays below 1e-12 relative.
     """
-    xv, yv = as_sequence(x), as_sequence(y)
-    left = (
-        population_variance(xv)
-        + population_variance(yv)
-        + (xv.mean() - yv.mean()) ** 2
-    )
-    right = mse(xv, yv) + 2.0 * covariance(xv, yv)
-    return float(left - right)
+    xv, yv = _as_pair(x, y)
+    e, mu_x, mu_y, var_x, var_y, cov = _moments(xv, yv)
+    d = _scaled_errors(xv, yv, e)
+    residual = _identity_residual(var_x, var_y, mu_x, mu_y, float((d * d).mean()), cov)
+    return _unscale(residual, 2 * e, "variance identity residual")
 
 
 def envelope_kernel(t):
@@ -64,7 +65,7 @@ def envelope_kernel(t):
 def upper_envelope(x):
     """Largest ccc attainable at normalized error level x >= 0."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0):
+    if not np.all(x >= 0):
         raise InvalidInput("x must be nonnegative")
     return envelope_kernel(1.0 + x)
 
@@ -72,7 +73,7 @@ def upper_envelope(x):
 def lower_envelope(x):
     """Smallest ccc attainable at normalized error level x >= 0."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0):
+    if not np.all(x >= 0):
         raise InvalidInput("x must be nonnegative")
     return envelope_kernel(1.0 - x)
 
@@ -97,12 +98,11 @@ class CenteredGold:
 
 def center_gold(gold) -> CenteredGold:
     arr = as_sequence(gold)
-    mu = float(arr.mean())
-    centered = arr - mu
-    var_g = float((centered * centered).mean())
+    e, mu, _, var_g, _, _ = _moments(arr, arr)
     if var_g == 0.0:
         raise DegenerateVariance("gold standard is constant; bounds undefined")
-    return CenteredGold(gold=arr, centered=centered, mu_g=mu, var_g=var_g)
+    mu, var_g = _unscale(mu, e, "mu_g"), _unscale(var_g, 2 * e, "var_g")
+    return CenteredGold(gold=arr, centered=arr - mu, mu_g=mu, var_g=var_g)
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,8 @@ def bounds_given_mse(gold: CenteredGold, mse_value: float) -> MseBoundsResult:
     x = sqrt(mse / var_g). The positive sign attains the maximum, the
     negative sign the minimum.
     """
-    if mse_value < 0:
-        raise InvalidInput(f"mse must be nonnegative, got {mse_value}")
+    if not 0.0 <= mse_value < np.inf:
+        raise InvalidInput(f"mse must be finite and nonnegative, got {mse_value}")
     x = float(np.sqrt(mse_value / gold.var_g))
     err = x * gold.centered
     return MseBoundsResult(
@@ -142,7 +142,7 @@ def mse_region_table(x_max: float, steps: int) -> np.ndarray:
 
     Deterministic row order; x runs linearly from 0 to x_max inclusive.
     """
-    if x_max < 0:
+    if not x_max >= 0:
         raise InvalidInput("x_max must be nonnegative")
     if steps < 2:
         raise InvalidInput("steps must be at least 2")

@@ -59,59 +59,34 @@ def permutation_oracle(gold, errors: ErrorSet, convention: Convention) -> Oracle
         raise TooLarge(f"N={g.size} exceeds the enumeration guard of {MAX_ENUM_N}")
     if convention not in (PRED_MINUS_GOLD, GOLD_MINUS_PRED):
         raise InvalidInput(f"unknown convention {convention!r}")
-    if population_variance(g) == 0.0:
-        raise InvalidInput("gold standard is constant")
 
     sign = 1.0 if convention == PRED_MINUS_GOLD else -1.0
+
+    def chunks():
+        perms = itertools.permutations(errors.values.tolist())
+        while block := list(itertools.islice(perms, _CHUNK)):
+            preds = g[None, :] + sign * np.asarray(block, dtype=np.float64)
+            yield preds, preds
+
+    return _extremes(g, chunks(), seed=0)
+
+
+def _extremes(gold: np.ndarray, chunks, seed: int) -> OracleReport:
+    """Best and worst ccc over chunks of (predictions, witnesses); ties keep the first row."""
+    if population_variance(gold) == 0.0:
+        raise InvalidInput("gold standard is constant")
     best_val, worst_val = -np.inf, np.inf
     best_wit = worst_wit = None
     trials = 0
-    perms_iter = itertools.permutations(errors.values.tolist())
-    while True:
-        block = list(itertools.islice(perms_iter, _CHUNK))
-        if not block:
-            break
-        perm_arr = np.asarray(block, dtype=np.float64)
-        preds = g[None, :] + sign * perm_arr
-        vals = _ccc_rows(g, preds)
-        trials += len(block)
-        i_max = int(np.argmax(vals))
-        i_min = int(np.argmin(vals))
-        if vals[i_max] > best_val:
-            best_val, best_wit = float(vals[i_max]), preds[i_max].copy()
-        if vals[i_min] < worst_val:
-            worst_val, worst_wit = float(vals[i_min]), preds[i_min].copy()
-    return OracleReport(
-        trials=trials,
-        best_value=best_val,
-        worst_value=worst_val,
-        witness_best=best_wit,
-        witness_worst=worst_wit,
-        seed=0,
-    )
-
-
-def _sphere_report(gold: np.ndarray, scale_fn, trials: int, seed: int) -> OracleReport:
-    if trials < 1:
-        raise InvalidInput("trials must be at least 1")
-    rng = np.random.default_rng(seed)
-    n = gold.size
-    best_val, worst_val = -np.inf, np.inf
-    best_wit = worst_wit = None
-    done = 0
-    while done < trials:
-        m = min(_CHUNK, trials - done)
-        d = rng.standard_normal((m, n))
-        d = scale_fn(d)
-        preds = gold[None, :] + d
+    for preds, witnesses in chunks:
         vals = _ccc_rows(gold, preds)
+        trials += len(vals)
         i_max = int(np.argmax(vals))
         i_min = int(np.argmin(vals))
         if vals[i_max] > best_val:
-            best_val, best_wit = float(vals[i_max]), d[i_max].copy()
+            best_val, best_wit = float(vals[i_max]), witnesses[i_max].copy()
         if vals[i_min] < worst_val:
-            worst_val, worst_wit = float(vals[i_min]), d[i_min].copy()
-        done += m
+            worst_val, worst_wit = float(vals[i_min]), witnesses[i_min].copy()
     return OracleReport(
         trials=trials,
         best_value=best_val,
@@ -122,6 +97,19 @@ def _sphere_report(gold: np.ndarray, scale_fn, trials: int, seed: int) -> Oracle
     )
 
 
+def _sphere_report(gold: np.ndarray, scale_fn, trials: int, seed: int) -> OracleReport:
+    if trials < 1:
+        raise InvalidInput("trials must be at least 1")
+    rng = np.random.default_rng(seed)
+
+    def chunks():
+        for done in range(0, trials, _CHUNK):
+            d = scale_fn(rng.standard_normal((min(_CHUNK, trials - done), gold.size)))
+            yield gold[None, :] + d, d
+
+    return _extremes(gold, chunks(), seed)
+
+
 def mse_sphere_oracle(gold, mse: float, trials: int, seed: int) -> OracleReport:
     """ccc extremes over random error vectors with sum(d^2) = N*mse.
 
@@ -129,10 +117,8 @@ def mse_sphere_oracle(gold, mse: float, trials: int, seed: int) -> OracleReport:
     vectors, not the predictions.
     """
     g = as_sequence(gold)
-    if population_variance(g) == 0.0:
-        raise InvalidInput("gold standard is constant")
-    if mse < 0:
-        raise InvalidInput(f"mse must be nonnegative, got {mse}")
+    if not 0.0 <= mse < np.inf:
+        raise InvalidInput(f"mse must be finite and nonnegative, got {mse}")
     radius = np.sqrt(g.size * mse)
 
     def scale(d):
@@ -149,8 +135,6 @@ def lk_sphere_oracle(gold, k: float, lk: float, trials: int, seed: int) -> Oracl
     it covers it, which suffices for auditing outer bounds.
     """
     g = as_sequence(gold)
-    if population_variance(g) == 0.0:
-        raise InvalidInput("gold standard is constant")
     if not k > 0:
         raise InvalidInput(f"k must be positive, got {k}")
     if not lk > 0:

@@ -15,12 +15,13 @@ ordering between the two exists, so comparisons must evaluate both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Literal
 
 import numpy as np
 
 from .errors import DegenerateVariance, InvalidInput, Singularity
-from .stats import as_sequence, population_variance
+from .stats import _as_pair, as_sequence, ccc, population_variance
 
 Convention = Literal["pred_minus_gold", "gold_minus_pred"]
 PRED_MINUS_GOLD: Convention = "pred_minus_gold"
@@ -64,12 +65,12 @@ def _ccc_from_products(
     return float(1.0 - n * mse_e / denom)
 
 
-def ccc_error_form1(gold, errors_ordered) -> float:
-    """ccc of (gold, gold + errors) computed from the error ordering directly."""
-    g = as_sequence(gold)
-    e = as_sequence(errors_ordered)
-    if g.size != e.size:
-        raise InvalidInput(f"length mismatch: {g.size} vs {e.size}")
+def ccc_error_form(gold, errors_ordered, convention: Convention) -> float:
+    """ccc of (gold, gold + errors) under pred_minus_gold, or of (gold, gold - errors)
+    under gold_minus_pred, computed from the error ordering directly."""
+    if convention not in (PRED_MINUS_GOLD, GOLD_MINUS_PRED):
+        raise InvalidInput(f"unknown convention {convention!r}")
+    g, e = _as_pair(gold, errors_ordered)
     return _ccc_from_products(
         n=g.size,
         mse_e=float((e * e).mean()),
@@ -77,25 +78,12 @@ def ccc_error_form1(gold, errors_ordered) -> float:
         sum_ge=float(g @ e),
         mu_g=float(g.mean()),
         mu_e=float(e.mean()),
-        sign=+1.0,
+        sign=1.0 if convention == PRED_MINUS_GOLD else -1.0,
     )
 
 
-def ccc_error_form2(gold, errors_ordered) -> float:
-    """ccc of (gold, gold - errors); mirror convention of :func:`ccc_error_form1`."""
-    g = as_sequence(gold)
-    e = as_sequence(errors_ordered)
-    if g.size != e.size:
-        raise InvalidInput(f"length mismatch: {g.size} vs {e.size}")
-    return _ccc_from_products(
-        n=g.size,
-        mse_e=float((e * e).mean()),
-        var_g=population_variance(g),
-        sum_ge=float(g @ e),
-        mu_g=float(g.mean()),
-        mu_e=float(e.mean()),
-        sign=-1.0,
-    )
+ccc_error_form1 = partial(ccc_error_form, convention=PRED_MINUS_GOLD)
+ccc_error_form2 = partial(ccc_error_form, convention=GOLD_MINUS_PRED)
 
 
 def chebyshev_check(a, b) -> float:
@@ -104,9 +92,7 @@ def chebyshev_check(a, b) -> float:
     Nonnegative when a and b are sorted in the same direction, nonpositive
     when sorted opposite (Chebyshev's sum inequality).
     """
-    av, bv = as_sequence(a), as_sequence(b)
-    if av.size != bv.size:
-        raise InvalidInput(f"length mismatch: {av.size} vs {bv.size}")
+    av, bv = _as_pair(a, b)
     return float((av * bv).mean() - av.mean() * bv.mean())
 
 
@@ -141,8 +127,6 @@ class OrderingExtremes:
 
 def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
     """The four ccc-extreme orderings of an error multiset for a gold standard."""
-    from .stats import ccc as ccc_direct
-
     g = as_sequence(gold)
     if g.size != errors.n:
         raise InvalidInput(f"length mismatch: gold {g.size} vs errors {errors.n}")
@@ -170,7 +154,7 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
             assignment=assignment.copy(),
             errors=errors_in_gold_order.copy(),
             prediction=pred,
-            ccc_value=ccc_direct(g, pred),
+            ccc_value=ccc(g, pred),
             formula_value=formula,
         )
 

@@ -1,11 +1,17 @@
 """Population statistics and error norms for paired real sequences.
 
-All moments divide by N (population convention, no Bessel correction) and are
-computed with a two-pass mean-then-moments scheme. Every function is pure.
+All moments divide by N (population convention, no Bessel correction). Every
+moment comes from one two-pass kernel, :func:`_moments`, which first scales
+both sequences by the one power of two that brings their largest magnitude
+into [0.5, 1): no square or product can overflow, and the scaling itself
+rounds nothing. ``ccc`` and ``pearson`` are ratios of scaled moments and hold
+for finite float64 input at any magnitude; a reported moment that does not
+fit in float64 raises :class:`InvalidInput` naming it. Every function is pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,30 +38,73 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xv, yv
 
 
+def _moments(xv: np.ndarray, yv: np.ndarray) -> tuple[int, float, float, float, float, float]:
+    """(e, mu_x, mu_y, var_x, var_y, cov) of validated equal-length arrays scaled by 2**-e.
+
+    The means are in units of 2**e and the second moments in units of 4**e.
+    The scaling is exact, so wherever the unscaled two-pass formulas do not
+    overflow or underflow the moments are theirs bit for bit. Two full-length
+    buffers at most: x is centred in its scaled copy, which then holds products.
+    """
+    e = math.frexp(max(xv.max(), -xv.min(), yv.max(), -yv.min()))[1]
+    a = np.ldexp(xv, -e)
+    mu_x = a.mean()
+    a -= mu_x
+    b = a * a
+    var_x = b.mean()
+    if yv is xv:
+        return e, float(mu_x), float(mu_x), float(var_x), float(var_x), float(var_x)
+    np.ldexp(yv, -e, out=b)
+    mu_y = b.mean()
+    b -= mu_y
+    a *= b
+    cov = a.mean()
+    np.multiply(b, b, out=a)
+    return e, float(mu_x), float(mu_y), float(var_x), float(a.mean()), float(cov)
+
+
+def _unscale(value: float, e: int, name: str) -> float:
+    """value * 2**e; InvalidInput naming the moment when that overflows float64."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        raise InvalidInput(f"{name} overflows float64") from None
+
+
+def _pearson(var_x: float, var_y: float, cov: float) -> float:
+    if var_x == 0.0 or var_y == 0.0:
+        raise DegenerateVariance("pearson undefined for constant input")
+    # The product underflows when both spreads are tiny next to the pair's largest value.
+    norm = math.sqrt(var_x * var_y) or math.sqrt(var_x) * math.sqrt(var_y)
+    return min(1.0, max(-1.0, cov / norm))  # clamp rounding spill past +-1
+
+
+def _ccc(mu_x: float, mu_y: float, var_x: float, var_y: float, cov: float) -> float:
+    if var_x == 0.0 and var_y == 0.0:
+        raise DegenerateVariance("ccc undefined when both sequences are constant")
+    if cov == 0.0:
+        return 0.0
+    return 2.0 * cov / (var_x + var_y + (mu_x - mu_y) ** 2)
+
+
 def mean(s) -> float:
     return float(as_sequence(s).mean())
 
 
 def population_variance(s) -> float:
     arr = as_sequence(s)
-    centered = arr - arr.mean()
-    return float((centered * centered).mean())
+    e, _, _, var, _, _ = _moments(arr, arr)
+    return _unscale(var, 2 * e, "variance")
 
 
 def covariance(x, y) -> float:
-    xv, yv = _as_pair(x, y)
-    return float(((xv - xv.mean()) * (yv - yv.mean())).mean())
+    e, _, _, _, _, cov = _moments(*_as_pair(x, y))
+    return _unscale(cov, 2 * e, "covariance")
 
 
 def pearson(x, y) -> float:
     """Normalized covariance; both inputs must be nonconstant."""
-    xv, yv = _as_pair(x, y)
-    var_x = population_variance(xv)
-    var_y = population_variance(yv)
-    if var_x == 0.0 or var_y == 0.0:
-        raise DegenerateVariance("pearson undefined for constant input")
-    rho = covariance(xv, yv) / np.sqrt(var_x * var_y)
-    return float(min(1.0, max(-1.0, rho)))  # clamp rounding spill past +-1
+    return _pearson(*_moments(*_as_pair(x, y))[3:])
 
 
 def ccc(x, y) -> float:
@@ -64,16 +113,14 @@ def ccc(x, y) -> float:
     Penalizes departure from the identity line, unlike pearson. Returns
     exactly 0.0 when the covariance is zero and the denominator is positive.
     """
-    xv, yv = _as_pair(x, y)
-    var_x = population_variance(xv)
-    var_y = population_variance(yv)
-    if var_x == 0.0 and var_y == 0.0:
-        raise DegenerateVariance("ccc undefined when both sequences are constant")
-    cov = covariance(xv, yv)
-    if cov == 0.0:
-        return 0.0
-    denom = var_x + var_y + (xv.mean() - yv.mean()) ** 2
-    return float(2.0 * cov / denom)
+    return _ccc(*_moments(*_as_pair(x, y))[1:])
+
+
+def _scaled_errors(xv: np.ndarray, yv: np.ndarray, e: int) -> np.ndarray:
+    """(x - y) / 2**e elementwise, exact wherever x - y is."""
+    d = np.ldexp(xv, -e)
+    d -= np.ldexp(yv, -e)
+    return d
 
 
 def lp_norm(e, p: float) -> float:
@@ -123,28 +170,28 @@ class PairStats:
 
 
 def pair_stats(x, y) -> PairStats:
-    """Compute the full statistics block; requires both sequences nonconstant."""
+    """Compute the full statistics block; requires both sequences nonconstant.
+
+    Raises InvalidInput naming the first reported moment that overflows float64.
+    """
     xv, yv = _as_pair(x, y)
-    var_x = population_variance(xv)
-    var_y = population_variance(yv)
+    e, mu_x, mu_y, var_x, var_y, cov = _moments(xv, yv)
     if var_x == 0.0 or var_y == 0.0:
         raise DegenerateVariance("pair statistics need nonconstant sequences")
-    mu_x, mu_y = float(xv.mean()), float(yv.mean())
-    sig_x, sig_y = float(np.sqrt(var_x)), float(np.sqrt(var_y))
-    cov = covariance(xv, yv)
-    denom = var_x + var_y + (mu_x - mu_y) ** 2
+    sig_x, sig_y = math.sqrt(var_x), math.sqrt(var_y)
+    d = _scaled_errors(xv, yv, e)
     return PairStats(
         n=int(xv.size),
-        mu_x=mu_x,
-        mu_y=mu_y,
-        var_x=float(var_x),
-        var_y=float(var_y),
-        cov_xy=float(cov),
-        pearson=pearson(xv, yv),
-        c_b=float(2.0 * sig_x * sig_y / denom),
-        ccc=ccc(xv, yv),
-        mse=mse(xv, yv),
-        mae=mae(xv, yv),
-        shift_penalty=float((mu_x - mu_y) / np.sqrt(sig_x * sig_y)),
-        scale_penalty=float(sig_x / sig_y),
+        mu_x=math.ldexp(mu_x, e),
+        mu_y=math.ldexp(mu_y, e),
+        var_x=_unscale(var_x, 2 * e, "var_x"),
+        var_y=_unscale(var_y, 2 * e, "var_y"),
+        cov_xy=_unscale(cov, 2 * e, "cov_xy"),
+        pearson=_pearson(var_x, var_y, cov),
+        c_b=2.0 * sig_x * sig_y / (var_x + var_y + (mu_x - mu_y) ** 2),
+        ccc=_ccc(mu_x, mu_y, var_x, var_y, cov),
+        mse=_unscale(float((d * d).mean()), 2 * e, "mse"),
+        mae=_unscale(float(np.abs(d).mean()), e, "mae"),
+        shift_penalty=(mu_x - mu_y) / math.sqrt(sig_x * sig_y),
+        scale_penalty=sig_x / sig_y,
     )

@@ -267,6 +267,37 @@ class TestAudit:
         assert results["bounds_respected"] is True
 
 
+class TestParameterAndRangeErrors:
+    @pytest.mark.parametrize(
+        "args, stdin",
+        [
+            (["bounds-mse", "--format", "plain", "--mse", "nan", "--json"], "1\n2\n3\n"),
+            (["loss", "--variant", "diff", "--alpha", "nan", "--json"], "1,2\n2,3\n3,5\n"),
+            (["bounds-lk", "--format", "plain", "--k", "1", "--lk", "nan"], "1\n2\n3\n"),
+            (["bounds-lk", "--format", "plain", "--k", "0.001", "--lk", "8"], "1\n2\n3\n"),
+            (["region", "--kind", "mse", "--x-max", "nan"], ""),
+            (["audit", "mse-sphere", "--format", "plain", "--mse", "nan"], "1\n2\n3\n4\n"),
+            (["bounds-mse", "--format", "plain", "--mse", "4"], "1e160\n2e160\n4e160\n"),
+        ],
+        ids=[
+            "mse-nan", "alpha-nan", "lk-nan", "k-band-overflow", "x-max-nan", "sphere-mse-nan",
+            "gold-variance-overflow",
+        ],
+    )
+    def test_bad_parameter_exits_2(self, args, stdin):
+        proc = run(args, stdin=stdin)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+    def test_analyze_names_overflowing_moment(self):
+        stdin = "".join(f"{g * 1e160:.17g},{p * 1e160:.17g}\n" for g, p in ((1, 2), (2, 1), (3, 4), (4, 3)))
+        proc = run(["analyze", "--json"], stdin=stdin)
+        assert proc.returncode == 2
+        assert "var_x" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 class TestDeterminism:
     def test_double_run_identical_bytes(self):
         stdin = "1,2\n2,3\n3,4\n"

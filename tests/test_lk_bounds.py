@@ -150,6 +150,15 @@ class TestEnvelopeGivenLk:
         with pytest.raises(InvalidInput):
             envelope_given_lk(1, 64, lk=1.0, sigma_g=1.0, theta=0.5)
 
+    def test_nonfinite_lk_rejected(self):
+        for lk in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInput):
+                envelope_given_lk(1, 64, lk=lk, sigma_g=1.0)
+
+    def test_band_overflow_is_typed(self):
+        with pytest.raises(InvalidInput, match="overflows"):
+            theta_band(0.001, 64, 8.0)
+
     def test_containment_of_random_vectors(self):
         # every vector with the given L_k norm lands inside the outer envelope
         rng = np.random.default_rng(21)

@@ -80,8 +80,9 @@ class TestLossValues:
             LossParams(variant="ratio", gamma=0.0)
         with pytest.raises(InvalidInput):
             LossParams(variant="nope")
-        with pytest.raises(InvalidInput):
-            LossParams(variant="diff", alpha=-1.0)
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInput):
+                LossParams(variant="diff", alpha=alpha)
         with pytest.raises(InvalidInput):
             LossParams(variant="general_diff", per_sample_eps=[1.0, -2.0])
 

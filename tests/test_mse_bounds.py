@@ -104,8 +104,11 @@ class TestEnvelopes:
             assert lower_envelope(x) == envelope_kernel(1.0 - x)
 
     def test_negative_x_rejected(self):
-        with pytest.raises(InvalidInput):
-            upper_envelope(-0.5)
+        for x in (-0.5, float("nan")):
+            with pytest.raises(InvalidInput):
+                upper_envelope(x)
+            with pytest.raises(InvalidInput):
+                lower_envelope(x)
 
 
 class TestBoundsGivenMse:
@@ -129,12 +132,20 @@ class TestBoundsGivenMse:
         assert ccc([1, 2, 3], [0, 2, 4]) == pytest.approx(0.8, rel=1e-12)
 
     def test_negative_mse_rejected(self):
-        with pytest.raises(InvalidInput):
-            bounds_given_mse(center_gold([1, 2, 3]), -1.0)
+        for mse_value in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInput):
+                bounds_given_mse(center_gold([1, 2, 3]), mse_value)
+            with pytest.raises(InvalidInput):
+                ccc_from_mse_cov(mse_value, 1.0)
 
     def test_constant_gold_rejected(self):
         with pytest.raises(DegenerateVariance):
             center_gold([4, 4, 4])
+
+    def test_gold_variance_overflow_is_named(self):
+        with pytest.raises(InvalidInput, match="var_g"):
+            center_gold([1e160, 2e160, 4e160])
+        assert center_gold([1e150, 2e150, 4e150]).var_g == pytest.approx(14e300 / 9, rel=1e-15)
 
     def test_attainment_random(self):
         rng = np.random.default_rng(11)

@@ -246,3 +246,94 @@ def test_norm_monotonicity(values, r, ratio):
     e = np.asarray(values)
     p = r * ratio
     assert lp_norm(e, p) <= lp_norm(e, r) * (1 + 1e-12) + 1e-300
+
+
+# ---------------------------------------------------------------------------
+# range: the moment kernel over the whole finite float64 range
+
+RANGE_X = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+RANGE_Y = np.array([2.0, 1.0, 4.0, 3.0, 7.0, 5.0])
+
+int_pairs = st.lists(
+    st.tuples(st.integers(-10_000, 10_000), st.integers(-10_000, 10_000)),
+    min_size=2,
+    max_size=30,
+)
+# |a| in [2**-500, 2**500) with a two-bit mantissa, so a * x and a * (x + c) are
+# exact for the integer samples above and every difference is the kernel's own.
+scales = st.builds(
+    lambda sign, m, k: sign * math.ldexp(m, k),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([1.0, 1.25, 1.5, 1.75]),
+    st.integers(-500, 499),
+)
+
+
+def _columns(pairs):
+    x, y = zip(*pairs)
+    return np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(int_pairs, scales, st.integers(-10, 10))
+@settings(max_examples=200, deadline=None)
+def test_ccc_affine_equivariance_over_the_range(pairs, a, c):
+    x, y = _columns(pairs)
+    assume(np.ptp(x) > 0 or np.ptp(y) > 0)
+    b = a * c
+    assert math.isclose(ccc(a * x + b, a * y + b), ccc(x, y), rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(int_pairs, scales)
+@settings(max_examples=200, deadline=None)
+def test_symmetry_over_the_range(pairs, a):
+    x, y = _columns(pairs)
+    assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+    x, y = a * x, a * y
+    assert ccc(x, y) == ccc(y, x)
+    assert pearson(x, y) == pearson(y, x)
+    try:
+        cov = covariance(x, y)
+    except InvalidInput:
+        with pytest.raises(InvalidInput):
+            covariance(y, x)
+    else:
+        assert covariance(y, x) == cov
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(int_pairs, scales)
+@settings(max_examples=200, deadline=None)
+def test_pearson_bounded_and_scale_free_over_the_range(pairs, a):
+    x, y = _columns(pairs)
+    assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+    rho = pearson(a * x, a * y)
+    assert -1.0 <= rho <= 1.0
+    assert math.isclose(rho, pearson(x, y), rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-150, 1e150, 1e160, 1e300])
+def test_correlations_at_extreme_magnitudes(scale):
+    x, y = RANGE_X * scale, RANGE_Y * scale
+    assert pearson(x, y) == pytest.approx(pearson(RANGE_X, RANGE_Y), rel=1e-12)
+    assert ccc(x, y) == pytest.approx(ccc(RANGE_X, RANGE_Y), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pearson_when_the_variance_product_underflows():
+    x = [1.0, 1.0 + 2.0**-52, 1.0, 1.0]
+    assert pearson(x, [1e-150, 2e-150, 3e-150, 4e-150]) == pytest.approx(
+        pearson(x, [1.0, 2.0, 3.0, 4.0]), rel=1e-12
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_moment_is_named():
+    with pytest.raises(InvalidInput, match="var_x"):
+        pair_stats(RANGE_X * 1e160, RANGE_Y)
+    with pytest.raises(InvalidInput, match="var_y"):
+        pair_stats(RANGE_X, RANGE_Y * 1e160)
+    with pytest.raises(InvalidInput, match="variance"):
+        population_variance(RANGE_X * 1e160)
