@@ -33,14 +33,13 @@ from .lk_bounds import (
     theta_band,
     theta_grid,
 )
-from .losses import LossParams, TRACE_COLUMNS, loss, loss_gradient, training_trace
+from .losses import TRACE_COLUMNS, VARIANTS, LossParams, loss, loss_gradient, training_trace
 from .mse_bounds import (
     MSE_REGION_COLUMNS,
     CenteredGold,
     bounds_given_mse,
     ccc_from_mse_cov,
     center_gold,
-    _identity_residual,
     lower_envelope,
     mse_region_table,
 )
@@ -52,7 +51,7 @@ from .ordering import (
     error_set,
     optimal_permutations,
 )
-from .stats import as_sequence, pair_stats, population_variance
+from .stats import _identity_residual, as_sequence, pair_stats, population_variance
 from .tolerances import TOL
 
 _FLOAT_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
@@ -282,9 +281,7 @@ def cmd_analyze(args) -> dict:
         "mae": stats.mae,
         "ccc": stats.ccc,
         "ccc_via_mse_map": ccc_from_mse_cov(stats.mse, stats.cov_xy),
-        "variance_identity_residual": _identity_residual(
-            stats.var_x, stats.var_y, stats.mu_x, stats.mu_y, stats.mse, stats.cov_xy
-        ),
+        "variance_identity_residual": _identity_residual(gold, pred),
     }
     return report
 
@@ -460,16 +457,10 @@ def cmd_solve_even_p(args) -> dict:
     return report
 
 
-def _loss_params_from_args(args) -> LossParams:
-    return LossParams(
-        variant=args.variant, gamma=args.gamma, alpha=args.alpha, beta=args.beta
-    )
-
-
 def cmd_loss(args) -> dict:
     cols = _load_columns(args, [("gold", args.gold_col), ("pred", args.pred_col)])
     gold, pred = cols["gold"], cols["pred"]
-    params = _loss_params_from_args(args)
+    params = LossParams(variant=args.variant, gamma=args.gamma, alpha=args.alpha, beta=args.beta)
     report = _report_skeleton(args, "loss")
     report["inputs"] = {"gold": _digest_of(gold), "pred": _digest_of(pred)}
     grad = loss_gradient(params, gold, pred)
@@ -623,19 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve_even_p)
 
     p = sub.add_parser("loss", parents=[common], help="loss family values and traces")
-    p.add_argument(
-        "--variant",
-        required=True,
-        choices=(
-            "ratio",
-            "ratio_pow",
-            "general_ratio",
-            "diff",
-            "diff_pow",
-            "general_diff",
-            "abs_mse_over_cov",
-        ),
-    )
+    p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=int, default=0)

@@ -21,7 +21,7 @@ from math import inf
 import numpy as np
 
 from .errors import InvalidInput, NoConjugate
-from .mse_bounds import lower_envelope, upper_envelope
+from .mse_bounds import lower_envelope, mse_region_table, upper_envelope
 from .stats import as_sequence, lp_norm
 
 
@@ -180,15 +180,12 @@ def lk_region_table(
     lower_envelope(theta_j * x) for each theta_j on a geometric grid between
     1 and theta_max. At k = 2 the family collapses onto the single mse curve.
     """
-    if not x_max >= 0:
-        raise InvalidInput("x_max must be nonnegative")
-    if steps < 2:
-        raise InvalidInput("steps must be at least 2")
+    mse_rows = mse_region_table(x_max, steps)
+    xs = mse_rows[:, 0]
     band = theta_band(k, n, lk=1.0)
     thetas = theta_grid(band.theta_max, theta_steps)
-    xs = np.linspace(0.0, x_max, steps)
     family = np.column_stack([lower_envelope(t * xs) for t in thetas])
-    rows = np.column_stack([xs, upper_envelope(xs), _piecewise_lower(xs, band.theta_max), family])
+    rows = np.column_stack([mse_rows[:, :2], _piecewise_lower(xs, band.theta_max), family])
     return rows, thetas
 
 

@@ -22,7 +22,7 @@ of |.|^gamma (inner value exactly zero) the subgradient 0 is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -39,15 +39,7 @@ Variant = Literal[
     "abs_mse_over_cov",
 ]
 
-VARIANTS: tuple[Variant, ...] = (
-    "ratio",
-    "ratio_pow",
-    "general_ratio",
-    "diff",
-    "diff_pow",
-    "general_diff",
-    "abs_mse_over_cov",
-)
+VARIANTS: tuple[Variant, ...] = get_args(Variant)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, InvalidInput, Singularity
-from .stats import _as_pair, _moments, _scaled_errors, _unscale, as_sequence
+from .stats import _mean_variance, as_sequence, variance_identity_residual  # re-exported
 
 #: Column names of the region table rows produced by :func:`mse_region_table`.
 MSE_REGION_COLUMNS = ("x", "psi_upper", "psi_lower")
@@ -33,26 +33,10 @@ def ccc_from_mse_cov(mse_value: float, cov: float) -> float:
     """ccc reconstructed from (mse, covariance) alone: 2*cov / (mse + 2*cov)."""
     if not 0.0 <= mse_value < np.inf:
         raise InvalidInput(f"mse must be finite and nonnegative, got {mse_value}")
-    denom = mse_value + 2.0 * cov
-    if denom == 0.0:
+    half_denom = 0.5 * mse_value + cov  # halved, so 2*cov cannot overflow
+    if half_denom == 0.0:
         raise Singularity("mse + 2*cov is exactly zero; ccc undefined")
-    return float(2.0 * cov / denom)
-
-
-def _identity_residual(var_x, var_y, mu_x, mu_y, mse_value, cov) -> float:
-    return float(var_x + var_y + (mu_x - mu_y) ** 2 - (mse_value + 2.0 * cov))
-
-
-def variance_identity_residual(x, y) -> float:
-    """Left minus right of var_x + var_y + (mu_x-mu_y)^2 == mse + 2*cov.
-
-    Zero in exact arithmetic; the float residual stays below 1e-12 relative.
-    """
-    xv, yv = _as_pair(x, y)
-    e, mu_x, mu_y, var_x, var_y, cov = _moments(xv, yv)
-    d = _scaled_errors(xv, yv, e)
-    residual = _identity_residual(var_x, var_y, mu_x, mu_y, float((d * d).mean()), cov)
-    return _unscale(residual, 2 * e, "variance identity residual")
+    return float(cov / half_denom)
 
 
 def envelope_kernel(t):
@@ -98,10 +82,9 @@ class CenteredGold:
 
 def center_gold(gold) -> CenteredGold:
     arr = as_sequence(gold)
-    e, mu, _, var_g, _, _ = _moments(arr, arr)
+    mu, var_g = _mean_variance(arr, "var_g")
     if var_g == 0.0:
-        raise DegenerateVariance("gold standard is constant; bounds undefined")
-    mu, var_g = _unscale(mu, e, "mu_g"), _unscale(var_g, 2 * e, "var_g")
+        raise DegenerateVariance("gold variance is zero in float64; bounds undefined")
     return CenteredGold(gold=arr, centered=arr - mu, mu_g=mu, var_g=var_g)
 
 

@@ -15,7 +15,6 @@ ordering between the two exists, so comparisons must evaluate both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Literal
 
 import numpy as np
@@ -82,8 +81,14 @@ def ccc_error_form(gold, errors_ordered, convention: Convention) -> float:
     )
 
 
-ccc_error_form1 = partial(ccc_error_form, convention=PRED_MINUS_GOLD)
-ccc_error_form2 = partial(ccc_error_form, convention=GOLD_MINUS_PRED)
+def ccc_error_form1(gold, errors_ordered) -> float:
+    """ccc of (gold, gold + errors) computed from the error ordering directly."""
+    return ccc_error_form(gold, errors_ordered, PRED_MINUS_GOLD)
+
+
+def ccc_error_form2(gold, errors_ordered) -> float:
+    """ccc of (gold, gold - errors); mirror convention of :func:`ccc_error_form1`."""
+    return ccc_error_form(gold, errors_ordered, GOLD_MINUS_PRED)
 
 
 def chebyshev_check(a, b) -> float:

@@ -1,12 +1,13 @@
 """Population statistics and error norms for paired real sequences.
 
-All moments divide by N (population convention, no Bessel correction). Every
-moment comes from one two-pass kernel, :func:`_moments`, which first scales
-both sequences by the one power of two that brings their largest magnitude
-into [0.5, 1): no square or product can overflow, and the scaling itself
-rounds nothing. ``ccc`` and ``pearson`` are ratios of scaled moments and hold
-for finite float64 input at any magnitude; a reported moment that does not
-fit in float64 raises :class:`InvalidInput` naming it. Every function is pure.
+All moments divide by N (population convention, no Bessel correction) and come
+from one two-pass kernel, :func:`_moments`. It scales each sequence, as the
+error means scale x - y, by the power of two that brings its largest magnitude
+into [0.5, 1). That rounds nothing, so results are the plain formulas' bit for
+bit wherever those neither overflow nor underflow, and the ratios (``pearson``,
+``ccc``, ...) hold for any finite float64 input unless their own value is below
+the normal float64 range. A reported statistic that does not fit in float64
+raises :class:`InvalidInput` naming it. Every function is pure.
 """
 
 from __future__ import annotations
@@ -38,35 +39,46 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xv, yv
 
 
-def _moments(xv: np.ndarray, yv: np.ndarray) -> tuple[int, float, float, float, float, float]:
-    """(e, mu_x, mu_y, var_x, var_y, cov) of validated equal-length arrays scaled by 2**-e.
+def _exponent(v: np.ndarray) -> int:
+    """The e with max |v_i| in [2**(e-1), 2**e); 0 when v is all zeros."""
+    return math.frexp(max(v.max(), -v.min()))[1]
 
-    The means are in units of 2**e and the second moments in units of 4**e.
-    The scaling is exact, so wherever the unscaled two-pass formulas do not
-    overflow or underflow the moments are theirs bit for bit. Two full-length
-    buffers at most: x is centred in its scaled copy, which then holds products.
-    """
-    e = math.frexp(max(xv.max(), -xv.min(), yv.max(), -yv.min()))[1]
-    a = np.ldexp(xv, -e)
+
+def _moments(xv: np.ndarray, yv: np.ndarray) -> tuple[int, int, float, float, float, float, float]:
+    """(ex, ey, mu_x, mu_y, var_x, var_y, cov) of x / 2**ex and y / 2**ey, each array
+    scaled by its own power of two: means in units of 2**ex and 2**ey, variances in
+    4**ex and 4**ey, cov in 2**(ex + ey). At most two full-length buffers: x is
+    centred in its scaled copy, which then holds products."""
+    ex, ey = _exponent(xv), _exponent(yv)
+    a = np.ldexp(xv, -ex)
     mu_x = a.mean()
     a -= mu_x
     b = a * a
     var_x = b.mean()
     if yv is xv:
-        return e, float(mu_x), float(mu_x), float(var_x), float(var_x), float(var_x)
-    np.ldexp(yv, -e, out=b)
+        return ex, ex, float(mu_x), float(mu_x), float(var_x), float(var_x), float(var_x)
+    np.ldexp(yv, -ey, out=b)
     mu_y = b.mean()
     b -= mu_y
     a *= b
     cov = a.mean()
     np.multiply(b, b, out=a)
-    return e, float(mu_x), float(mu_y), float(var_x), float(a.mean()), float(cov)
+    return ex, ey, float(mu_x), float(mu_y), float(var_x), float(a.mean()), float(cov)
 
 
-def _unscale(value: float, e: int, name: str) -> float:
-    """value * 2**e; InvalidInput naming the moment when that overflows float64."""
+def _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y) -> tuple[int, float, float]:
+    """(e, mu_x - mu_y, var_x + var_y + (mu_x - mu_y)**2) of :func:`_moments` output,
+    in units of 2**e and 4**e for e = max(ex, ey)."""
+    e = max(ex, ey)
+    dmu = math.ldexp(mu_x, ex - e) - math.ldexp(mu_y, ey - e)
+    return e, dmu, math.ldexp(var_x, 2 * (ex - e)) + math.ldexp(var_y, 2 * (ey - e)) + dmu**2
+
+
+def _unscale(value: float, e: float, name: str) -> float:
+    """value * 2**e; InvalidInput naming the statistic when that overflows float64."""
+    whole = math.floor(e)
     try:
-        return math.ldexp(value, e)
+        return math.ldexp(value * 2.0 ** (e - whole), whole)
     except OverflowError:
         raise InvalidInput(f"{name} overflows float64") from None
 
@@ -74,17 +86,37 @@ def _unscale(value: float, e: int, name: str) -> float:
 def _pearson(var_x: float, var_y: float, cov: float) -> float:
     if var_x == 0.0 or var_y == 0.0:
         raise DegenerateVariance("pearson undefined for constant input")
-    # The product underflows when both spreads are tiny next to the pair's largest value.
-    norm = math.sqrt(var_x * var_y) or math.sqrt(var_x) * math.sqrt(var_y)
-    return min(1.0, max(-1.0, cov / norm))  # clamp rounding spill past +-1
+    return min(1.0, max(-1.0, cov / math.sqrt(var_x * var_y)))  # clamp rounding spill past +-1
 
 
-def _ccc(mu_x: float, mu_y: float, var_x: float, var_y: float, cov: float) -> float:
+def _ccc(ex, ey, mu_x, mu_y, var_x, var_y, cov) -> float:
     if var_x == 0.0 and var_y == 0.0:
         raise DegenerateVariance("ccc undefined when both sequences are constant")
     if cov == 0.0:
         return 0.0
-    return 2.0 * cov / (var_x + var_y + (mu_x - mu_y) ** 2)
+    e, _, denom = _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y)
+    return math.ldexp(2.0 * cov / denom, ex + ey - 2 * e)
+
+
+def _mean_variance(arr: np.ndarray, name: str) -> tuple[float, float]:
+    """(mean, variance) of a validated array; InvalidInput naming the variance on overflow."""
+    e, _, mu, _, var, _, _ = _moments(arr, arr)
+    return _unscale(mu, e, "mean"), _unscale(var, 2 * e, name)
+
+
+def _scaled_errors(xv: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, int]:
+    """(d, u) with x - y == d * 2**u elementwise, max |d_i| in [0.5, 1); exact where x - y is."""
+    e = max(_exponent(xv), _exponent(yv))
+    d = np.ldexp(xv, -e)
+    d -= np.ldexp(yv, -e)
+    u = _exponent(d)
+    return np.ldexp(d, -u, out=d), e + u
+
+
+def _error_mean(d: np.ndarray, u: float, k: float, name: str) -> float:
+    """(1/N) sum |d_i|**k * 2**(k*u) for (d, u) from :func:`_scaled_errors`; overwrites d with |d|."""
+    np.abs(d, out=d)
+    return _unscale(float((d**k).mean()), k * u, name)
 
 
 def mean(s) -> float:
@@ -92,19 +124,17 @@ def mean(s) -> float:
 
 
 def population_variance(s) -> float:
-    arr = as_sequence(s)
-    e, _, _, var, _, _ = _moments(arr, arr)
-    return _unscale(var, 2 * e, "variance")
+    return _mean_variance(as_sequence(s), "variance")[1]
 
 
 def covariance(x, y) -> float:
-    e, _, _, _, _, cov = _moments(*_as_pair(x, y))
-    return _unscale(cov, 2 * e, "covariance")
+    ex, ey, *_, cov = _moments(*_as_pair(x, y))
+    return _unscale(cov, ex + ey, "covariance")
 
 
 def pearson(x, y) -> float:
     """Normalized covariance; both inputs must be nonconstant."""
-    return _pearson(*_moments(*_as_pair(x, y))[3:])
+    return _pearson(*_moments(*_as_pair(x, y))[4:])
 
 
 def ccc(x, y) -> float:
@@ -113,14 +143,23 @@ def ccc(x, y) -> float:
     Penalizes departure from the identity line, unlike pearson. Returns
     exactly 0.0 when the covariance is zero and the denominator is positive.
     """
-    return _ccc(*_moments(*_as_pair(x, y))[1:])
+    return _ccc(*_moments(*_as_pair(x, y)))
 
 
-def _scaled_errors(xv: np.ndarray, yv: np.ndarray, e: int) -> np.ndarray:
-    """(x - y) / 2**e elementwise, exact wherever x - y is."""
-    d = np.ldexp(xv, -e)
-    d -= np.ldexp(yv, -e)
-    return d
+def variance_identity_residual(x, y) -> float:
+    """Left minus right of var_x + var_y + (mu_x-mu_y)^2 == mse + 2*cov.
+
+    Zero in exact arithmetic; the float residual stays below 1e-12 relative.
+    """
+    return _identity_residual(*_as_pair(x, y))
+
+
+def _identity_residual(xv: np.ndarray, yv: np.ndarray) -> float:
+    ex, ey, mu_x, mu_y, var_x, var_y, cov = _moments(xv, yv)
+    e, _, left = _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y)
+    d, u = _scaled_errors(xv, yv)
+    right = _error_mean(d, u - e, 2, "mse") + 2.0 * math.ldexp(cov, ex + ey - 2 * e)
+    return _unscale(left - right, 2 * e, "variance identity residual")
 
 
 def lp_norm(e, p: float) -> float:
@@ -132,14 +171,11 @@ def lp_norm(e, p: float) -> float:
 
 
 def mse(x, y) -> float:
-    xv, yv = _as_pair(x, y)
-    d = xv - yv
-    return float((d * d).mean())
+    return _error_mean(*_scaled_errors(*_as_pair(x, y)), 2, "mse")
 
 
 def mae(x, y) -> float:
-    xv, yv = _as_pair(x, y)
-    return float(np.abs(xv - yv).mean())
+    return _error_mean(*_scaled_errors(*_as_pair(x, y)), 1, "mae")
 
 
 def mke(x, y, k: float) -> float:
@@ -147,7 +183,7 @@ def mke(x, y, k: float) -> float:
     xv, yv = _as_pair(x, y)
     if not k > 0:
         raise InvalidInput(f"k must be positive, got {k}")
-    return float((np.abs(xv - yv) ** k).mean())
+    return _error_mean(*_scaled_errors(xv, yv), k, "mke")
 
 
 @dataclass(frozen=True)
@@ -172,26 +208,29 @@ class PairStats:
 def pair_stats(x, y) -> PairStats:
     """Compute the full statistics block; requires both sequences nonconstant.
 
-    Raises InvalidInput naming the first reported moment that overflows float64.
+    Raises InvalidInput naming the first reported statistic that overflows float64.
     """
     xv, yv = _as_pair(x, y)
-    e, mu_x, mu_y, var_x, var_y, cov = _moments(xv, yv)
+    ex, ey, mu_x, mu_y, var_x, var_y, cov = _moments(xv, yv)
     if var_x == 0.0 or var_y == 0.0:
         raise DegenerateVariance("pair statistics need nonconstant sequences")
+    e, dmu, denom = _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y)
     sig_x, sig_y = math.sqrt(var_x), math.sqrt(var_y)
-    d = _scaled_errors(xv, yv, e)
+    h = (ex + ey) >> 1  # sig_x * sig_y is in units of 2**(ex + ey), its root in 2**h
+    root = math.sqrt(math.ldexp(sig_x * sig_y, ex + ey - 2 * h))
+    d, u = _scaled_errors(xv, yv)
     return PairStats(
         n=int(xv.size),
-        mu_x=math.ldexp(mu_x, e),
-        mu_y=math.ldexp(mu_y, e),
-        var_x=_unscale(var_x, 2 * e, "var_x"),
-        var_y=_unscale(var_y, 2 * e, "var_y"),
-        cov_xy=_unscale(cov, 2 * e, "cov_xy"),
+        mu_x=_unscale(mu_x, ex, "mu_x"),
+        mu_y=_unscale(mu_y, ey, "mu_y"),
+        var_x=_unscale(var_x, 2 * ex, "var_x"),
+        var_y=_unscale(var_y, 2 * ey, "var_y"),
+        cov_xy=_unscale(cov, ex + ey, "cov_xy"),
         pearson=_pearson(var_x, var_y, cov),
-        c_b=2.0 * sig_x * sig_y / (var_x + var_y + (mu_x - mu_y) ** 2),
-        ccc=_ccc(mu_x, mu_y, var_x, var_y, cov),
-        mse=_unscale(float((d * d).mean()), 2 * e, "mse"),
-        mae=_unscale(float(np.abs(d).mean()), e, "mae"),
-        shift_penalty=(mu_x - mu_y) / math.sqrt(sig_x * sig_y),
-        scale_penalty=sig_x / sig_y,
+        c_b=math.ldexp(2.0 * sig_x * sig_y / denom, ex + ey - 2 * e),
+        ccc=_ccc(ex, ey, mu_x, mu_y, var_x, var_y, cov),
+        mse=_error_mean(d, u, 2, "mse"),
+        mae=_error_mean(d, u, 1, "mae"),
+        shift_penalty=_unscale(dmu / root, e - h, "shift_penalty"),
+        scale_penalty=_unscale(sig_x / sig_y, ex - ey, "scale_penalty"),
     )

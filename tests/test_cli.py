@@ -297,6 +297,13 @@ class TestParameterAndRangeErrors:
         assert "var_x" in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
+    def test_analyze_near_the_top_of_the_range(self):
+        proc = run(["analyze", "--json"], stdin="1.2e154,1.2e154\n-1.2e154,-1.2e154\n")
+        assert proc.returncode == 0 and proc.stderr == ""
+        results = json.loads(proc.stdout)["results"]
+        assert results["ccc_via_mse_map"] == 1.0
+        assert results["variance_identity_residual"] == 0.0
+
 
 class TestDeterminism:
     def test_double_run_identical_bytes(self):

@@ -1,6 +1,9 @@
 """Unit and property tests for the paired-sequence statistics layer."""
 
+import decimal
 import math
+from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from cccmap import (
     pearson,
     population_variance,
 )
+from cccmap.mse_bounds import center_gold
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -322,14 +326,6 @@ def test_correlations_at_extreme_magnitudes(scale):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_pearson_when_the_variance_product_underflows():
-    x = [1.0, 1.0 + 2.0**-52, 1.0, 1.0]
-    assert pearson(x, [1e-150, 2e-150, 3e-150, 4e-150]) == pytest.approx(
-        pearson(x, [1.0, 2.0, 3.0, 4.0]), rel=1e-12
-    )
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_moment_is_named():
     with pytest.raises(InvalidInput, match="var_x"):
         pair_stats(RANGE_X * 1e160, RANGE_Y)
@@ -337,3 +333,83 @@ def test_overflowing_moment_is_named():
         pair_stats(RANGE_X, RANGE_Y * 1e160)
     with pytest.raises(InvalidInput, match="variance"):
         population_variance(RANGE_X * 1e160)
+
+
+def _exact_pair_stats(x, y) -> tuple[dict, dict]:
+    """PairStats fields of float arrays in exact rationals (roots in 60 digits), and
+    the scale each float field is accurate to."""
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    n = len(xs)
+    mx, my = sum(xs) / n, sum(ys) / n
+    vx = sum((a - mx) ** 2 for a in xs) / n
+    vy = sum((b - my) ** 2 for b in ys) / n
+    cov = sum((a - mx) * (b - my) for a, b in zip(xs, ys)) / n
+    denom = vx + vy + (mx - my) ** 2
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        dec = lambda f: decimal.Decimal(f.numerator) / decimal.Decimal(f.denominator)  # noqa: E731
+        sx, sy = dec(vx).sqrt(), dec(vy).sqrt()
+        ref = {
+            "n": n, "mu_x": dec(mx), "mu_y": dec(my), "var_x": dec(vx), "var_y": dec(vy),
+            "cov_xy": dec(cov), "pearson": dec(cov) / (sx * sy), "c_b": 2 * sx * sy / dec(denom),
+            "ccc": dec(2 * cov / denom),
+            "mse": dec(sum((a - b) ** 2 for a, b in zip(xs, ys)) / n),
+            "mae": dec(sum(abs(a - b) for a, b in zip(xs, ys)) / n),
+            "shift_penalty": dec(mx - my) / (sx * sy).sqrt(), "scale_penalty": sx / sy,
+        }
+        big = decimal.Decimal(max(np.abs(x).max(), np.abs(y).max()))
+        scale = {
+            "n": 0, "mu_x": decimal.Decimal(np.abs(x).max()), "mu_y": decimal.Decimal(np.abs(y).max()),
+            "var_x": ref["var_x"], "var_y": ref["var_y"], "cov_xy": sx * sy, "pearson": 1,
+            "c_b": ref["c_b"], "ccc": ref["c_b"], "mse": ref["mse"], "mae": ref["mae"],
+            "shift_penalty": big / (sx * sy).sqrt(), "scale_penalty": ref["scale_penalty"],
+        }
+    return ref, scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(int_pairs, st.integers(-1100, 1010), st.integers(-1100, 1010))
+@settings(max_examples=300, deadline=None)
+def test_pair_stats_against_exact_arithmetic_at_independent_scales(pairs, i, j):
+    """Each column at its own power of two anywhere in float64: every field is exact
+    to 1e-12 of its scale, or the error names a field that does not fit in float64."""
+    x, y = _columns(pairs)
+    x, y = np.ldexp(x, i), np.ldexp(y, j)
+    assume(np.any(x != x[0]) and np.any(y != y[0]))
+    ref, scale = _exact_pair_stats(x, y)
+    try:
+        got = asdict(pair_stats(x, y))
+    except InvalidInput as err:
+        name = str(err).split()[0]
+        assert abs(ref[name]) > decimal.Decimal(1e308), str(err)
+        return
+    for name, value in got.items():
+        error = abs(decimal.Decimal(value) - ref[name])
+        assert error <= decimal.Decimal(1e-12) * scale[name] + decimal.Decimal(2.0**-1070), name
+    # one implementation: the public functions return the pair_stats fields bit for bit
+    assert (mse(x, y), mae(x, y), mke(x, y, 2), mke(x, y, 1)) == (got["mse"], got["mae"]) * 2
+    assert (ccc(x, y), pearson(x, y), covariance(x, y)) == (got["ccc"], got["pearson"], got["cov_xy"])
+    assert population_variance(x) == got["var_x"]
+    if got["var_y"] == 0.0:  # nonconstant, but the variance underflows
+        with pytest.raises(DegenerateVariance):
+            center_gold(y)
+    else:
+        gold = center_gold(y)
+        assert (gold.mu_g, gold.var_g) == (got["mu_y"], got["var_y"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0, 4.0], [1e20, 2e20, 3e20, 4e20], [1.0, 1.0 + 2.0**-52, 1.0, 1.0]])
+@pytest.mark.parametrize("tiny", [1e-150, 1e-170, 1e-300])
+def test_pearson_of_columns_far_apart_in_magnitude(x, tiny):
+    y = [1.0, 2.0, 4.0, 3.0]
+    assert pearson(x, [tiny * v for v in y]) == pytest.approx(pearson(x, y), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_error_means_over_the_range():
+    assert mse([1e100, 1e-150], [1e100, 0.0]) == pytest.approx(5e-301, rel=1e-12)
+    assert mae([1e300, -1e300], [-1e300, 1e300]) == 2e300
+    for fn in (mse, lambda x, y: pair_stats(x, y).mse):
+        with pytest.raises(InvalidInput, match="mse"):
+            fn([1e154, -1e154], [-1e154, 1e154])  # every moment fits, mse = 4e308 does not
