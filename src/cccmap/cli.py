@@ -421,7 +421,7 @@ def cmd_permute(args) -> dict:
 def cmd_solve_even_p(args) -> dict:
     if args.k is None or args.lk is None:
         raise InvalidInput("solve-even-p requires --k and --lk")
-    if args.k != int(args.k):
+    if not args.k.is_integer():
         raise InvalidInput(f"solve-even-p needs an even integer k, got {args.k}")
     gold = _load_gold(args)
     prob = StationarityProblem(
@@ -446,7 +446,7 @@ def cmd_solve_even_p(args) -> dict:
         closed = bounds_given_mse(gold, args.lk**2 / gold.n)
         target = closed.err_max if args.objective == "max" else closed.err_min
         cos = float(
-            state.d @ target / (np.linalg.norm(state.d) * np.linalg.norm(target))
+            state.d @ target / (np.sqrt(state.d @ state.d) * np.sqrt(target @ target))
         )
         envelope = closed.ccc_max if args.objective == "max" else closed.ccc_min
         results["closed_form_check"] = {

@@ -12,12 +12,12 @@ which vanishes at every constrained stationary point. At k = 2 the system is
 solved exactly by d = +-sqrt(MSE/var_g) * yz, the constructive mse-bound
 vectors, which the solver must reproduce.
 
-Numerics (the choice is ours, nothing canonical exists): dense objective
-sampling on the constraint sphere seeds a multi-start tangent-projected
-gradient ascent with step halving on regression and multiplicative
-renormalization after every step; each endpoint is then polished by a damped
-Newton iteration on the full Karush-Kuhn-Tucker system to drive the residual
-to machine precision. Restarts are deterministic given the seed.
+Numerics (the choice is ours, nothing canonical exists): the objective at
+``PRESAMPLES`` random points on the constraint sphere picks the starts of a
+multi-start tangent-projected gradient ascent with step halving on regression
+and renormalization after every step; each endpoint is then polished by a
+damped Newton iteration on the full Karush-Kuhn-Tucker system to drive the
+residual to machine precision. Restarts are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -29,8 +29,11 @@ import numpy as np
 
 from .errors import InvalidInput, NotConverged, Singularity
 from .mse_bounds import CenteredGold, ccc_from_mse_cov
-from .stats import as_sequence, lp_norm
+from .stats import _lp_norm, as_sequence
 from .tolerances import TOL
+
+#: Random sphere points scored by :func:`solve` to choose its ascent starts.
+PRESAMPLES = 50_000
 
 
 @dataclass(frozen=True)
@@ -45,53 +48,57 @@ class StationarityProblem:
     def __post_init__(self):
         if self.k < 2 or self.k % 2 != 0:
             raise InvalidInput(f"k must be an even integer >= 2, got {self.k}")
-        if not self.lk > 0:
-            raise InvalidInput(f"lk must be positive, got {self.lk}")
+        if not 0.0 < self.lk < np.inf:
+            raise InvalidInput(f"lk must be finite and positive, got {self.lk}")
         if self.objective not in ("max", "min"):
             raise InvalidInput(f"objective must be 'max' or 'min', got {self.objective}")
 
 
+def _mse_sgd(yz: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """(mse, s_gd) of an error iterate."""
+    n = d.size
+    return float(d @ d) / n, float(yz @ d) / n
+
+
 def _moments(yz: np.ndarray, k: int, d: np.ndarray) -> tuple[float, float, float]:
     """(mse, mke, s_gd) of an error iterate; mke aliases mse exactly at k=2."""
-    n = d.size
-    mse = float(d @ d) / n
-    mke = mse if k == 2 else float(np.sum(d**k)) / n
-    s_gd = float(yz @ d) / n
+    mse, s_gd = _mse_sgd(yz, d)
+    mke = mse if k == 2 else float(np.sum(d**k)) / d.size
     return mse, mke, s_gd
 
 
-def stationarity_residual(prob: StationarityProblem, d) -> np.ndarray:
-    """Per-coordinate first-order residual; all zeros at stationary points."""
+def _iterate(prob: StationarityProblem, d) -> tuple[np.ndarray, float, float, float]:
+    """(d, mse, mke, s_gd) of a validated, nonzero error iterate of ``prob``."""
     dv = as_sequence(d)
     if dv.size != prob.gold.n:
         raise InvalidInput(f"length mismatch: {dv.size} vs {prob.gold.n}")
     mse, mke, s_gd = _moments(prob.gold.centered, prob.k, dv)
     if mse == 0.0:
         raise InvalidInput("zero error vector has no defined residual")
+    return dv, mse, mke, s_gd
+
+
+def _residual(prob: StationarityProblem, dv, mse, mke, s_gd) -> np.ndarray:
     dk = dv**prob.k
     d2 = dv * dv
-    var_g = prob.gold.var_g
     return (
-        2.0 * var_g * (dk / mke - d2 / mse)
+        2.0 * prob.gold.var_g * (dk / mke - d2 / mse)
         + s_gd * (dk / mke - 2.0 * d2 / mse)
         + prob.gold.centered * dv
     )
 
 
-def residual_scale(prob: StationarityProblem, d) -> float:
-    """Magnitude of the residual's constituent terms, floored at 1."""
-    dv = as_sequence(d)
-    _, _, s_gd = _moments(prob.gold.centered, prob.k, dv)
-    return max(
-        1.0,
-        2.0 * prob.gold.var_g,
-        abs(s_gd),
-        float(np.max(np.abs(prob.gold.centered * dv))),
-    )
+def stationarity_residual(prob: StationarityProblem, d) -> np.ndarray:
+    """Per-coordinate first-order residual; all zeros at stationary points."""
+    return _residual(prob, *_iterate(prob, d))
 
 
 def scaled_residual(prob: StationarityProblem, d) -> float:
-    return float(np.max(np.abs(stationarity_residual(prob, d)))) / residual_scale(prob, d)
+    """Max |residual| over the magnitude of its constituent terms, floored at 1."""
+    dv, mse, mke, s_gd = _iterate(prob, d)
+    yz = prob.gold.centered
+    scale = max(1.0, 2.0 * prob.gold.var_g, abs(s_gd), float(np.max(np.abs(yz * dv))))
+    return float(np.max(np.abs(_residual(prob, dv, mse, mke, s_gd)))) / scale
 
 
 @dataclass(frozen=True)
@@ -107,19 +114,23 @@ class SolverState:
     iterations: int
 
 
-def _objective(yz: np.ndarray, var_g: float, k: int, d: np.ndarray) -> float:
-    mse, _, s_gd = _moments(yz, k, d)
+def _objective(yz: np.ndarray, var_g: float, d: np.ndarray) -> float:
+    mse, s_gd = _mse_sgd(yz, d)
     return (var_g + s_gd) / mse
 
 
-def _gradient(yz: np.ndarray, var_g: float, k: int, d: np.ndarray) -> np.ndarray:
-    n = d.size
-    mse, _, s_gd = _moments(yz, k, d)
-    return (mse * yz - 2.0 * d * (var_g + s_gd)) / (n * mse * mse)
+def _gradient(yz: np.ndarray, var_g: float, d: np.ndarray) -> np.ndarray:
+    mse, s_gd = _mse_sgd(yz, d)
+    return (mse * yz - 2.0 * d * (var_g + s_gd)) / (d.size * mse * mse)
 
 
-def _renorm(d: np.ndarray, k: int, lk: float) -> np.ndarray:
-    return d * (lk / lp_norm(d, k))
+def _renorm(d: np.ndarray, k: int, lk: float) -> np.ndarray | None:
+    """d scaled in place to L_k norm lk; None when its norm is zero or not finite."""
+    norm_k = float(_lp_norm(d, k))
+    if not 0.0 < norm_k < np.inf:
+        return None
+    d *= lk / norm_k
+    return d
 
 
 def _ascend(
@@ -128,24 +139,22 @@ def _ascend(
 ) -> tuple[np.ndarray, int]:
     """Tangent-projected gradient ascent of sign*f with step halving."""
     d = d0.copy()
-    f = sign * _objective(yz, var_g, k, d)
+    f = sign * _objective(yz, var_g, d)
     step = 0.5
     it = 0
     for it in range(1, max_iters + 1):
-        grad = sign * _gradient(yz, var_g, k, d)
+        grad = sign * _gradient(yz, var_g, d)
         normal = k * d ** (k - 1)
         tangent = grad - (float(grad @ normal) / float(normal @ normal)) * normal
-        t_norm = float(np.linalg.norm(tangent))
+        t_norm = float(np.sqrt(tangent @ tangent))
         if t_norm < 1e-17:
             break
         direction = tangent * (lk / t_norm)
         moved = False
         for _ in range(60):
-            cand = d + step * direction
-            norm_k = lp_norm(cand, k)
-            if norm_k > 0 and np.isfinite(norm_k):
-                cand *= lk / norm_k
-                f_cand = sign * _objective(yz, var_g, k, cand)
+            cand = _renorm(d + step * direction, k, lk)
+            if cand is not None:
+                f_cand = sign * _objective(yz, var_g, cand)
                 if f_cand > f:
                     d, f = cand, f_cand
                     step = min(step * 1.5, 4.0)
@@ -160,37 +169,35 @@ def _ascend(
 def _newton_polish(
     yz: np.ndarray, var_g: float, k: int, lk: float, d0: np.ndarray, iters: int = 50
 ) -> np.ndarray | None:
-    """Newton iteration on [grad f - lambda * k d^(k-1); sum d^k - lk^k]."""
+    """Newton iteration on [grad f - lambda * k d^(k-1); sum d^k - lk^k]; the
+    Jacobian is diagonal plus two outer products, bordered by k d^(k-1)."""
     n = d0.size
     d = d0.copy()
+    diag = np.diag_indices(n)
     for _ in range(iters):
         mse, mke, s_gd = _moments(yz, k, d)
         sxy = var_g + s_gd
-        grad = _gradient(yz, var_g, k, d)
+        grad = _gradient(yz, var_g, d)
         lam = float(d @ grad) / (k * n * mke)
-        full = np.empty(n + 1)
-        full[:n] = grad - lam * k * d ** (k - 1)
-        full[n] = np.sum(d**k) - lk**k
-        jac = np.zeros((n + 1, n + 1))
+        dk1 = d ** (k - 1)
+        full = np.append(grad - lam * k * dk1, np.sum(d**k) - lk**k)
         dmse = 2.0 * d / n
-        dsxy = yz / n
         base = n * mse * mse
-        for i in range(n):
-            jac[i, :n] = (dmse * yz[i] - 2.0 * d[i] * dsxy) / base
-            jac[i, i] += -2.0 * sxy / base
-            jac[i, :n] -= (mse * yz[i] - 2.0 * d[i] * sxy) * 2.0 * dmse / (base * mse)
-            jac[i, i] -= lam * k * (k - 1) * d[i] ** (k - 2)
-            jac[i, n] = -k * d[i] ** (k - 1)
-        jac[n, :n] = k * d ** (k - 1)
+        jac = np.zeros((n + 1, n + 1))
+        top = jac[:n, :n]  # the update order below fixes the Jacobian's bits
+        top[:] = (np.outer(yz, dmse) - np.outer(2.0 * d, yz / n)) / base
+        top[diag] += -2.0 * sxy / base
+        top -= np.outer((mse * yz - 2.0 * d * sxy) * 2.0, dmse) / (base * mse)
+        top[diag] -= lam * k * (k - 1) * d ** (k - 2)
+        jac[:n, n] = -k * dk1
+        jac[n, :n] = k * dk1
         try:
             delta = np.linalg.solve(jac, -full)
         except np.linalg.LinAlgError:
             return None
-        nd = d + delta[:n]
-        norm_k = lp_norm(nd, k)
-        if not np.isfinite(norm_k) or norm_k == 0.0:
+        nd = _renorm(d + delta[:n], k, lk)
+        if nd is None:
             return None
-        nd *= lk / norm_k
         if np.max(np.abs(nd - d)) < 1e-15 * max(1.0, float(np.max(np.abs(d)))):
             return nd
         d = nd
@@ -202,13 +209,13 @@ def solve(
     seed: int,
     max_iters: int = 400,
     restarts: int = 16,
-    presamples: int = 50_000,
 ) -> SolverState:
     """Best-of-restarts extremum of ccc on the L_k sphere.
 
     Starts are the two closed-form mse-bound directions plus the best
-    ``restarts`` points from ``presamples`` random sphere samples, each run
-    through gradient ascent and Newton polish. Raises NotConverged (with the
+    ``restarts`` of ``PRESAMPLES`` random sphere points, each run through
+    gradient ascent and Newton polish. Raises InvalidInput when the centred
+    gold's L_k norm is zero or overflows in float64, and NotConverged (with the
     best state attached) if no candidate meets the residual tolerance.
     """
     yz = prob.gold.centered
@@ -217,14 +224,15 @@ def solve(
     sign = 1.0 if prob.objective == "max" else -1.0
 
     rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((presamples, n))
-    norms = np.sum(np.abs(samples) ** k, axis=1) ** (1.0 / k)
-    samples *= (lk / norms)[:, None]
+    samples = rng.standard_normal((PRESAMPLES, n))
+    samples *= (lk / _lp_norm(samples, k))[:, None]
     sample_mse = np.sum(samples * samples, axis=1) / n
     sample_f = sign * (var_g + samples @ yz / n) / sample_mse
     top = np.argsort(sample_f)[::-1][:restarts]
 
-    starts = [_renorm(yz, k, lk), _renorm(-yz, k, lk)]
+    starts = [_renorm(yz.copy(), k, lk), _renorm(-yz, k, lk)]
+    if starts[0] is None:
+        raise InvalidInput(f"the L_{k} norm of the centred gold is zero or overflows float64")
     starts.extend(samples[i] for i in top)
 
     # (signed objective, residual, iterate, ascent iterations)
@@ -237,7 +245,7 @@ def solve(
         if polished is not None:
             candidates.append(polished)
         for cand in candidates:
-            f_signed = sign * _objective(yz, var_g, k, cand)
+            f_signed = sign * _objective(yz, var_g, cand)
             res = scaled_residual(prob, cand)
             entry = (f_signed, res, cand, it)
             if res <= TOL.residual_tol:
@@ -257,7 +265,7 @@ def solve(
     assert fallback is not None
     f_signed, res, d, iters_used = converged if converged is not None else fallback
     mse, mke, s_gd = _moments(yz, k, d)
-    grad = _gradient(yz, var_g, k, d)
+    grad = _gradient(yz, var_g, d)
     state = SolverState(
         d=d,
         multiplier=float(d @ grad) / (k * n * mke),
@@ -289,15 +297,10 @@ def quadratic_in_gold(prob: StationarityProblem, d, i: int) -> tuple[float, floa
     is exactly the denominator degeneracy: Singularity is raised there and
     for any d_i with A ~ 0.
     """
-    dv = as_sequence(d)
-    if dv.size != prob.gold.n:
-        raise InvalidInput(f"length mismatch: {dv.size} vs {prob.gold.n}")
-    if not 0 <= i < dv.size:
-        raise InvalidInput(f"index {i} out of range for length {dv.size}")
+    dv, mse, mke, _ = _iterate(prob, d)
     n = dv.size
-    mse, mke, _ = _moments(prob.gold.centered, prob.k, dv)
-    if mse == 0.0:
-        raise InvalidInput("zero error vector")
+    if not 0 <= i < n:
+        raise InvalidInput(f"index {i} out of range for length {n}")
     di = float(dv[i])
     a_den = di ** (prob.k - 1) * mse - di * mke
     if abs(a_den) <= 1e-14 * (abs(di ** (prob.k - 1) * mse) + abs(di * mke)):

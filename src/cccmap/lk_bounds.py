@@ -59,8 +59,8 @@ def theta_band(k: float, n: int, lk: float) -> RmseBand:
     For k >= 2 the band floor is L_k/sqrt(N); for 0 < k <= 2 it is
     L_k/N^(1/k). The two branches coincide at k = 2.
     """
-    if not k > 0:
-        raise InvalidInput(f"k must be positive, got {k}")
+    if not 0.0 < k < inf:
+        raise InvalidInput(f"k must be finite and positive, got {k}")
     if n < 1:
         raise InvalidInput(f"n must be at least 1, got {n}")
     if not 0.0 <= lk < inf:

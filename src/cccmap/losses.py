@@ -61,8 +61,8 @@ class LossParams:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidInput(f"unknown variant {self.variant!r}")
-        if not self.gamma > 0:
-            raise InvalidInput(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < np.inf:
+            raise InvalidInput(f"gamma must be finite and positive, got {self.gamma}")
         if not 0.0 <= self.alpha < np.inf:
             raise InvalidInput(f"alpha must be finite and nonnegative, got {self.alpha}")
         if not 0 <= self.beta < np.inf or int(self.beta) != self.beta:

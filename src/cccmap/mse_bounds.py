@@ -18,12 +18,13 @@ Because lower_envelope is not monotone, a smaller mse can map to a smaller ccc.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateVariance, InvalidInput, Singularity
-from .stats import _mean_variance, as_sequence, variance_identity_residual  # re-exported
+from .stats import _mean_variance, _unscale, as_sequence, variance_identity_residual  # re-exported
 
 #: Column names of the region table rows produced by :func:`mse_region_table`.
 MSE_REGION_COLUMNS = ("x", "psi_upper", "psi_lower")
@@ -40,9 +41,16 @@ def ccc_from_mse_cov(mse_value: float, cov: float) -> float:
 
 
 def envelope_kernel(t):
-    """2t / (1 + t^2), the shared kernel of both envelopes."""
+    """2t / (1 + t^2), the shared kernel of both envelopes.
+
+    Each |t| >= 1 is written as s * 2**e with |s| in [0.5, 1), so t*t cannot
+    overflow; the scaling is exact, so every value the plain formula computes
+    without overflow keeps its bits.
+    """
     t = np.asarray(t, dtype=np.float64)
-    value = 2.0 * t / (1.0 + t * t)
+    e = np.maximum(np.frexp(t)[1], 0)
+    s = np.ldexp(t, -e)
+    value = np.ldexp(2.0 * s / (np.ldexp(1.0, -2 * e) + s * s), -e)
     return float(value) if value.ndim == 0 else value
 
 
@@ -109,7 +117,11 @@ def bounds_given_mse(gold: CenteredGold, mse_value: float) -> MseBoundsResult:
     """
     if not 0.0 <= mse_value < np.inf:
         raise InvalidInput(f"mse must be finite and nonnegative, got {mse_value}")
-    x = float(np.sqrt(mse_value / gold.var_g))
+    # sqrt(mse / var_g) from the mantissas, so the quotient cannot overflow; the
+    # plain formula's bits wherever the quotient is a normal float64
+    (m_mse, e_mse), (m_var, e_var) = math.frexp(mse_value), math.frexp(gold.var_g)
+    h = (e_mse - e_var) >> 1
+    x = _unscale(math.sqrt(math.ldexp(m_mse / m_var, e_mse - e_var - 2 * h)), h, "x")
     err = x * gold.centered
     return MseBoundsResult(
         x_param=x,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInput, TooLarge
 from .ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD, Convention, ErrorSet
-from .stats import as_sequence, population_variance
+from .stats import _lp_norm, as_sequence, population_variance
 
 #: Enumerating beyond 9! orderings is refused.
 MAX_ENUM_N = 9
@@ -97,14 +97,16 @@ def _extremes(gold: np.ndarray, chunks, seed: int) -> OracleReport:
     )
 
 
-def _sphere_report(gold: np.ndarray, scale_fn, trials: int, seed: int) -> OracleReport:
+def _sphere_report(gold: np.ndarray, p: float, radius: float, trials: int, seed: int) -> OracleReport:
+    """Extremes over Gaussian directions rescaled to L_p norm ``radius``."""
     if trials < 1:
         raise InvalidInput("trials must be at least 1")
     rng = np.random.default_rng(seed)
 
     def chunks():
         for done in range(0, trials, _CHUNK):
-            d = scale_fn(rng.standard_normal((min(_CHUNK, trials - done), gold.size)))
+            d = rng.standard_normal((min(_CHUNK, trials - done), gold.size))
+            d *= (radius / _lp_norm(d, p))[:, None]
             yield gold[None, :] + d, d
 
     return _extremes(gold, chunks(), seed)
@@ -119,13 +121,7 @@ def mse_sphere_oracle(gold, mse: float, trials: int, seed: int) -> OracleReport:
     g = as_sequence(gold)
     if not 0.0 <= mse < np.inf:
         raise InvalidInput(f"mse must be finite and nonnegative, got {mse}")
-    radius = np.sqrt(g.size * mse)
-
-    def scale(d):
-        norms = np.linalg.norm(d, axis=1)
-        return d * (radius / norms)[:, None]
-
-    return _sphere_report(g, scale, trials, seed)
+    return _sphere_report(g, 2, np.sqrt(g.size * mse), trials, seed)
 
 
 def lk_sphere_oracle(gold, k: float, lk: float, trials: int, seed: int) -> OracleReport:
@@ -135,16 +131,11 @@ def lk_sphere_oracle(gold, k: float, lk: float, trials: int, seed: int) -> Oracl
     it covers it, which suffices for auditing outer bounds.
     """
     g = as_sequence(gold)
-    if not k > 0:
-        raise InvalidInput(f"k must be positive, got {k}")
-    if not lk > 0:
-        raise InvalidInput(f"lk must be positive, got {lk}")
-
-    def scale(d):
-        norms = np.sum(np.abs(d) ** k, axis=1) ** (1.0 / k)
-        return d * (lk / norms)[:, None]
-
-    return _sphere_report(g, scale, trials, seed)
+    if not 0.0 < k < np.inf:
+        raise InvalidInput(f"k must be finite and positive, got {k}")
+    if not 0.0 < lk < np.inf:
+        raise InvalidInput(f"lk must be finite and positive, got {lk}")
+    return _sphere_report(g, k, lk, trials, seed)
 
 
 def finite_difference(f, at, h: float) -> np.ndarray:

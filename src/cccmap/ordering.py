@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DegenerateVariance, InvalidInput, Singularity
-from .stats import _as_pair, as_sequence, ccc, population_variance
+from .stats import _as_pair, _mean, _power_mean, as_sequence, ccc, population_variance
 
 Convention = Literal["pred_minus_gold", "gold_minus_pred"]
 PRED_MINUS_GOLD: Convention = "pred_minus_gold"
@@ -45,8 +45,7 @@ class ErrorSet:
 
 def error_set(values) -> ErrorSet:
     arr = np.sort(as_sequence(values))
-    mu = float(arr.mean())
-    return ErrorSet(values=arr, mu_e=mu, mse=float((arr * arr).mean()))
+    return ErrorSet(values=arr, mu_e=_mean(arr), mse=_power_mean(arr, 2, "mse"))
 
 
 def _ccc_from_products(

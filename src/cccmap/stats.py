@@ -6,8 +6,11 @@ error means scale x - y, by the power of two that brings its largest magnitude
 into [0.5, 1). That rounds nothing, so results are the plain formulas' bit for
 bit wherever those neither overflow nor underflow, and the ratios (``pearson``,
 ``ccc``, ...) hold for any finite float64 input unless their own value is below
-the normal float64 range. A reported statistic that does not fit in float64
-raises :class:`InvalidInput` naming it. Every function is pure.
+the normal float64 range. ``mean`` and ``lp_norm`` scale their input the same
+way; ``lp_norm`` can differ from the plain formula in the last bits when 1/p is
+inexact, because its root is taken of a scaled sum. A reported statistic that
+does not fit in float64 raises :class:`InvalidInput` naming it. Every function
+is pure.
 """
 
 from __future__ import annotations
@@ -119,8 +122,20 @@ def _error_mean(d: np.ndarray, u: float, k: float, name: str) -> float:
     return _unscale(float((d**k).mean()), k * u, name)
 
 
+def _mean(arr: np.ndarray) -> float:
+    """Mean of a validated array, summed at the power of two that cannot overflow."""
+    e = _exponent(arr)
+    return math.ldexp(float(np.ldexp(arr, -e).mean()), e)
+
+
+def _power_mean(arr: np.ndarray, k: float, name: str) -> float:
+    """(1/N) sum |arr_i|**k of a validated array; InvalidInput naming it on overflow."""
+    e = _exponent(arr)
+    return _error_mean(np.ldexp(arr, -e), e, k, name)
+
+
 def mean(s) -> float:
-    return float(as_sequence(s).mean())
+    return _mean(as_sequence(s))
 
 
 def population_variance(s) -> float:
@@ -162,12 +177,20 @@ def _identity_residual(xv: np.ndarray, yv: np.ndarray) -> float:
     return _unscale(left - right, 2 * e, "variance identity residual")
 
 
+def _lp_norm(arr: np.ndarray, p: float):
+    """(sum |arr_i|^p)^(1/p) along the last axis, unvalidated and unscaled."""
+    return np.sum(np.abs(arr) ** p, axis=-1) ** (1.0 / p)
+
+
 def lp_norm(e, p: float) -> float:
-    """(sum |e_i|^p)^(1/p) for p > 0."""
+    """(sum |e_i|^p)^(1/p) for finite p > 0, computed on e scaled by the power of
+    two that brings max |e_i| into [0.5, 1), so that the largest |e_i|^p neither
+    overflows nor underflows; InvalidInput when the norm exceeds float64."""
     arr = as_sequence(e)
-    if not p > 0:
-        raise InvalidInput(f"p must be positive, got {p}")
-    return float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
+    if not 0.0 < p < math.inf:
+        raise InvalidInput(f"p must be finite and positive, got {p}")
+    u = _exponent(arr)
+    return _unscale(float(_lp_norm(np.ldexp(arr, -u), p)), u, "lp_norm")
 
 
 def mse(x, y) -> float:
@@ -181,8 +204,8 @@ def mae(x, y) -> float:
 def mke(x, y, k: float) -> float:
     """Mean k-powered error: (1/N) sum |x_i - y_i|^k; k=2 gives mse, k=1 mae."""
     xv, yv = _as_pair(x, y)
-    if not k > 0:
-        raise InvalidInput(f"k must be positive, got {k}")
+    if not 0.0 < k < math.inf:
+        raise InvalidInput(f"k must be finite and positive, got {k}")
     return _error_mean(*_scaled_errors(xv, yv), k, "mke")
 
 

@@ -87,6 +87,15 @@ class TestBoundsMse:
         results = json.loads(proc.stdout)["results"]
         assert results["ccc_max"] == 1.0 and results["ccc_min"] == 1.0
 
+    def test_large_mse_against_tiny_gold_variance(self):
+        proc = run(["bounds-mse", "--format", "plain", "--mse", "1e10", "--json"],
+                   stdin="1e-150\n2e-150\n3e-150\n")
+        assert proc.returncode == 0 and proc.stderr == ""
+        results = json.loads(proc.stdout)["results"]
+        assert results["x"] == pytest.approx(1.5**0.5 * 1e155, rel=1e-12)
+        assert results["ccc_max"] == pytest.approx(2.0 / results["x"], rel=1e-12)
+        assert results["ccc_min"] == pytest.approx(-2.0 / results["x"], rel=1e-12)
+
     def test_constant_gold_numeric_exit(self):
         proc = run(["bounds-mse", "--format", "plain", "--mse", "1"], stdin="2\n2\n2\n")
         assert proc.returncode == 3
@@ -278,17 +287,24 @@ class TestParameterAndRangeErrors:
             (["region", "--kind", "mse", "--x-max", "nan"], ""),
             (["audit", "mse-sphere", "--format", "plain", "--mse", "nan"], "1\n2\n3\n4\n"),
             (["bounds-mse", "--format", "plain", "--mse", "4"], "1e160\n2e160\n4e160\n"),
+            (["loss", "--variant", "ratio_pow", "--gamma", "inf", "--json"], "1,2\n2,3\n3,5\n"),
+            (["solve-even-p", "--format", "plain", "--k", "4", "--lk", "inf"], "1\n2\n3\n"),
+            (["solve-even-p", "--format", "plain", "--k", "inf", "--lk", "1"], "1\n2\n3\n"),
+            (["bounds-lk", "--format", "plain", "--k", "inf", "--lk", "1"], "1\n2\n3\n"),
+            (["audit", "lk-sphere", "--format", "plain", "--k", "4", "--lk", "inf"], "1\n2\n3\n"),
+            (["permute", "--json"], "1,1e160\n2,-2e160\n3,3e160\n"),
         ],
         ids=[
             "mse-nan", "alpha-nan", "lk-nan", "k-band-overflow", "x-max-nan", "sphere-mse-nan",
-            "gold-variance-overflow",
+            "gold-variance-overflow", "gamma-inf", "solve-lk-inf", "solve-k-inf", "band-k-inf",
+            "sphere-lk-inf", "errors-mse-overflow",
         ],
     )
     def test_bad_parameter_exits_2(self, args, stdin):
         proc = run(args, stdin=stdin)
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     def test_analyze_names_overflowing_moment(self):
         stdin = "".join(f"{g * 1e160:.17g},{p * 1e160:.17g}\n" for g, p in ((1, 2), (2, 1), (3, 4), (4, 3)))

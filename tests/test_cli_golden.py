@@ -3,8 +3,10 @@
 Each case runs one CLI invocation in a fresh directory and compares its stdout
 and every CSV it writes with ``--out`` to the fixture files
 ``<case>.stdout`` and ``<case>.<csv name>``. Inputs are inline or read from
-``<case>.in``. The cases are the README examples plus the JSON reports of
-``analyze`` and of both permutation-audit verbs, whose key orders differ.
+``<case>.in``. The cases are the README examples, the JSON reports of
+``analyze`` and of both permutation-audit verbs, whose key orders differ, and
+the even-k solver at k = 2 and 6 and the L_k-sphere audit, which gate the
+solver's and the sphere oracles' bits.
 
 Regenerate the fixtures, after a deliberate output change only, with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -76,6 +78,24 @@ CASES = {
     ),
     "permute_audit_json": (["permute", "--audit", "--json"], PERMUTE_INPUT, ()),
     "audit_permutation_json": (["audit", "permutation", "--json"], PERMUTE_INPUT, ()),
+    "solve_even_p_k2_max": (
+        ["solve-even-p", "--format", "plain", "--k", "2", "--lk", "1.5",
+         "--objective", "max", "--seed", "3"],
+        "1\n2\n3\n5\n8\n",
+        (),
+    ),
+    "solve_even_p_k6_min_json": (
+        ["solve-even-p", "--json", "--format", "plain", "--k", "6", "--lk", "2",
+         "--objective", "min", "--seed", "5"],
+        "0.5\n-1.25\n2\n3.5\n-0.75\n1\n",
+        (),
+    ),
+    "audit_lk_sphere": (
+        ["audit", "lk-sphere", "--format", "plain", "--k", "4", "--lk", "1.5",
+         "--trials", "100000", "--seed", "2"],
+        "1\n2\n3\n4\n6\n",
+        (),
+    ),
 }
 
 # Generated inputs for the cases that read <name>.in: (seed, rows, magnitude).

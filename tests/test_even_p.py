@@ -39,8 +39,9 @@ class TestProblemValidation:
 
     def test_nonpositive_lk_rejected(self):
         gold = center_gold([1, 2, 3])
-        with pytest.raises(InvalidInput):
-            StationarityProblem(gold=gold, k=2, lk=0.0, objective="max")
+        for lk in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInput):
+                StationarityProblem(gold=gold, k=2, lk=lk, objective="max")
 
 
 class TestStationarityResidual:

@@ -154,6 +154,8 @@ class TestEnvelopeGivenLk:
         for lk in (float("nan"), float("inf")):
             with pytest.raises(InvalidInput):
                 envelope_given_lk(1, 64, lk=lk, sigma_g=1.0)
+            with pytest.raises(InvalidInput):
+                theta_band(lk, 64, 1.0)  # as k
 
     def test_band_overflow_is_typed(self):
         with pytest.raises(InvalidInput, match="overflows"):

@@ -76,8 +76,9 @@ class TestLossValues:
                 assert loss(params, g, p) >= 0.0
 
     def test_validation(self):
-        with pytest.raises(InvalidInput):
-            LossParams(variant="ratio", gamma=0.0)
+        for gamma in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInput):
+                LossParams(variant="ratio", gamma=gamma)
         with pytest.raises(InvalidInput):
             LossParams(variant="nope")
         for alpha in (-1.0, float("nan"), float("inf")):

@@ -103,6 +103,12 @@ class TestEnvelopes:
             assert upper_envelope(x) == envelope_kernel(1.0 + x)
             assert lower_envelope(x) == envelope_kernel(1.0 - x)
 
+    def test_kernel_past_the_square_root_of_the_range(self):
+        t = np.array([1e154, -1e200, 1e300, 1.7976931348623157e308])
+        np.testing.assert_allclose(envelope_kernel(t), 2.0 / t, rtol=1e-15)
+        assert upper_envelope(1e300) == pytest.approx(2e-300, rel=1e-15)
+        assert lower_envelope(1e300) == pytest.approx(-2e-300, rel=1e-15)
+
     def test_negative_x_rejected(self):
         for x in (-0.5, float("nan")):
             with pytest.raises(InvalidInput):
@@ -137,6 +143,12 @@ class TestBoundsGivenMse:
                 bounds_given_mse(center_gold([1, 2, 3]), mse_value)
             with pytest.raises(InvalidInput):
                 ccc_from_mse_cov(mse_value, 1.0)
+
+    def test_x_past_the_range_is_named(self):
+        gold = center_gold([0.0, 3e-162, 6e-162])  # var_g is the smallest subnormal
+        assert bounds_given_mse(gold, 1e-20).x_param == pytest.approx(1e-10 / 5e-324**0.5, rel=1e-12)
+        with pytest.raises(InvalidInput, match="x overflows"):
+            bounds_given_mse(gold, 1e300)
 
     def test_constant_gold_rejected(self):
         with pytest.raises(DegenerateVariance):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cccmap import (
+    InvalidInput,
     TooLarge,
     ccc,
     bounds_given_mse,
@@ -110,6 +111,12 @@ class TestLkSphereOracle:
         theta = np.sqrt((d * d).mean(axis=1)) / band.rmse_min
         assert np.all(theta >= 1 - 1e-12)
         assert np.all(theta <= band.theta_max * (1 + 1e-12))
+
+    def test_nonfinite_parameters_rejected(self):
+        g = np.array([1.0, 2.0, 3.0])
+        for k, lk in ((float("inf"), 1.0), (float("nan"), 1.0), (4.0, float("inf")), (4.0, float("nan"))):
+            with pytest.raises(InvalidInput):
+                lk_sphere_oracle(g, k, lk, trials=10, seed=0)
 
     def test_witness_lk_norm(self):
         g = [1.0, 2.0, 5.0, 3.0]
