@@ -13,6 +13,7 @@ import csv
 import io
 import re
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .ordering import (
     error_set,
     optimal_permutations,
 )
-from .stats import _identity_residual, as_sequence, pair_stats, population_variance
+from .stats import _identity_residual, _mean_variance, as_sequence, pair_stats
 from .tolerances import TOL
 
 _FLOAT_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
@@ -76,13 +77,25 @@ def _read_text(path: str) -> str:
         raise InvalidInput(f"cannot read input {path!r}: {exc}") from exc
 
 
-def _split_rows(text: str, fmt: str) -> list[list[str]]:
-    lines = [ln.rstrip("\r") for ln in text.split("\n") if ln.strip() != ""]
+def _split_rows(text: str, fmt: str) -> tuple[Sequence[int], list[list[str]]]:
+    """(physical line numbers, cells) of the nonblank lines, as two parallel sequences.
+
+    The numbers are a range, which holds no per-line memory, unless blank lines
+    come before the last nonblank one.
+    """
+    raw = text.split("\n")
+    while raw and not raw[-1].strip():
+        raw.pop()
+    lines = [ln.rstrip("\r") for ln in raw if ln.strip() != ""]
+    numbers = range(1, len(raw) + 1)
+    if len(lines) < len(raw):
+        numbers = [i for i in numbers if raw[i - 1].strip()]
+    del raw
     if fmt == "plain":
-        return [ln.split() for ln in lines]
+        return numbers, [ln.split() for ln in lines]
     if fmt in ("csv", "tsv"):
         delim = "," if fmt == "csv" else "\t"
-        return list(csv.reader(lines, delimiter=delim))
+        return numbers, list(csv.reader(lines, delimiter=delim))
     raise InvalidInput(f"unknown format {fmt!r}")
 
 
@@ -107,15 +120,13 @@ def _load_columns(args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarra
     Values must be plain decimal floats; anything else (NaN, Inf, locale
     separators, underscores) is rejected with its line number.
     """
-    rows = _split_rows(_read_text(args.input), args.format)
+    numbers, rows = _split_rows(_read_text(args.input), args.format)
     if not rows:
         raise InvalidInput("input contains no data rows")
     header = None
-    offset = 1
     if args.header:
         header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        offset = 2
+        numbers, rows = numbers[1:], rows[1:]
         if not rows:
             raise InvalidInput("input contains a header but no data rows")
     width = len(rows[0])
@@ -125,10 +136,10 @@ def _load_columns(args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarra
         values = np.empty(len(rows))
         for i, row in enumerate(rows):
             if idx >= len(row):
-                raise InvalidInput(f"line {i + offset}: expected column {idx}, row has {len(row)} cells")
+                raise InvalidInput(f"line {numbers[i]}: expected column {idx}, row has {len(row)} cells")
             cell = row[idx].strip()
             if not _FLOAT_RE.match(cell):
-                raise InvalidInput(f"line {i + offset}: {cell!r} is not a plain decimal number")
+                raise InvalidInput(f"line {numbers[i]}: {cell!r} is not a plain decimal number")
             values[i] = float(cell)
         out[what] = as_sequence(values)
     return out
@@ -139,7 +150,7 @@ def _digest(n: int, mean: float, var: float) -> dict:
 
 
 def _digest_of(arr: np.ndarray) -> dict:
-    return _digest(arr.size, arr.mean(), population_variance(arr))
+    return _digest(arr.size, *_mean_variance(arr, "variance"))
 
 
 def _load_gold(args) -> CenteredGold:
@@ -348,14 +359,15 @@ def cmd_bounds_lk(args) -> dict:
 
 
 def _permutation_audit(gold, errors, extremes):
-    """(orderings, rows of (name, N! oracle value, closed-form value), agreement)."""
+    """(orderings, rows of (name, N! oracle value, closed-form value), agreement); the
+    closed-form value is each extreme's ``formula_value``, the exact mapping at its ordering."""
     add = permutation_oracle(gold, errors, PRED_MINUS_GOLD)
     sub = permutation_oracle(gold, errors, GOLD_MINUS_PRED)
     rows = [
-        ("max_add", add.best_value, extremes.max_add.ccc_value),
-        ("min_add", add.worst_value, extremes.min_add.ccc_value),
-        ("max_sub", sub.best_value, extremes.max_sub.ccc_value),
-        ("min_sub", sub.worst_value, extremes.min_sub.ccc_value),
+        ("max_add", add.best_value, extremes.max_add.formula_value),
+        ("min_add", add.worst_value, extremes.min_add.formula_value),
+        ("max_sub", sub.best_value, extremes.max_sub.formula_value),
+        ("min_sub", sub.worst_value, extremes.min_sub.formula_value),
     ]
     agrees = all(abs(oracle - closed) <= TOL.attainment_rtol for _, oracle, closed in rows)
     return add.trials, rows, agrees
@@ -573,38 +585,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Concordance correlation vs. error-norm analysis toolkit",
     )
     parser.add_argument("--version", action="version", version=f"cccmap {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", default="-", help="input file path, or - for stdin")
-    common.add_argument("--format", choices=("csv", "tsv", "plain"), default="csv")
-    common.add_argument("--gold-col", default="0", help="gold column (index or name)")
-    common.add_argument("--pred-col", default="1", help="prediction column (index or name)")
-    common.add_argument("--error-col", default="1", help="error column (index or name)")
-    common.add_argument("--header", action="store_true", help="first row is a header")
-    common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--out", default=None, help="CSV output path for tabular data")
-    common.add_argument("--seed", type=int, default=0)
+    # flags of the verbs that read an input table; the rest are added per verb
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--input", default="-", help="input file path, or - for stdin")
+    table.add_argument("--format", choices=("csv", "tsv", "plain"), default="csv")
+    table.add_argument("--gold-col", default="0", help="gold column (index or name)")
+    table.add_argument("--header", action="store_true", help="first row is a header")
+    table.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    table.add_argument("--seed", type=int, default=0)
+
+    def flag(*names, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    pred_col = flag("--pred-col", default="1", help="prediction column (index or name)")
+    error_col = flag("--error-col", default="1", help="error column (index or name)")
+    out = flag("--out", default=None, help="CSV output path for tabular data")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="full pair statistics")
+    p = sub.add_parser("analyze", parents=[table, pred_col], help="full pair statistics")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("bounds-mse", parents=[common], help="ccc range at fixed mse")
+    p = sub.add_parser("bounds-mse", parents=[table, out], help="ccc range at fixed mse")
     p.add_argument("--mse", type=float, default=None)
     p.set_defaults(func=cmd_bounds_mse)
 
-    p = sub.add_parser("bounds-lk", parents=[common], help="ccc range at fixed L_k norm")
+    p = sub.add_parser("bounds-lk", parents=[table], help="ccc range at fixed L_k norm")
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--lk", type=float, default=None)
     p.add_argument("--theta-steps", type=int, default=4)
     p.set_defaults(func=cmd_bounds_lk)
 
-    p = sub.add_parser("permute", parents=[common], help="ccc-extreme error orderings")
+    p = sub.add_parser(
+        "permute", parents=[table, error_col, out], help="ccc-extreme error orderings"
+    )
     p.add_argument("--audit", action="store_true", help="append N! enumeration check")
     p.set_defaults(func=cmd_permute)
 
     p = sub.add_parser(
-        "solve-even-p", parents=[common], help="ccc extremum at fixed L_k, even k"
+        "solve-even-p", parents=[table], help="ccc extremum at fixed L_k, even k"
     )
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--lk", type=float, default=None)
@@ -613,7 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=16)
     p.set_defaults(func=cmd_solve_even_p)
 
-    p = sub.add_parser("loss", parents=[common], help="loss family values and traces")
+    p = sub.add_parser(
+        "loss", parents=[table, pred_col, out], help="loss family values and traces"
+    )
     p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
@@ -622,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-step", type=float, default=None)
     p.set_defaults(func=cmd_loss)
 
-    p = sub.add_parser("region", parents=[common], help="envelope plot data as CSV")
+    p = sub.add_parser("region", parents=[out], help="envelope plot data as CSV")
     p.add_argument("--kind", choices=("mse", "lk"), required=True)
     p.add_argument("--x-max", type=float, default=4.0)
     p.add_argument("--steps", type=int, default=101)
@@ -631,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-steps", type=int, default=4)
     p.set_defaults(func=cmd_region)
 
-    p = sub.add_parser("audit", parents=[common], help="run a brute-force oracle")
+    p = sub.add_parser("audit", parents=[table, error_col], help="run a brute-force oracle")
     p.add_argument("oracle", choices=("permutation", "mse-sphere", "lk-sphere"))
     p.add_argument("--mse", type=float, default=None)
     p.add_argument("--k", type=float, default=None)

@@ -112,8 +112,8 @@ def envelope_given_lk(
         -1 (attained at theta = 2/x)    for 2/theta_max <= x <= 2,
         lower_envelope(x)               for x >= 2.
     """
-    if not sigma_g > 0:
-        raise InvalidInput(f"sigma_g must be positive, got {sigma_g}")
+    if not 0.0 < sigma_g < inf:
+        raise InvalidInput(f"sigma_g must be finite and positive, got {sigma_g}")
     band = theta_band(k, n, lk)
     slack = 1.0 + 1e-12
     if not (1.0 / slack <= theta <= band.theta_max * slack):
@@ -150,10 +150,10 @@ def conjugate_theta(theta1: float, x: float) -> float:
     fixed point theta = 2/x. Only defined for x*theta1 > 1 (the negative
     branch); elsewhere the partner does not exist and NoConjugate is raised.
     """
-    if not theta1 > 0:
-        raise InvalidInput(f"theta1 must be positive, got {theta1}")
-    if not x > 0:
-        raise InvalidInput(f"x must be positive, got {x}")
+    if not 0.0 < theta1 < inf:
+        raise InvalidInput(f"theta1 must be finite and positive, got {theta1}")
+    if not 0.0 < x < inf:
+        raise InvalidInput(f"x must be finite and positive, got {x}")
     if x * theta1 <= 1.0:
         raise NoConjugate(
             f"x*theta1 = {x * theta1} <= 1: envelope value is nonnegative, "

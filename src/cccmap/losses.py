@@ -194,8 +194,8 @@ def training_trace(
     (fixed points produce a flat trace rather than termination). A non-finite
     loss reports its row and stops with the diverged flag set.
     """
-    if not step > 0:
-        raise InvalidInput(f"step must be positive, got {step}")
+    if not 0.0 < step < np.inf:
+        raise InvalidInput(f"step must be finite and positive, got {step}")
     if iters < 1:
         raise InvalidInput(f"iters must be at least 1, got {iters}")
     g = as_sequence(gold)

@@ -34,6 +34,8 @@ def ccc_from_mse_cov(mse_value: float, cov: float) -> float:
     """ccc reconstructed from (mse, covariance) alone: 2*cov / (mse + 2*cov)."""
     if not 0.0 <= mse_value < np.inf:
         raise InvalidInput(f"mse must be finite and nonnegative, got {mse_value}")
+    if not -np.inf < cov < np.inf:
+        raise InvalidInput(f"cov must be finite, got {cov}")
     half_denom = 0.5 * mse_value + cov  # halved, so 2*cov cannot overflow
     if half_denom == 0.0:
         raise Singularity("mse + 2*cov is exactly zero; ccc undefined")
@@ -137,8 +139,8 @@ def mse_region_table(x_max: float, steps: int) -> np.ndarray:
 
     Deterministic row order; x runs linearly from 0 to x_max inclusive.
     """
-    if not x_max >= 0:
-        raise InvalidInput("x_max must be nonnegative")
+    if not 0.0 <= x_max < np.inf:
+        raise InvalidInput(f"x_max must be finite and nonnegative, got {x_max}")
     if steps < 2:
         raise InvalidInput("steps must be at least 2")
     xs = np.linspace(0.0, x_max, steps)

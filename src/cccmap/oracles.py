@@ -141,8 +141,8 @@ def lk_sphere_oracle(gold, k: float, lk: float, trials: int, seed: int) -> Oracl
 def finite_difference(f, at, h: float) -> np.ndarray:
     """Central-difference gradient estimate of a scalar function of a sequence."""
     x = as_sequence(at).copy()
-    if not h > 0:
-        raise InvalidInput(f"h must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise InvalidInput(f"h must be finite and positive, got {h}")
     grad = np.empty_like(x)
     for i in range(x.size):
         orig = x[i]

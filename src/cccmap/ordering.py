@@ -1,12 +1,15 @@
 """Orderings of a fixed error multiset that extremize ccc against a gold standard.
 
 Two sign conventions exist for "error": E = P - G (additive; prediction is
-gold plus error) and E = G - P (subtractive). For either convention and a
-fixed multiset of error values, ccc depends on the ordering only through
-sum(g_i * e_i), so by the rearrangement inequality the extremes are reached
-when the errors are sorted like the gold (same direction) or opposite to it.
-The closed forms below express the four extreme ccc values directly from the
-sorted products; each is also attained by an explicit prediction sequence.
+gold plus error) and E = G - P (subtractive). The prediction's mse against the
+gold is mean(e**2) and its covariance with the gold is var_g + cov(g, e) or
+var_g - cov(g, e), so the exact mapping ccc = 2*cov / (mse + 2*cov) gives ccc
+from the multiset's mse and the cross covariance cov(g, e). For a fixed
+multiset only cov(g, e) depends on the ordering, so by the rearrangement
+inequality the extremes are reached when the errors are sorted like the gold
+(same direction) or opposite to it. The closed forms below evaluate the
+mapping at those two orderings; each is also attained by an explicit
+prediction sequence.
 
 Which convention wins at the maximum depends on the instance; no general
 ordering between the two exists, so comparisons must evaluate both sides.
@@ -19,8 +22,9 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidInput, Singularity
-from .stats import _as_pair, _mean, _power_mean, as_sequence, ccc, population_variance
+from .errors import DegenerateVariance, InvalidInput
+from .mse_bounds import ccc_from_mse_cov
+from .stats import _as_pair, _mean, _power_mean, as_sequence, ccc, covariance, population_variance
 
 Convention = Literal["pred_minus_gold", "gold_minus_pred"]
 PRED_MINUS_GOLD: Convention = "pred_minus_gold"
@@ -48,36 +52,15 @@ def error_set(values) -> ErrorSet:
     return ErrorSet(values=arr, mu_e=_mean(arr), mse=_power_mean(arr, 2, "mse"))
 
 
-def _ccc_from_products(
-    n: int, mse_e: float, var_g: float, sum_ge: float, mu_g: float, mu_e: float, sign: float
-) -> float:
-    """Shared closed form: ccc = 1 - N*mse / (2N var_g +- 2 sum(g e) -+ 2N mu_g mu_e + N mse)."""
-    denom = (
-        2.0 * n * var_g
-        + sign * 2.0 * sum_ge
-        - sign * 2.0 * n * mu_g * mu_e
-        + n * mse_e
-    )
-    if denom == 0.0:
-        raise Singularity("ccc denominator is exactly zero")
-    return float(1.0 - n * mse_e / denom)
-
-
 def ccc_error_form(gold, errors_ordered, convention: Convention) -> float:
     """ccc of (gold, gold + errors) under pred_minus_gold, or of (gold, gold - errors)
-    under gold_minus_pred, computed from the error ordering directly."""
+    under gold_minus_pred, computed from the error ordering directly: the prediction's
+    covariance with the gold is var_g +- cov(g, e) and its mse is mean(e**2)."""
     if convention not in (PRED_MINUS_GOLD, GOLD_MINUS_PRED):
         raise InvalidInput(f"unknown convention {convention!r}")
     g, e = _as_pair(gold, errors_ordered)
-    return _ccc_from_products(
-        n=g.size,
-        mse_e=float((e * e).mean()),
-        var_g=population_variance(g),
-        sum_ge=float(g @ e),
-        mu_g=float(g.mean()),
-        mu_e=float(e.mean()),
-        sign=1.0 if convention == PRED_MINUS_GOLD else -1.0,
-    )
+    cross = covariance(g, e) if convention == PRED_MINUS_GOLD else -covariance(g, e)
+    return ccc_from_mse_cov(_power_mean(e, 2, "mse"), population_variance(g) + cross)
 
 
 def ccc_error_form1(gold, errors_ordered) -> float:
@@ -96,8 +79,7 @@ def chebyshev_check(a, b) -> float:
     Nonnegative when a and b are sorted in the same direction, nonpositive
     when sorted opposite (Chebyshev's sum inequality).
     """
-    av, bv = _as_pair(a, b)
-    return float((av * bv).mean() - av.mean() * bv.mean())
+    return covariance(a, b)
 
 
 @dataclass(frozen=True)
@@ -137,21 +119,17 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
     var_g = population_variance(g)
     if var_g == 0.0:
         raise DegenerateVariance("gold standard is constant")
-    n = g.size
     order = np.argsort(g, kind="stable")
-    e_same = np.empty(n)
+    e_same = np.empty(g.size)
     e_same[order] = errors.values  # ascending errors onto ascending gold
-    e_opp = np.empty(n)
+    e_opp = np.empty(g.size)
     e_opp[order] = errors.values[::-1]
+    cov_same, cov_opp = covariance(g, e_same), covariance(g, e_opp)
 
-    g_sorted = g[order]
-    sum_same = float(g_sorted @ errors.values)
-    sum_opp = float(g_sorted @ errors.values[::-1])
-    mu_g, mu_e, mse_e = float(g.mean()), errors.mu_e, errors.mse
-
-    def build(convention, objective, assignment, errors_in_gold_order, sum_ge, sign):
-        pred = g + errors_in_gold_order if sign > 0 else g - errors_in_gold_order
-        formula = _ccc_from_products(n, mse_e, var_g, sum_ge, mu_g, mu_e, sign)
+    def build(convention, objective, assignment, errors_in_gold_order, cross):
+        """``cross`` is +-cov(g, e): the prediction's covariance with g is var_g + cross."""
+        add = convention == PRED_MINUS_GOLD
+        pred = g + errors_in_gold_order if add else g - errors_in_gold_order
         return PermutationResult(
             convention=convention,
             objective=objective,
@@ -159,16 +137,16 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
             errors=errors_in_gold_order.copy(),
             prediction=pred,
             ccc_value=ccc(g, pred),
-            formula_value=formula,
+            formula_value=ccc_from_mse_cov(errors.mse, var_g + cross),
         )
 
     asc = errors.values
     desc = errors.values[::-1]
     return OrderingExtremes(
-        max_add=build(PRED_MINUS_GOLD, "max", asc, e_same, sum_same, +1.0),
-        max_sub=build(GOLD_MINUS_PRED, "max", desc, e_opp, sum_opp, -1.0),
-        min_add=build(PRED_MINUS_GOLD, "min", desc, e_opp, sum_opp, +1.0),
-        min_sub=build(GOLD_MINUS_PRED, "min", asc, e_same, sum_same, -1.0),
+        max_add=build(PRED_MINUS_GOLD, "max", asc, e_same, cov_same),
+        max_sub=build(GOLD_MINUS_PRED, "max", desc, e_opp, -cov_opp),
+        min_add=build(PRED_MINUS_GOLD, "min", desc, e_opp, cov_opp),
+        min_sub=build(GOLD_MINUS_PRED, "min", asc, e_same, -cov_same),
     )
 
 

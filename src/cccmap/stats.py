@@ -6,9 +6,9 @@ error means scale x - y, by the power of two that brings its largest magnitude
 into [0.5, 1). That rounds nothing, so results are the plain formulas' bit for
 bit wherever those neither overflow nor underflow, and the ratios (``pearson``,
 ``ccc``, ...) hold for any finite float64 input unless their own value is below
-the normal float64 range. ``mean`` and ``lp_norm`` scale their input the same
-way; ``lp_norm`` can differ from the plain formula in the last bits when 1/p is
-inexact, because its root is taken of a scaled sum. A reported statistic that
+the normal float64 range. ``mean`` scales its input the same way. ``lp_norm``
+divides by max |e_i|, so that its largest term is exactly 1 at any p; it can
+differ from the plain formula in the last bits. A reported statistic that
 does not fit in float64 raises :class:`InvalidInput` naming it. Every function
 is pure.
 """
@@ -79,8 +79,8 @@ def _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y) -> tuple[int, float, floa
 
 def _unscale(value: float, e: float, name: str) -> float:
     """value * 2**e; InvalidInput naming the statistic when that overflows float64."""
-    whole = math.floor(e)
     try:
+        whole = math.floor(e)
         return math.ldexp(value * 2.0 ** (e - whole), whole)
     except OverflowError:
         raise InvalidInput(f"{name} overflows float64") from None
@@ -183,14 +183,25 @@ def _lp_norm(arr: np.ndarray, p: float):
 
 
 def lp_norm(e, p: float) -> float:
-    """(sum |e_i|^p)^(1/p) for finite p > 0, computed on e scaled by the power of
-    two that brings max |e_i| into [0.5, 1), so that the largest |e_i|^p neither
-    overflows nor underflows; InvalidInput when the norm exceeds float64."""
-    arr = as_sequence(e)
+    """(sum |e_i|^p)^(1/p) for finite p > 0, computed on e / max |e_i|, whose largest
+    term is exactly 1, so that the sum lies in [1, N] for every p; InvalidInput when
+    the norm exceeds float64."""
+    arr = np.abs(as_sequence(e))
     if not 0.0 < p < math.inf:
         raise InvalidInput(f"p must be finite and positive, got {p}")
-    u = _exponent(arr)
-    return _unscale(float(_lp_norm(np.ldexp(arr, -u), p)), u, "lp_norm")
+    top = float(arr.max())
+    if top == 0.0:
+        return 0.0
+    total = float(np.sum((arr / top) ** p))
+    m, u = math.frexp(top)
+    try:
+        root = total ** (1.0 / p)  # inf without an exception when 1/p overflows
+    except OverflowError:
+        root = math.inf
+    if root < math.inf:
+        return _unscale(m * root, u, "lp_norm")
+    # tiny p: the root alone exceeds float64, the norm may not
+    return _unscale(m, u + math.log2(total) / p, "lp_norm")
 
 
 def mse(x, y) -> float:

@@ -45,6 +45,14 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert "line 2" in proc.stderr
 
+    def test_line_numbers_count_blank_lines(self):
+        proc = run(["analyze"], stdin="1,2\n\n\n2,x\n")
+        assert proc.returncode == 2
+        assert "line 4:" in proc.stderr
+        proc = run(["analyze", "--header"], stdin="a,b\n\n1,2\n\n2\n")
+        assert proc.returncode == 2
+        assert "line 5:" in proc.stderr
+
     def test_header_and_named_columns(self, tmp_path):
         path = tmp_path / "data.csv"
         write_csv(path, [[1, 2], [2, 3], [3, 4]], header=["truth", "model"])
@@ -164,6 +172,14 @@ class TestPermute:
         proc = run(["permute", "--json", "--audit"], stdin=stdin)
         report = json.loads(proc.stdout)
         assert report["results"]["audit"]["agrees"] is True
+
+    def test_closed_form_of_a_tiny_ccc(self):
+        # ccc near 1e-150: the exact mapping keeps it where an expanded 1 - mse/denom gave 0
+        proc = run(["permute", "--json"], stdin="1,1e150\n2,-2e150\n3,3e150\n")
+        assert proc.returncode == 0 and proc.stderr == ""
+        for block in json.loads(proc.stdout)["results"].values():
+            assert abs(block["ccc"]) == pytest.approx(5 / 7 * 1e-150, rel=1e-15, abs=0)
+            assert block["ccc_closed_form"] == pytest.approx(block["ccc"], rel=1e-15, abs=0)
 
     def test_audit_agreement_small_n(self):
         proc = run(["permute", "--json", "--audit"], stdin="1,0.5\n2,-1\n4,2\n0,0.1\n")
@@ -293,11 +309,17 @@ class TestParameterAndRangeErrors:
             (["bounds-lk", "--format", "plain", "--k", "inf", "--lk", "1"], "1\n2\n3\n"),
             (["audit", "lk-sphere", "--format", "plain", "--k", "4", "--lk", "inf"], "1\n2\n3\n"),
             (["permute", "--json"], "1,1e160\n2,-2e160\n3,3e160\n"),
+            (["region", "--kind", "mse", "--x-max", "inf"], ""),
+            (["loss", "--variant", "diff", "--trace-iters", "5", "--trace-step", "inf", "--json"],
+             "1,2\n2,3\n3,5\n"),
+            (["permute", "--json"], "1.7e308,0.1\n1.6e308,0.2\n1.5e308,0.3\n"),
+            (["loss", "--variant", "diff", "--json"], "1.7e308,1\n1.6e308,2\n1.5e308,3\n"),
         ],
         ids=[
             "mse-nan", "alpha-nan", "lk-nan", "k-band-overflow", "x-max-nan", "sphere-mse-nan",
             "gold-variance-overflow", "gamma-inf", "solve-lk-inf", "solve-k-inf", "band-k-inf",
-            "sphere-lk-inf", "errors-mse-overflow",
+            "sphere-lk-inf", "errors-mse-overflow", "x-max-inf", "trace-step-inf",
+            "permute-gold-near-max", "loss-gold-near-max",
         ],
     )
     def test_bad_parameter_exits_2(self, args, stdin):
@@ -319,6 +341,24 @@ class TestParameterAndRangeErrors:
         results = json.loads(proc.stdout)["results"]
         assert results["ccc_via_mse_map"] == 1.0
         assert results["variance_identity_residual"] == 0.0
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "args, stdin",
+        [
+            (["analyze", "--out", "{out}"], "1,2\n2,3\n3,4\n"),
+            (["region", "--kind", "mse", "--json"], ""),
+            (["bounds-lk", "--format", "plain", "--k", "1", "--lk", "1", "--out", "{out}"], "1\n2\n"),
+        ],
+        ids=["analyze-out", "region-json", "bounds-lk-out"],
+    )
+    def test_verbs_reject_flags_they_do_not_read(self, args, stdin, tmp_path):
+        out = tmp_path / "x.csv"
+        proc = run([a.format(out=out) for a in args], stdin=stdin)
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
+        assert proc.stdout == "" and not out.exists()
 
 
 class TestDeterminism:

@@ -8,8 +8,9 @@ and every CSV it writes with ``--out`` to the fixture files
 the even-k solver at k = 2 and 6 and the L_k-sphere audit, which gate the
 solver's and the sphere oracles' bits.
 
-Regenerate the fixtures, after a deliberate output change only, with
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+Regenerate fixtures, after a deliberate output change only, with
+``PYTHONPATH=src python tests/test_cli_golden.py [case ...]``; it rewrites the
+named cases, or every case when none is named.
 """
 
 import os
@@ -149,10 +150,14 @@ def test_cli_output_matches_golden(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for case, spec in GENERATED.items():
-        (GOLDEN / f"{case}.in").write_text(_generated_input(*spec), encoding="utf-8")
-    for case in CASES:
+    for case in names:
+        if case in GENERATED:
+            (GOLDEN / f"{case}.in").write_text(_generated_input(*GENERATED[case]), encoding="utf-8")
         with tempfile.TemporaryDirectory() as tmp:
             for suffix, data in _run(case, Path(tmp)).items():
                 (GOLDEN / f"{case}.{suffix}").write_bytes(data)

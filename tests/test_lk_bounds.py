@@ -119,6 +119,13 @@ class TestConjugateTheta:
         with pytest.raises(NoConjugate):
             conjugate_theta(1.0, 0.5)
 
+    def test_nonfinite_arguments_rejected(self):
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInput, match="theta1"):
+                conjugate_theta(bad, 0.75)
+            with pytest.raises(InvalidInput, match="x must"):
+                conjugate_theta(8.0, bad)
+
 
 class TestEnvelopeGivenLk:
     def test_small_x_hits_zero_at_inverse_theta_max(self):
@@ -156,6 +163,10 @@ class TestEnvelopeGivenLk:
                 envelope_given_lk(1, 64, lk=lk, sigma_g=1.0)
             with pytest.raises(InvalidInput):
                 theta_band(lk, 64, 1.0)  # as k
+            with pytest.raises(InvalidInput, match="sigma_g"):
+                envelope_given_lk(1, 64, lk=1.0, sigma_g=lk)
+            with pytest.raises(InvalidInput, match="x_max"):
+                lk_region_table(1, 64, x_max=lk, steps=3)
 
     def test_band_overflow_is_typed(self):
         with pytest.raises(InvalidInput, match="overflows"):

@@ -86,6 +86,9 @@ class TestLossValues:
                 LossParams(variant="diff", alpha=alpha)
         with pytest.raises(InvalidInput):
             LossParams(variant="general_diff", per_sample_eps=[1.0, -2.0])
+        for step in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInput, match="step"):
+                training_trace(LossParams(variant="diff"), [1.0, 2.0], [1.5, 2.5], step, 5)
 
 
 class TestLossCccLink:

@@ -53,6 +53,9 @@ class TestMapping:
     def test_negative_mse_rejected(self):
         with pytest.raises(InvalidInput):
             ccc_from_mse_cov(-0.5, 1.0)
+        for cov in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidInput, match="cov"):
+                ccc_from_mse_cov(1.0, cov)
 
     def test_mapping_identity_random(self):
         rng = np.random.default_rng(42)
@@ -217,3 +220,6 @@ class TestRegionTable:
     def test_bad_steps(self):
         with pytest.raises(InvalidInput):
             mse_region_table(1.0, 1)
+        for x_max in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInput, match="x_max"):
+                mse_region_table(x_max, 3)

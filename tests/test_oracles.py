@@ -135,6 +135,11 @@ class TestFiniteDifference:
         grad = finite_difference(lambda v: mse(g, v), p, h=1e-6)
         np.testing.assert_allclose(grad, 2 * (p - g) / 3, atol=1e-9)
 
+    def test_bad_h_rejected(self):
+        for h in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInput, match="h must"):
+                finite_difference(lambda v: float(np.sum(v * v)), [1.0, 2.0], h)
+
     def test_h_sweep_plateau(self):
         f = lambda v: float(np.sum(v**3))
         at = np.array([0.7, -1.3, 2.1])

@@ -5,6 +5,7 @@ import pytest
 
 from cccmap import (
     DegenerateVariance,
+    InvalidInput,
     Singularity,
     ccc,
     ccc_error_form1,
@@ -82,6 +83,12 @@ class TestChebyshevCheck:
             2.0 / 3.0, rel=1e-12
         )
 
+    def test_large_offset_and_range(self):
+        a = [1e9, 1e9 + 1, 1e9 + 2]
+        assert chebyshev_check(a, a) == 2.0 / 3.0
+        with pytest.raises(InvalidInput, match="covariance"):
+            chebyshev_check([1e160, 2e160, 3e160], [1e160, 2e160, 3e160])
+
     def test_same_direction_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -117,6 +124,15 @@ class TestOptimalPermutations:
             ext = optimal_permutations(g, error_set(e))
             for res in (ext.max_add, ext.max_sub, ext.min_add, ext.min_sub):
                 assert res.formula_value == pytest.approx(res.ccc_value, abs=1e-10)
+
+    def test_closed_forms_are_shift_invariant(self):
+        g = np.array([1.0, 2.0, 4.0, 0.0])
+        es = error_set([0.5, -1.0, 2.0, 0.1])
+        keys = ("max_add", "max_sub", "min_add", "min_sub")
+        base = optimal_permutations(g, es)
+        shifted = optimal_permutations(g + 1e8, es)
+        for key in keys:
+            assert getattr(shifted, key).formula_value == getattr(base, key).formula_value
 
     def test_exhaustive_agreement_small_n(self):
         # oracle: direct ccc over every ordering, computed independently here

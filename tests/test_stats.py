@@ -135,6 +135,17 @@ class TestNormsAndErrors:
             with pytest.raises(InvalidInput):
                 mke([1, 2], [0, 0], p)
 
+    def test_extreme_p(self):
+        # the largest term is exactly 1: no underflow at large p, no stray overflow at small p
+        assert lp_norm([1.0, 1.0], 2000) == pytest.approx(2 ** (1 / 2000), rel=1e-15)
+        with pytest.raises(InvalidInput, match="lp_norm"):
+            lp_norm([1, 1, 1], 0.001)  # 3**1000 exceeds float64
+        with pytest.raises(InvalidInput, match="lp_norm"):
+            lp_norm([1, 1], 1e-320)  # 1/p itself overflows
+        exact = float(decimal.Decimal(3) ** 1000 * decimal.Decimal("1e-300"))
+        assert lp_norm([1e-300] * 3, 0.001) == pytest.approx(exact, rel=1e-12)
+        assert lp_norm([0.0, 0.0], 0.001) == 0.0
+
     def test_unit_offsets(self):
         assert mse([1, 2, 3], [2, 3, 4]) == pytest.approx(1.0, abs=1e-15)
 
