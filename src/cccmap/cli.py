@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import re
 import sys
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -77,26 +77,21 @@ def _read_text(path: str) -> str:
         raise InvalidInput(f"cannot read input {path!r}: {exc}") from exc
 
 
-def _split_rows(text: str, fmt: str) -> tuple[Sequence[int], list[list[str]]]:
-    """(physical line numbers, cells) of the nonblank lines, as two parallel sequences.
-
-    The numbers are a range, which holds no per-line memory, unless blank lines
-    come before the last nonblank one.
-    """
-    raw = text.split("\n")
-    while raw and not raw[-1].strip():
-        raw.pop()
-    lines = [ln.rstrip("\r") for ln in raw if ln.strip() != ""]
-    numbers = range(1, len(raw) + 1)
-    if len(lines) < len(raw):
-        numbers = [i for i in numbers if raw[i - 1].strip()]
-    del raw
+def _split_rows(text: str, fmt: str) -> list[list[str]]:
+    lines = [ln.rstrip("\r") for ln in text.split("\n") if ln.strip() != ""]
     if fmt == "plain":
-        return numbers, [ln.split() for ln in lines]
+        return [ln.split() for ln in lines]
     if fmt in ("csv", "tsv"):
         delim = "," if fmt == "csv" else "\t"
-        return numbers, list(csv.reader(lines, delimiter=delim))
+        return list(csv.reader(lines, delimiter=delim))
     raise InvalidInput(f"unknown format {fmt!r}")
+
+
+def _line_number(text: str, row: int) -> int:
+    """Physical line number of the nonblank line of ``text`` that :func:`_split_rows`
+    made its ``row``-th row (from 0); worked out only for an error message."""
+    nonblank = (i for i, ln in enumerate(text.split("\n"), 1) if ln.strip() != "")
+    return next(itertools.islice(nonblank, row, None))
 
 
 def _resolve_column(selector: str, header: list[str] | None, width: int, what: str) -> int:
@@ -120,13 +115,16 @@ def _load_columns(args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarra
     Values must be plain decimal floats; anything else (NaN, Inf, locale
     separators, underscores) is rejected with its line number.
     """
-    numbers, rows = _split_rows(_read_text(args.input), args.format)
+    text = _read_text(args.input)
+    rows = _split_rows(text, args.format)
     if not rows:
         raise InvalidInput("input contains no data rows")
     header = None
+    offset = 0  # rows before the first data row
     if args.header:
         header = [c.strip() for c in rows[0]]
-        numbers, rows = numbers[1:], rows[1:]
+        rows = rows[1:]
+        offset = 1
         if not rows:
             raise InvalidInput("input contains a header but no data rows")
     width = len(rows[0])
@@ -136,10 +134,12 @@ def _load_columns(args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarra
         values = np.empty(len(rows))
         for i, row in enumerate(rows):
             if idx >= len(row):
-                raise InvalidInput(f"line {numbers[i]}: expected column {idx}, row has {len(row)} cells")
+                line = _line_number(text, offset + i)
+                raise InvalidInput(f"line {line}: expected column {idx}, row has {len(row)} cells")
             cell = row[idx].strip()
             if not _FLOAT_RE.match(cell):
-                raise InvalidInput(f"line {numbers[i]}: {cell!r} is not a plain decimal number")
+                line = _line_number(text, offset + i)
+                raise InvalidInput(f"line {line}: {cell!r} is not a plain decimal number")
             values[i] = float(cell)
         out[what] = as_sequence(values)
     return out

@@ -17,6 +17,7 @@ ordering between the two exists, so comparisons must evaluate both sides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateVariance, InvalidInput
 from .mse_bounds import ccc_from_mse_cov
-from .stats import _as_pair, _mean, _power_mean, as_sequence, ccc, covariance, population_variance
+from .stats import _as_pair, _mean, _moments, _power_mean, as_sequence, ccc, covariance
 
 Convention = Literal["pred_minus_gold", "gold_minus_pred"]
 PRED_MINUS_GOLD: Convention = "pred_minus_gold"
@@ -52,6 +53,21 @@ def error_set(values) -> ErrorSet:
     return ErrorSet(values=arr, mu_e=_mean(arr), mse=_power_mean(arr, 2, "mse"))
 
 
+def _mapped_ccc(moments, mse: float, add: bool) -> float:
+    """ccc of (g, g + e) if ``add``, else of (g, g - e), by the exact mapping from
+    mse = mean(e**2) and the prediction's covariance with g, var_g +- cov(g, e).
+
+    ``moments`` is :func:`stats._moments` of (g, e). All three terms are taken in
+    units of 4**s, s the larger of its two exponents, so neither their sum nor the
+    mapping can overflow; the scaling is exact, so the bits are those of the
+    unscaled formula wherever that is finite and no term is subnormal.
+    """
+    eg, ee, _, _, var_g, _, cov = moments
+    s = max(eg, ee)
+    cross = math.ldexp(cov if add else -cov, eg + ee - 2 * s)
+    return ccc_from_mse_cov(math.ldexp(mse, -2 * s), math.ldexp(var_g, 2 * (eg - s)) + cross)
+
+
 def ccc_error_form(gold, errors_ordered, convention: Convention) -> float:
     """ccc of (gold, gold + errors) under pred_minus_gold, or of (gold, gold - errors)
     under gold_minus_pred, computed from the error ordering directly: the prediction's
@@ -59,8 +75,7 @@ def ccc_error_form(gold, errors_ordered, convention: Convention) -> float:
     if convention not in (PRED_MINUS_GOLD, GOLD_MINUS_PRED):
         raise InvalidInput(f"unknown convention {convention!r}")
     g, e = _as_pair(gold, errors_ordered)
-    cross = covariance(g, e) if convention == PRED_MINUS_GOLD else -covariance(g, e)
-    return ccc_from_mse_cov(_power_mean(e, 2, "mse"), population_variance(g) + cross)
+    return _mapped_ccc(_moments(g, e), _power_mean(e, 2, "mse"), convention == PRED_MINUS_GOLD)
 
 
 def ccc_error_form1(gold, errors_ordered) -> float:
@@ -116,18 +131,16 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
     g = as_sequence(gold)
     if g.size != errors.n:
         raise InvalidInput(f"length mismatch: gold {g.size} vs errors {errors.n}")
-    var_g = population_variance(g)
-    if var_g == 0.0:
-        raise DegenerateVariance("gold standard is constant")
     order = np.argsort(g, kind="stable")
     e_same = np.empty(g.size)
     e_same[order] = errors.values  # ascending errors onto ascending gold
     e_opp = np.empty(g.size)
     e_opp[order] = errors.values[::-1]
-    cov_same, cov_opp = covariance(g, e_same), covariance(g, e_opp)
+    same, opp = _moments(g, e_same), _moments(g, e_opp)
+    if same[4] == 0.0:  # the gold's variance, in units of its own power of two
+        raise DegenerateVariance("gold standard is constant")
 
-    def build(convention, objective, assignment, errors_in_gold_order, cross):
-        """``cross`` is +-cov(g, e): the prediction's covariance with g is var_g + cross."""
+    def build(convention, objective, assignment, errors_in_gold_order, moments):
         add = convention == PRED_MINUS_GOLD
         pred = g + errors_in_gold_order if add else g - errors_in_gold_order
         return PermutationResult(
@@ -137,16 +150,16 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
             errors=errors_in_gold_order.copy(),
             prediction=pred,
             ccc_value=ccc(g, pred),
-            formula_value=ccc_from_mse_cov(errors.mse, var_g + cross),
+            formula_value=_mapped_ccc(moments, errors.mse, add),
         )
 
     asc = errors.values
     desc = errors.values[::-1]
     return OrderingExtremes(
-        max_add=build(PRED_MINUS_GOLD, "max", asc, e_same, cov_same),
-        max_sub=build(GOLD_MINUS_PRED, "max", desc, e_opp, -cov_opp),
-        min_add=build(PRED_MINUS_GOLD, "min", desc, e_opp, cov_opp),
-        min_sub=build(GOLD_MINUS_PRED, "min", asc, e_same, -cov_same),
+        max_add=build(PRED_MINUS_GOLD, "max", asc, e_same, same),
+        max_sub=build(GOLD_MINUS_PRED, "max", desc, e_opp, opp),
+        min_add=build(PRED_MINUS_GOLD, "min", desc, e_opp, opp),
+        min_sub=build(GOLD_MINUS_PRED, "min", asc, e_same, same),
     )
 
 

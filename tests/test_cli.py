@@ -181,6 +181,20 @@ class TestPermute:
             assert abs(block["ccc"]) == pytest.approx(5 / 7 * 1e-150, rel=1e-15, abs=0)
             assert block["ccc_closed_form"] == pytest.approx(block["ccc"], rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("v", ["1.2e154", "1.3e154"])
+    def test_closed_form_near_the_top_of_the_float_range(self, v, tmp_path):
+        # var_g + cov(g, e) is past float64 here; the closed form must still match ccc
+        out = tmp_path / "p.csv"
+        proc = run(["permute", "--json", "--out", str(out)], stdin=f"-{v},-{v}\n{v},{v}\n")
+        assert proc.returncode == 0 and proc.stderr == ""
+        results = json.loads(proc.stdout)["results"]
+        assert [results[k]["ccc"] for k in ("max_add", "max_sub", "min_add", "min_sub")] == [
+            0.8, 0.8, 0.0, 0.0
+        ]
+        for block in results.values():
+            assert block["ccc_closed_form"] == block["ccc"]
+        assert len(out.read_text().splitlines()) == 3
+
     def test_audit_agreement_small_n(self):
         proc = run(["permute", "--json", "--audit"], stdin="1,0.5\n2,-1\n4,2\n0,0.1\n")
         report = json.loads(proc.stdout)

@@ -71,6 +71,14 @@ class TestErrorFormCcc:
                 ccc_error_form2(g, -e), rel=1e-14, abs=1e-15
             )
 
+    @pytest.mark.parametrize("exponent", [-500, 500, 511])
+    def test_exact_under_power_of_two_scaling(self, exponent):
+        # at 2**511, var_g + cov(g, e) is past float64; the mapping is taken in scaled units
+        g, e = np.array([-1.5, 2.0, -1.75, 1.5]), np.array([-1.0, 1.0, -0.5, 1.25])
+        gs, es = np.ldexp(g, exponent), np.ldexp(e, exponent)
+        assert ccc_error_form1(gs, es) == ccc_error_form1(g, e)
+        assert ccc_error_form2(gs, es) == ccc_error_form2(g, e)
+
     def test_zero_denominator_raises(self):
         # constant gold with zero errors: the prediction collapses onto it
         with pytest.raises(Singularity):
