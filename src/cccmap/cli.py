@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import re
 import sys
@@ -60,18 +59,25 @@ _FLOAT_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 
 def _fmt(x: float) -> str:
     """17 significant digits: guarantees float64 round-trip fidelity."""
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 # ---------------------------------------------------------------------------
 # input handling
 
+# Bytes a body row may hold for the screened route: plain-decimal characters and the
+# whitespace that separates cells and lines (the format's delimiter is added per call).
+_SCREENED = b"0123456789eE.+- \t\r\n"
+# Bytes a header line may hold for the screened route: printable ASCII but the quote, and tab.
+_HEADER_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t"
+_DELIMITERS = {"csv": b",", "tsv": b"\t", "plain": b" "}
 
-def _read_text(path: str) -> str:
+
+def _read_bytes(path: str) -> bytes:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise InvalidInput(f"cannot read input {path!r}: {exc}") from exc
@@ -81,10 +87,23 @@ def _split_rows(text: str, fmt: str) -> list[list[str]]:
     lines = [ln.rstrip("\r") for ln in text.split("\n") if ln.strip() != ""]
     if fmt == "plain":
         return [ln.split() for ln in lines]
-    if fmt in ("csv", "tsv"):
-        delim = "," if fmt == "csv" else "\t"
-        return list(csv.reader(lines, delimiter=delim))
-    raise InvalidInput(f"unknown format {fmt!r}")
+    if fmt not in ("csv", "tsv"):
+        raise InvalidInput(f"unknown format {fmt!r}")
+    # The empty sentinel line is swallowed by a quoted cell left open on the last line,
+    # so every row that spans lines shows as a line count running ahead of the rows.
+    reader = csv.reader(itertools.chain(lines, [""]), delimiter=_DELIMITERS[fmt].decode())
+    rows: list[list[str]] = []
+    try:
+        for row in reader:
+            if reader.line_num > len(rows) + 1:
+                line = _line_number(text, len(rows))
+                raise InvalidInput(f"line {line}: unterminated quoted cell")
+            rows.append(row)
+    except csv.Error as exc:  # a bare carriage return, or a cell past the field size limit
+        line = _line_number(text, reader.line_num - 1)
+        raise InvalidInput(f"line {line}: {str(exc).split(' - ')[0]}") from None
+    rows.pop()  # the sentinel's empty row
+    return rows
 
 
 def _line_number(text: str, row: int) -> int:
@@ -109,13 +128,102 @@ def _resolve_column(selector: str, header: list[str] | None, width: int, what: s
     return header.index(selector)
 
 
+def _screened_table(
+    data: bytes, fmt: str, has_header: bool
+) -> tuple[list[str] | None, int, list[bytes]] | None:
+    """(header, width, cells) of a table that is provably simple, else None.
+
+    Simple means: the header line is printable ASCII with no quote, and the body
+    holds only plain-decimal characters, the delimiter, spaces, tabs and LF or CRLF
+    line ends, with the same number of cells on every nonblank line. There the
+    csv/tsv reader is a split on the delimiter and the plain reader a split on
+    whitespace, so ``cells`` (row-major, unstripped bytes) is what
+    :func:`_split_rows` would give. Anything else goes to the per-line route.
+    """
+    delim = _DELIMITERS[fmt]
+    header, body = None, data
+    if has_header:
+        first = len(data) - len(data.lstrip())  # the header line holds the first nonblank byte
+        start = data.rfind(b"\n", 0, first) + 1
+        end = data.find(b"\n", first)
+        end = len(data) if end < 0 else end + 1
+        line, body = data[start:end].rstrip(b"\r\n"), data[end:]
+        if not line.strip() or line.translate(None, _HEADER_BYTES):
+            return None
+        header = [c.strip() for c in _split_rows(line.decode("ascii"), fmt)[0]]
+    if body.translate(None, _SCREENED + delim):
+        return None
+    if b"\r" in body:
+        body = body.replace(b"\r\n", b"\n")
+        if b"\r" in body:
+            return None
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    shape = _row_shape(body, fmt)
+    if shape is None:
+        return None
+    filled, width = shape
+    if fmt == "plain":
+        cells = body.split()
+    else:
+        if not filled.all():
+            body = b"".join([ln + b"\n" for ln in body.split(b"\n") if ln.strip()])
+        cells = body.replace(b"\n", delim).split(delim)
+        cells.pop()  # after the last line end
+    return header, width, cells
+
+
+def _row_shape(body: bytes, fmt: str) -> tuple[np.ndarray, int] | None:
+    """(which lines are nonblank, cells per nonblank line) of a screened body that ends
+    in LF and holds no CR; None when there is no nonblank line, when their cell counts
+    differ, or when a line is past the csv field size limit (the per-line route says so)."""
+    a = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(a == ord("\n"))
+    starts = np.r_[0, ends[:-1] + 1]
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
+    solid = a > ord(" ")  # after the screen: cell bytes are above the space, blanks are not
+    filled = np.logical_or.reduceat(solid, starts)
+    if fmt == "plain":  # one mark on the last byte of each cell
+        marks = np.flatnonzero(solid[:-1] > solid[1:])
+    else:  # one mark on each delimiter, one cell more than marks
+        marks = np.flatnonzero(a == _DELIMITERS[fmt][0])
+    counts = np.diff(np.searchsorted(marks, ends), prepend=0)[filled]
+    if counts.size == 0 or np.any(counts != counts[0]):
+        return None
+    return filled, int(counts[0]) + (fmt != "plain")
+
+
 def _load_columns(args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarray]:
     """Parse the requested (name, column-selector) pairs from the input table.
 
     Values must be plain decimal floats; anything else (NaN, Inf, locale
-    separators, underscores) is rejected with its line number.
+    separators, underscores) is rejected with its line number. A table that
+    :func:`_screened_table` proves simple is cast a whole column at a time, with
+    the values and errors of the per-line route, :func:`_parse_rows`, which reads
+    every other table and builds every error that names a line.
     """
-    text = _read_text(args.input)
+    data = _read_bytes(args.input)
+    table = _screened_table(data, args.format, args.header)
+    if table is not None:
+        header, width, cells = table
+        out: dict[str, np.ndarray] = {}
+        for what, selector in selectors:
+            idx = _resolve_column(selector, header, width, what)
+            if idx >= width:  # a header name past the data width
+                break
+            try:  # inside the screened characters the cast accepts exactly _FLOAT_RE
+                values = np.array(cells[idx::width], dtype=np.float64)
+            except ValueError:
+                break
+            out[what] = as_sequence(values)
+        else:
+            return out
+    return _parse_rows(data.decode("utf-8", "surrogateescape"), args, selectors)
+
+
+def _parse_rows(text: str, args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarray]:
+    """The per-line route of :func:`_load_columns`."""
     rows = _split_rows(text, args.format)
     if not rows:
         raise InvalidInput("input contains no data rows")
@@ -178,7 +286,11 @@ def _render_json(obj, out: list[str]) -> None:
             out.append(f'"{key}":')
             _render_json(value, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, np.ndarray):  # a float vector, in one join
+        finite = np.isfinite(obj).tolist()
+        cells = [_fmt(v) if ok else "null" for v, ok in zip(obj.tolist(), finite)]
+        out.append("[" + ",".join(cells) + "]")
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, value in enumerate(obj):
             if i:
@@ -239,14 +351,14 @@ def _emit_report(report: dict, as_json: bool) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _write_csv(path: str | None, columns, rows) -> None:
-    """Comma-separated, header row, LF endings, UTF-8; stdout when no path."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row])
-    data = buf.getvalue()
+def _write_csv(path: str | None, columns, rows: np.ndarray) -> None:
+    """Comma-separated, header row, LF endings, UTF-8; stdout when no path.
+
+    ``rows`` is a 2-D float array, one row per line, every cell written as
+    :func:`_fmt` writes it (integers such as an iteration count come out bare).
+    """
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    data = ",".join(columns) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
     if path is None:
         sys.stdout.write(data)
     else:
@@ -315,13 +427,13 @@ def cmd_bounds_mse(args) -> dict:
         _write_csv(
             args.out,
             ("gold", "err_max", "err_min", "pred_max", "pred_min"),
-            zip(
+            np.column_stack([
                 gold.gold,
                 result.err_max,
                 result.err_min,
                 gold.gold + result.err_max,
                 gold.gold + result.err_min,
-            ),
+            ]),
         )
         report["out"] = args.out
     return report
@@ -417,14 +529,14 @@ def cmd_permute(args) -> dict:
                 "pred_min_sub",
                 "max_pred_difference",
             ),
-            zip(
+            np.column_stack([
                 gold,
                 extremes.max_add.prediction,
                 extremes.max_sub.prediction,
                 extremes.min_add.prediction,
                 extremes.min_sub.prediction,
                 extremes.max_add.prediction - extremes.max_sub.prediction,
-            ),
+            ]),
         )
         report["out"] = args.out
     return report
@@ -452,7 +564,7 @@ def cmd_solve_even_p(args) -> dict:
         "multiplier": state.multiplier,
         "residual_norm": state.residual_norm,
         "iterations": state.iterations,
-        "errors": list(state.d),
+        "errors": state.d,
     }
     if int(args.k) == 2:
         closed = bounds_given_mse(gold, args.lk**2 / gold.n)
@@ -483,7 +595,7 @@ def cmd_loss(args) -> dict:
         "beta": args.beta,
         "loss": loss(params, gold, pred),
         "gradient_max_abs": float(np.max(np.abs(grad))),
-        "gradient": list(grad),
+        "gradient": grad,
     }
     if args.trace_iters is not None:
         if args.trace_step is None:
@@ -498,11 +610,7 @@ def cmd_loss(args) -> dict:
             "final_ccc": float(last[3]),
         }
         if args.out is not None:
-            _write_csv(
-                args.out,
-                TRACE_COLUMNS,
-                [(int(r[0]), r[1], r[2], r[3]) for r in trace.rows],
-            )
+            _write_csv(args.out, TRACE_COLUMNS, trace.rows)
             report["out"] = args.out
     return report
 

@@ -36,10 +36,14 @@ def ccc_from_mse_cov(mse_value: float, cov: float) -> float:
         raise InvalidInput(f"mse must be finite and nonnegative, got {mse_value}")
     if not -np.inf < cov < np.inf:
         raise InvalidInput(f"cov must be finite, got {cov}")
+    mse_value, cov = float(mse_value), float(cov)  # Python floats: an overflow is a silent inf
     half_denom = 0.5 * mse_value + cov  # halved, so 2*cov cannot overflow
+    if half_denom == np.inf:  # both terms near the top of the range: halve them once more
+        cov *= 0.5
+        half_denom = 0.25 * mse_value + cov
     if half_denom == 0.0:
         raise Singularity("mse + 2*cov is exactly zero; ccc undefined")
-    return float(cov / half_denom)
+    return cov / half_denom
 
 
 def envelope_kernel(t):

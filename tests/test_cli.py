@@ -1,12 +1,24 @@
-"""End-to-end tests of the command-line surface via subprocess."""
+"""End-to-end tests of the command-line surface via subprocess, and of the
+table loader in process against a frozen copy of its per-line reference."""
 
 import csv
+import itertools
 import json
+import re
 import subprocess
 import sys
+import tempfile
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cccmap import cli
+from cccmap.errors import InvalidInput
+from cccmap.stats import as_sequence
 
 CLI = [sys.executable, "-m", "cccmap.cli"]
 
@@ -77,6 +89,46 @@ class TestAnalyze:
         proc = run(["analyze", "--json"], stdin="1,2\r\n2,3\r\n3,4\r\n")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["mse"] == 1.0
+
+    @pytest.mark.parametrize("fmt, stdin", [
+        ("csv", "1\r2,3\n4,5\n6,7\n"),
+        ("tsv", "1\r2\t3\n4\t5\n6\t7\n"),
+    ])
+    def test_bare_carriage_return_names_the_line(self, fmt, stdin):
+        proc = run(["analyze", "--format", fmt], stdin=stdin)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: line 1:") and "Traceback" not in proc.stderr
+
+    def test_cell_past_the_csv_field_limit_names_the_line(self):
+        proc = run(["analyze"], stdin="1,2\n" + "1" * 200_000 + ",2\n3,5\n")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: line 2: field larger than field limit (131072)\n"
+
+    def test_non_utf8_bytes_name_the_line_from_a_file_and_from_stdin(self, tmp_path):
+        data = b"1,2\n\xff,3\n4,5\n"
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        from_stdin = subprocess.run(CLI + ["analyze"], input=data, capture_output=True)
+        from_file = subprocess.run(CLI + ["analyze", "--input", str(path)], capture_output=True)
+        for proc in (from_stdin, from_file):
+            assert proc.returncode == 2
+            assert proc.stderr.startswith(b"error: line 2: ") and b"Traceback" not in proc.stderr
+        assert from_file.stderr == from_stdin.stderr
+
+    @pytest.mark.parametrize("stdin, line", [
+        ('"1,2\n3,4\n5,6\n', 1),
+        ('1,2\n\n3,"4\n5,6\n', 3),
+        ('1,2\n3,4\n"5,6\n', 3),
+    ])
+    def test_unterminated_quote_names_its_line(self, stdin, line):
+        proc = run(["analyze"], stdin=stdin)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: line {line}: unterminated quoted cell\n"
+
+    def test_quoted_cells_still_parse(self):
+        proc = run(["analyze", "--json"], stdin='"1.5",2\n2," 3"\n"3",4\n')
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["results"]["mu_gold"] == pytest.approx(6.5 / 3)
 
 
 class TestBoundsMse:
@@ -381,3 +433,155 @@ class TestDeterminism:
         first = run(["analyze", "--json", "--seed", "7"], stdin=stdin)
         second = run(["analyze", "--json", "--seed", "7"], stdin=stdin)
         assert first.stdout == second.stdout
+
+
+# ---------------------------------------------------------------------------
+# the table loader against its per-line reference
+
+_ORACLE_FLOAT = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+
+
+def _oracle_load(text, fmt, header_row, selectors):
+    """The per-line loader as it was before the screened route (reading stdin), frozen
+    here as the reference: same arrays, same InvalidInput messages."""
+    lines = [ln.rstrip("\r") for ln in text.split("\n") if ln.strip() != ""]
+    if fmt == "plain":
+        rows = [ln.split() for ln in lines]
+    else:
+        rows = list(csv.reader(lines, delimiter="," if fmt == "csv" else "\t"))
+
+    def line_number(row):
+        nonblank = (i for i, ln in enumerate(text.split("\n"), 1) if ln.strip() != "")
+        return next(itertools.islice(nonblank, row, None))
+
+    if not rows:
+        raise InvalidInput("input contains no data rows")
+    header, offset = None, 0
+    if header_row:
+        header = [c.strip() for c in rows[0]]
+        rows, offset = rows[1:], 1
+        if not rows:
+            raise InvalidInput("input contains a header but no data rows")
+    width = len(rows[0])
+    out = {}
+    for what, selector in selectors:
+        if re.fullmatch(r"\d+", selector):
+            idx = int(selector)
+            if idx >= width:
+                raise InvalidInput(f"{what} column index {idx} out of range (width {width})")
+        elif header is None:
+            raise InvalidInput(f"{what} column {selector!r} is a name but --header was not given")
+        elif selector not in header:
+            raise InvalidInput(f"{what} column {selector!r} not found in header {header}")
+        else:
+            idx = header.index(selector)
+        values = np.empty(len(rows))
+        for i, row in enumerate(rows):
+            if idx >= len(row):
+                line = line_number(offset + i)
+                raise InvalidInput(f"line {line}: expected column {idx}, row has {len(row)} cells")
+            cell = row[idx].strip()
+            if not _ORACLE_FLOAT.match(cell):
+                line = line_number(offset + i)
+                raise InvalidInput(f"line {line}: {cell!r} is not a plain decimal number")
+            values[i] = float(cell)
+        out[what] = as_sequence(values)
+    return out
+
+
+def _outcome(load):
+    """Each column's bytes, or the InvalidInput message."""
+    try:
+        return {name: arr.tobytes() for name, arr in load().items()}
+    except InvalidInput as exc:
+        return str(exc)
+
+
+def _load(data: bytes, fmt: str, header: bool, selectors):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table"
+        path.write_bytes(data)
+        args = types.SimpleNamespace(input=str(path), format=fmt, header=header)
+        return cli._load_columns(args, selectors)
+
+
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g"))
+_TOKENS = st.one_of(
+    _NUMBERS,
+    _NUMBERS,
+    st.integers(-10**20, 10**20).map(str),
+    st.text(alphabet="0123456789eE.+-", max_size=6),
+    st.sampled_from(["1e", ".", "+-1", "", "1.", ".5", "-0", "1E+05", "1e999", "nan", "inf",
+                     "-Infinity", "1_0", "\u0661\u0662", "\uff15", "0x1p3", "1,5"]),
+)
+
+
+@st.composite
+def _cells(draw, fmt, clean):
+    cell = draw(_NUMBERS if clean else _TOKENS)
+    if draw(st.integers(0, 5)) == 0:
+        pad = draw(st.sampled_from([" ", "  ", "\t", " \t"]))
+        cell = pad + cell + draw(st.sampled_from(["", " "]))
+    if fmt != "plain" and draw(st.integers(0, 5)) == 0:
+        cell = '"' + cell.replace('"', "") + '"'
+    return cell
+
+
+@st.composite
+def _tables(draw):
+    fmt = draw(st.sampled_from(["csv", "tsv", "plain"]))
+    header = draw(st.booleans())
+    delim = {"csv": ",", "tsv": "\t", "plain": " "}[fmt]
+    width = draw(st.integers(1, 3))
+    clean = draw(st.booleans())  # numbers only, so that most such tables take the screened route
+    names = ["gold", "pred", "c2"][: draw(st.integers(1, 3))]
+    lines = [delim.join(names)] if header else []
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.integers(0, 9))
+        if shape == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+        else:
+            cells = width + (draw(st.integers(-1, 1)) if shape == 1 else 0)
+            lines.append(delim.join(draw(_cells(fmt, clean)) for _ in range(max(cells, 1))))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    pick = st.sampled_from(["0", "1", "2", "5", *(names + ["missing"] if header else [])])
+    selectors = [("gold", draw(pick)), ("pred", draw(pick))]
+    return text.encode("utf-8"), fmt, header, selectors
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tables())
+def test_loader_matches_the_per_line_reference(table):
+    data, fmt, header, selectors = table
+    text = data.decode("utf-8", "surrogateescape")
+    assert _outcome(lambda: _load(data, fmt, header, selectors)) == _outcome(
+        lambda: _oracle_load(text, fmt, header, selectors)
+    )
+
+
+@pytest.mark.parametrize(
+    "fmt, header", [("csv", False), ("tsv", False), ("plain", False), ("csv", True)]
+)
+@pytest.mark.parametrize("end, blank", [("\n", ""), ("\r\n", ""), ("\r\n", " \t")],
+                         ids=["lf", "crlf", "crlf-blank-lines"])
+def test_bench_shaped_tables_take_the_screened_route(fmt, header, end, blank, monkeypatch):
+    def per_line_route(*args):
+        raise AssertionError("a simple table fell back to the per-line route")
+
+    monkeypatch.setattr(cli, "_parse_rows", per_line_route)
+    rng = np.random.default_rng(5)
+    gold = rng.normal(rng.uniform(-5, 5), 2.0, 2000)
+    pred = 0.8 * gold + rng.normal(0.5, 1.0, 2000)
+    delim = {"csv": ",", "tsv": "\t", "plain": " "}[fmt]
+    lines = [f"{format(g, '.17g')}{delim}{format(p, '.17g')}" for g, p in zip(gold, pred)]
+    if blank:
+        lines[::100] = [blank] * len(lines[::100])
+        keep = np.array([i % 100 != 0 for i in range(2000)])
+        gold, pred = gold[keep], pred[keep]
+    if header:
+        lines.insert(0, delim.join(["gold", "pred"]))
+    data = "".join(line + end for line in lines).encode("utf-8")
+    selectors = [("gold", "gold" if header else "0"), ("pred", "pred" if header else "1")]
+    cols = _load(data, fmt, header, selectors)
+    assert cols["gold"].tobytes() == gold.tobytes() and cols["pred"].tobytes() == pred.tobytes()

@@ -4,7 +4,8 @@ Each case runs one CLI invocation in a fresh directory and compares its stdout
 and every CSV it writes with ``--out`` to the fixture files
 ``<case>.stdout`` and ``<case>.<csv name>``. Inputs are inline or read from
 ``<case>.in``. The cases are the README examples, the JSON reports of
-``analyze`` and of both permutation-audit verbs, whose key orders differ, and
+``analyze`` (csv, tsv, plain, and csv with a header, CRLF endings and blank
+lines) and of both permutation-audit verbs, whose key orders differ, and
 the even-k solver at k = 2 and 6 and the L_k-sphere audit, which gate the
 solver's and the sphere oracles' bits.
 
@@ -72,6 +73,13 @@ CASES = {
     "analyze_json_tiny": (["analyze", "--json"], None, ()),
     "analyze_json_huge": (["analyze", "--json"], None, ()),
     "analyze_text_unit": (["analyze", "--input", "-"], None, ()),
+    "analyze_json_tsv": (["analyze", "--json", "--format", "tsv"], None, ()),
+    "analyze_json_plain": (["analyze", "--json", "--format", "plain"], None, ()),
+    "analyze_json_header_crlf": (
+        ["analyze", "--json", "--header", "--gold-col", "gold", "--pred-col", "pred"],
+        None,
+        (),
+    ),
     "bounds_lk_json": (
         ["bounds-lk", "--json", "--k", "4", "--lk", "3", "--theta-steps", "6"],
         None,
@@ -99,26 +107,39 @@ CASES = {
     ),
 }
 
-# Generated inputs for the cases that read <name>.in: (seed, rows, magnitude).
+# Generated inputs for the cases that read <name>.in: (seed, rows, magnitude[, layout]).
 GENERATED = {
     "analyze_json_unit": (11, 300, 1.0),
     "analyze_json_tiny": (12, 300, 1e-20),
     "analyze_json_huge": (13, 300, 1e20),
     "analyze_text_unit": (11, 300, 1.0),
     "bounds_lk_json": (14, 50, 1.0),
+    "analyze_json_tsv": (15, 300, 1.0, "tsv"),
+    "analyze_json_plain": (16, 300, 1.0, "plain"),
+    "analyze_json_header_crlf": (17, 300, 1.0, "header_crlf"),
 }
 
 
-def _generated_input(seed: int, rows: int, scale: float) -> str:
+def _generated_input(seed: int, rows: int, scale: float, layout: str = "csv") -> bytes:
+    """Two columns of 17-digit cells. ``header_crlf`` is comma-separated with a
+    ``gold,pred`` header, CRLF endings and a blank and a whitespace-only line
+    after every 50th row."""
     rng = np.random.default_rng(seed)
     gold = scale * (3.0 + rng.standard_normal(rows))
     pred = 0.8 * gold + scale * 0.5 * rng.standard_normal(rows)
-    return "".join(f"{format(g, '.17g')},{format(p, '.17g')}\n" for g, p in zip(gold, pred))
+    delim = {"tsv": "\t", "plain": " "}.get(layout, ",")
+    lines = [f"{format(g, '.17g')}{delim}{format(p, '.17g')}" for g, p in zip(gold, pred)]
+    if layout != "header_crlf":
+        return "".join(line + "\n" for line in lines).encode("utf-8")
+    body = ["gold,pred"]
+    for i, line in enumerate(lines, 1):
+        body += [line, "", " \t"] if i % 50 == 0 else [line]
+    return "".join(line + "\r\n" for line in body).encode("utf-8")
 
 
-def _stdin(name: str) -> str:
+def _stdin(name: str) -> bytes:
     text = CASES[name][1]
-    return (GOLDEN / f"{name}.in").read_text(encoding="utf-8") if text is None else text
+    return (GOLDEN / f"{name}.in").read_bytes() if text is None else text.encode("utf-8")
 
 
 def _run(name: str, workdir: Path) -> dict[str, bytes]:
@@ -128,7 +149,7 @@ def _run(name: str, workdir: Path) -> dict[str, bytes]:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cccmap.cli", *argv],
-        input=_stdin(name).encode("utf-8"),
+        input=_stdin(name),
         capture_output=True,
         cwd=workdir,
         env=env,
@@ -157,7 +178,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in names:
         if case in GENERATED:
-            (GOLDEN / f"{case}.in").write_text(_generated_input(*GENERATED[case]), encoding="utf-8")
+            (GOLDEN / f"{case}.in").write_bytes(_generated_input(*GENERATED[case]))
         with tempfile.TemporaryDirectory() as tmp:
             for suffix, data in _run(case, Path(tmp)).items():
                 (GOLDEN / f"{case}.{suffix}").write_bytes(data)

@@ -57,6 +57,14 @@ class TestMapping:
             with pytest.raises(InvalidInput, match="cov"):
                 ccc_from_mse_cov(1.0, cov)
 
+    def test_terms_near_the_top_of_the_range(self):
+        # 0.5*mse + cov is past float64 here; the mapping is homogeneous of degree 0
+        assert ccc_from_mse_cov(1.7e308, 1.7e308) == pytest.approx(2 / 3, rel=1e-15)
+        assert ccc_from_mse_cov(0.0, 1.7e308) == 1.0
+        assert ccc_from_mse_cov(1.7e308, 1.0e308) == pytest.approx(2 / 3.7, rel=1e-15)
+        big = np.finfo(np.float64).max
+        assert ccc_from_mse_cov(big, big) == pytest.approx(2 / 3, rel=1e-15)
+
     def test_mapping_identity_random(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
