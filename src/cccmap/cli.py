@@ -55,11 +55,12 @@ from .stats import _identity_residual, _mean_variance, as_sequence, pair_stats
 from .tolerances import TOL
 
 _FLOAT_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+# 17 significant digits: guarantees float64 round-trip fidelity.
+_FLOAT_FMT = "%.17g"
 
 
 def _fmt(x: float) -> str:
-    """17 significant digits: guarantees float64 round-trip fidelity."""
-    return "%.17g" % x
+    return _FLOAT_FMT % x
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,9 @@ def _split_rows(text: str, fmt: str) -> list[list[str]]:
         for row in reader:
             if reader.line_num > len(rows) + 1:
                 line = _line_number(text, len(rows))
-                raise InvalidInput(f"line {line}: unterminated quoted cell")
+                raise InvalidInput(
+                    f"line {line}: unterminated quoted cell (a quoted cell must close on its line)"
+                )
             rows.append(row)
     except csv.Error as exc:  # a bare carriage return, or a cell past the field size limit
         line = _line_number(text, reader.line_num - 1)
@@ -133,9 +136,9 @@ def _screened_table(
 ) -> tuple[list[str] | None, int, list[bytes]] | None:
     """(header, width, cells) of a table that is provably simple, else None.
 
-    Simple means: the header line is printable ASCII with no quote, and the body
-    holds only plain-decimal characters, the delimiter, spaces, tabs and LF or CRLF
-    line ends, with the same number of cells on every nonblank line. There the
+    Simple means: no line is blank, the header line is printable ASCII with no quote,
+    and the body holds only plain-decimal characters, the delimiter, spaces, tabs and
+    LF or CRLF line ends, with the same number of cells on every line. There the
     csv/tsv reader is a split on the delimiter and the plain reader a split on
     whitespace, so ``cells`` (row-major, unstripped bytes) is what
     :func:`_split_rows` would give. Anything else goes to the per-line route.
@@ -143,12 +146,13 @@ def _screened_table(
     delim = _DELIMITERS[fmt]
     header, body = None, data
     if has_header:
-        first = len(data) - len(data.lstrip())  # the header line holds the first nonblank byte
-        start = data.rfind(b"\n", 0, first) + 1
-        end = data.find(b"\n", first)
-        end = len(data) if end < 0 else end + 1
-        line, body = data[start:end].rstrip(b"\r\n"), data[end:]
-        if not line.strip() or line.translate(None, _HEADER_BYTES):
+        end = data.find(b"\n") + 1 or len(data)
+        line, body = data[:end].rstrip(b"\r\n"), data[end:]
+        if (
+            not line.strip()
+            or len(line) > csv.field_size_limit()
+            or line.translate(None, _HEADER_BYTES)
+        ):
             return None
         header = [c.strip() for c in _split_rows(line.decode("ascii"), fmt)[0]]
     if body.translate(None, _SCREENED + delim):
@@ -159,39 +163,37 @@ def _screened_table(
             return None
     if not body.endswith(b"\n"):
         body += b"\n"
-    shape = _row_shape(body, fmt)
-    if shape is None:
+    width = _row_width(body, fmt)
+    if width is None:
         return None
-    filled, width = shape
     if fmt == "plain":
         cells = body.split()
     else:
-        if not filled.all():
-            body = b"".join([ln + b"\n" for ln in body.split(b"\n") if ln.strip()])
         cells = body.replace(b"\n", delim).split(delim)
         cells.pop()  # after the last line end
     return header, width, cells
 
 
-def _row_shape(body: bytes, fmt: str) -> tuple[np.ndarray, int] | None:
-    """(which lines are nonblank, cells per nonblank line) of a screened body that ends
-    in LF and holds no CR; None when there is no nonblank line, when their cell counts
-    differ, or when a line is past the csv field size limit (the per-line route says so)."""
+def _row_width(body: bytes, fmt: str) -> int | None:
+    """Cells per line of a screened body that ends in LF and holds no CR; None when a
+    line is blank, when the cell counts differ, or when a line is past the csv field
+    size limit (the per-line route says so)."""
     a = np.frombuffer(body, dtype=np.uint8)
     ends = np.flatnonzero(a == ord("\n"))
     starts = np.r_[0, ends[:-1] + 1]
     if (ends - starts).max() > csv.field_size_limit():
         return None
     solid = a > ord(" ")  # after the screen: cell bytes are above the space, blanks are not
-    filled = np.logical_or.reduceat(solid, starts)
+    if not np.logical_or.reduceat(solid, starts).all():
+        return None
     if fmt == "plain":  # one mark on the last byte of each cell
         marks = np.flatnonzero(solid[:-1] > solid[1:])
     else:  # one mark on each delimiter, one cell more than marks
         marks = np.flatnonzero(a == _DELIMITERS[fmt][0])
-    counts = np.diff(np.searchsorted(marks, ends), prepend=0)[filled]
-    if counts.size == 0 or np.any(counts != counts[0]):
+    counts = np.diff(np.searchsorted(marks, ends), prepend=0)
+    if np.any(counts != counts[0]):
         return None
-    return filled, int(counts[0]) + (fmt != "plain")
+    return int(counts[0]) + (fmt != "plain")
 
 
 def _load_columns(args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarray]:
@@ -357,7 +359,7 @@ def _write_csv(path: str | None, columns, rows: np.ndarray) -> None:
     ``rows`` is a 2-D float array, one row per line, every cell written as
     :func:`_fmt` writes it (integers such as an iteration count come out bare).
     """
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    line = ",".join([_FLOAT_FMT] * len(columns)) + "\n"
     data = ",".join(columns) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
     if path is None:
         sys.stdout.write(data)
