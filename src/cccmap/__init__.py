@@ -53,8 +53,6 @@ from .ordering import (
     OrderingExtremes,
     PermutationResult,
     ccc_error_form,
-    ccc_error_form1,
-    ccc_error_form2,
     chebyshev_check,
     compare_max_conventions,
     error_set,

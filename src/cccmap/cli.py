@@ -54,7 +54,7 @@ from .ordering import (
 from .stats import _identity_residual, _mean_variance, as_sequence, pair_stats
 from .tolerances import TOL
 
-_FLOAT_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+_FLOAT_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$", re.ASCII)
 # 17 significant digits: guarantees float64 round-trip fidelity.
 _FLOAT_FMT = "%.17g"
 

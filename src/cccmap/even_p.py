@@ -214,10 +214,13 @@ def solve(
 
     Starts are the two closed-form mse-bound directions plus the best
     ``restarts`` of ``PRESAMPLES`` random sphere points, each run through
-    gradient ascent and Newton polish. Raises InvalidInput when the centred
-    gold's L_k norm is zero or overflows in float64, and NotConverged (with the
-    best state attached) if no candidate meets the residual tolerance.
+    gradient ascent and Newton polish. Raises InvalidInput when ``restarts`` is
+    negative or the centred gold's L_k norm is zero or overflows in float64, and
+    NotConverged (with the best state attached) if no candidate meets the
+    residual tolerance.
     """
+    if restarts < 0:
+        raise InvalidInput(f"restarts must be nonnegative, got {restarts}")
     yz = prob.gold.centered
     var_g = prob.gold.var_g
     n, k, lk = prob.gold.n, prob.k, prob.lk

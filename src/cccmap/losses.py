@@ -27,7 +27,8 @@ from typing import Literal, get_args
 import numpy as np
 
 from .errors import InvalidInput, Singularity
-from .stats import _as_pair, as_sequence, ccc as _ccc, mse as _mse
+from .stats import _as_pair, _error_mean, _moments, _scaled_errors, _unscale, as_sequence
+from .stats import ccc as _ccc, mse as _mse
 
 Variant = Literal[
     "ratio",
@@ -96,11 +97,25 @@ def _general_vectors(params: LossParams, n: int) -> tuple[np.ndarray, np.ndarray
 
 def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
     """(inner value, d inner / d p, wrap_abs_power?) for the chosen variant."""
+    variant = params.variant
     n = g.size
+    if variant == "abs_mse_over_cov":
+        # in the kernel's units g / 2**eg, p / 2**ep, p - g = d * 2**u: exact at any scale
+        eg, ep, mu_g, _, _, _, cov = _moments(g, p)
+        if cov == 0.0:
+            raise Singularity("covariance is exactly zero")
+        d, u = _scaled_errors(p, g)
+        gz = np.ldexp(g, -eg) - mu_g
+        with np.errstate(all="ignore"):  # a gradient past float64 is reported below
+            dinner = np.ldexp((2.0 * d / n) / cov, u - eg - ep)
+            mse_val = _error_mean(d, 0, 2, "mse")  # overwrites d
+            dinner -= np.ldexp(mse_val * (gz / n) / (cov * cov), 2 * u - eg - 2 * ep)
+        if not np.all(np.isfinite(dinner)):
+            raise InvalidInput("loss gradient overflows float64")
+        return _unscale(mse_val / cov, 2 * u - eg - ep, "loss"), dinner, True
     err = p - g
     sq = float(err @ err)
     dsq = 2.0 * err
-    variant = params.variant
 
     if variant in ("ratio", "ratio_pow"):
         dot = float(g @ p)
@@ -136,21 +151,11 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
         dinner = dsq - params.alpha * (2 * params.beta + 1) * powers * g
         return inner, dinner, True
 
-    if variant == "general_diff":
-        eps, alpha, beta = _general_vectors(params, n)
-        powers = (g * p) ** (2 * beta)
-        inner = float(eps @ (err * err)) - float(np.sum(alpha * powers * (g * p)))
-        dinner = 2.0 * eps * err - alpha * (2 * beta + 1) * powers * g
-        return inner, dinner, True
-
-    # abs_mse_over_cov
-    gz = g - g.mean()
-    cov = float((gz * (p - p.mean())).mean())
-    if cov == 0.0:
-        raise Singularity("covariance is exactly zero")
-    mse_val = sq / n
-    inner = mse_val / cov
-    dinner = (dsq / n) / cov - mse_val * (gz / n) / (cov * cov)
+    # general_diff
+    eps, alpha, beta = _general_vectors(params, n)
+    powers = (g * p) ** (2 * beta)
+    inner = float(eps @ (err * err)) - float(np.sum(alpha * powers * (g * p)))
+    dinner = 2.0 * eps * err - alpha * (2 * beta + 1) * powers * g
     return inner, dinner, True
 
 

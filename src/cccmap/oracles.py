@@ -1,8 +1,10 @@
 """Independent brute-force verifiers: exhaustive enumeration and sphere sampling.
 
 These are the ground-truth generators the tests check closed forms against.
-They never call the closed-form code paths they are meant to audit. All
-randomness is seeded and every report is reproducible bit for bit.
+They never call the closed-form code paths they are meant to audit: they score
+each chunk of predictions as one batch through the moment kernel and ccc formula
+of :func:`stats.ccc`, so each reported value is ``ccc`` of its witness bit for
+bit. All randomness is seeded and every report is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInput, TooLarge
 from .ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD, Convention, ErrorSet
-from .stats import _lp_norm, as_sequence, population_variance
+from .stats import _ccc, _lp_norm, _moments, as_sequence
 
 #: Enumerating beyond 9! orderings is refused.
 MAX_ENUM_N = 9
@@ -30,19 +32,6 @@ class OracleReport:
     witness_best: np.ndarray
     witness_worst: np.ndarray
     seed: int
-
-
-def _ccc_rows(gold: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    """Vectorized ccc of one gold sequence against every row of preds."""
-    n = gold.size
-    gz = gold - gold.mean()
-    var_g = float((gz * gz).mean())
-    mu_p = preds.mean(axis=1)
-    centered = preds - mu_p[:, None]
-    var_p = (centered * centered).mean(axis=1)
-    cov = centered @ gz / n
-    denom = var_g + var_p + (gold.mean() - mu_p) ** 2
-    return 2.0 * cov / denom
 
 
 def permutation_oracle(gold, errors: ErrorSet, convention: Convention) -> OracleReport:
@@ -73,13 +62,14 @@ def permutation_oracle(gold, errors: ErrorSet, convention: Convention) -> Oracle
 
 def _extremes(gold: np.ndarray, chunks, seed: int) -> OracleReport:
     """Best and worst ccc over chunks of (predictions, witnesses); ties keep the first row."""
-    if population_variance(gold) == 0.0:
-        raise InvalidInput("gold standard is constant")
     best_val, worst_val = -np.inf, np.inf
     best_wit = worst_wit = None
     trials = 0
     for preds, witnesses in chunks:
-        vals = _ccc_rows(gold, preds)
+        moments = _moments(gold, preds)
+        if moments[4] == 0.0:  # the gold's variance, in units of its own power of two
+            raise InvalidInput("gold standard is constant")
+        vals = _ccc(*moments)
         trials += len(vals)
         i_max = int(np.argmax(vals))
         i_min = int(np.argmin(vals))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateVariance, InvalidInput
 from .mse_bounds import ccc_from_mse_cov
-from .stats import _as_pair, _mean, _moments, _power_mean, as_sequence, ccc, covariance
+from .stats import _as_pair, _error_mean, _mean, _moments, _power_mean, as_sequence, ccc, covariance
 
 Convention = Literal["pred_minus_gold", "gold_minus_pred"]
 PRED_MINUS_GOLD: Convention = "pred_minus_gold"
@@ -53,19 +53,16 @@ def error_set(values) -> ErrorSet:
     return ErrorSet(values=arr, mu_e=_mean(arr), mse=_power_mean(arr, 2, "mse"))
 
 
-def _mapped_ccc(moments, mse: float, add: bool) -> float:
+def _mapped_ccc(eg: int, ee: int, var_g: float, cov: float, mse: float, add: bool) -> float:
     """ccc of (g, g + e) if ``add``, else of (g, g - e), by the exact mapping from
     mse = mean(e**2) and the prediction's covariance with g, var_g +- cov(g, e).
-
-    ``moments`` is :func:`stats._moments` of (g, e). All three terms are taken in
-    units of 4**s, s the larger of its two exponents, so neither their sum nor the
-    mapping can overflow; the scaling is exact, so the bits are those of the
-    unscaled formula wherever that is finite and no term is subnormal.
-    """
-    eg, ee, _, _, var_g, _, cov = moments
+    The arguments are in the :func:`stats._moments` units of (g, e), mse in 4**ee.
+    All three terms are taken in units of 4**s, s = max(eg, ee), so neither their sum
+    nor the mapping can overflow; the scaling is exact, so the bits are those of the
+    unscaled formula wherever that is finite and no term is subnormal."""
     s = max(eg, ee)
     cross = math.ldexp(cov if add else -cov, eg + ee - 2 * s)
-    return ccc_from_mse_cov(math.ldexp(mse, -2 * s), math.ldexp(var_g, 2 * (eg - s)) + cross)
+    return ccc_from_mse_cov(math.ldexp(mse, 2 * (ee - s)), math.ldexp(var_g, 2 * (eg - s)) + cross)
 
 
 def ccc_error_form(gold, errors_ordered, convention: Convention) -> float:
@@ -75,17 +72,9 @@ def ccc_error_form(gold, errors_ordered, convention: Convention) -> float:
     if convention not in (PRED_MINUS_GOLD, GOLD_MINUS_PRED):
         raise InvalidInput(f"unknown convention {convention!r}")
     g, e = _as_pair(gold, errors_ordered)
-    return _mapped_ccc(_moments(g, e), _power_mean(e, 2, "mse"), convention == PRED_MINUS_GOLD)
-
-
-def ccc_error_form1(gold, errors_ordered) -> float:
-    """ccc of (gold, gold + errors) computed from the error ordering directly."""
-    return ccc_error_form(gold, errors_ordered, PRED_MINUS_GOLD)
-
-
-def ccc_error_form2(gold, errors_ordered) -> float:
-    """ccc of (gold, gold - errors); mirror convention of :func:`ccc_error_form1`."""
-    return ccc_error_form(gold, errors_ordered, GOLD_MINUS_PRED)
+    eg, ee, _, _, var_g, _, cov = _moments(g, e)
+    mse = _error_mean(np.ldexp(e, -ee), 0, 2, "mse")
+    return _mapped_ccc(eg, ee, var_g, cov, mse, convention == PRED_MINUS_GOLD)
 
 
 def chebyshev_check(a, b) -> float:
@@ -132,34 +121,32 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
     if g.size != errors.n:
         raise InvalidInput(f"length mismatch: gold {g.size} vs errors {errors.n}")
     order = np.argsort(g, kind="stable")
-    e_same = np.empty(g.size)
-    e_same[order] = errors.values  # ascending errors onto ascending gold
-    e_opp = np.empty(g.size)
-    e_opp[order] = errors.values[::-1]
-    same, opp = _moments(g, e_same), _moments(g, e_opp)
-    if same[4] == 0.0:  # the gold's variance, in units of its own power of two
+    rows = np.empty((2, g.size))
+    rows[0, order] = errors.values  # e_same: ascending errors onto ascending gold
+    rows[1, order] = errors.values[::-1]  # e_opp: descending
+    eg, ee, _, _, var_g, _, cov = _moments(g, rows)
+    if var_g == 0.0:  # the gold's variance, in units of its own power of two
         raise DegenerateVariance("gold standard is constant")
+    mse = _error_mean(np.ldexp(errors.values, -ee[0]), 0, 2, "mse")  # one multiset in both rows
 
-    def build(convention, objective, assignment, errors_in_gold_order, moments):
+    def build(convention, objective, row):
         add = convention == PRED_MINUS_GOLD
-        pred = g + errors_in_gold_order if add else g - errors_in_gold_order
+        pred = g + rows[row] if add else g - rows[row]
         return PermutationResult(
             convention=convention,
             objective=objective,
-            assignment=assignment.copy(),
-            errors=errors_in_gold_order.copy(),
+            assignment=(errors.values[::-1] if row else errors.values).copy(),
+            errors=rows[row].copy(),
             prediction=pred,
             ccc_value=ccc(g, pred),
-            formula_value=_mapped_ccc(moments, errors.mse, add),
+            formula_value=_mapped_ccc(eg, int(ee[row]), var_g, float(cov[row]), mse, add),
         )
 
-    asc = errors.values
-    desc = errors.values[::-1]
     return OrderingExtremes(
-        max_add=build(PRED_MINUS_GOLD, "max", asc, e_same, same),
-        max_sub=build(GOLD_MINUS_PRED, "max", desc, e_opp, opp),
-        min_add=build(PRED_MINUS_GOLD, "min", desc, e_opp, opp),
-        min_sub=build(GOLD_MINUS_PRED, "min", asc, e_same, same),
+        max_add=build(PRED_MINUS_GOLD, "max", 0),
+        max_sub=build(GOLD_MINUS_PRED, "max", 1),
+        min_add=build(PRED_MINUS_GOLD, "min", 1),
+        min_sub=build(GOLD_MINUS_PRED, "min", 0),
     )
 
 

@@ -11,6 +11,9 @@ divides by max |e_i|, so that its largest term is exactly 1 at any p; it can
 differ from the plain formula in the last bits. A reported statistic that
 does not fit in float64 raises :class:`InvalidInput` naming it. Every function
 is pure.
+
+:func:`_moments` also takes a batch of rows, and :func:`_ccc` serves one row and a
+batch alike; only the even-k solver still sums its own moments.
 """
 
 from __future__ import annotations
@@ -42,39 +45,49 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xv, yv
 
 
-def _exponent(v: np.ndarray) -> int:
-    """The e with max |v_i| in [2**(e-1), 2**e); 0 when v is all zeros."""
-    return math.frexp(max(v.max(), -v.min()))[1]
+def _exponent(v: np.ndarray):
+    """The e with max |v_i| in [2**(e-1), 2**e) along the last axis, 0 for zeros; int for 1-D v."""
+    if v.ndim == 1:
+        return math.frexp(max(v.max(), -v.min()))[1]
+    return np.frexp(np.abs(v).max(axis=-1))[1]  # one reduction over short rows, not two
 
 
-def _moments(xv: np.ndarray, yv: np.ndarray) -> tuple[int, int, float, float, float, float, float]:
+def _moments(xv: np.ndarray, yv: np.ndarray):
     """(ex, ey, mu_x, mu_y, var_x, var_y, cov) of x / 2**ex and y / 2**ey, each array
     scaled by its own power of two: means in units of 2**ex and 2**ey, variances in
-    4**ex and 4**ey, cov in 2**(ex + ey). At most two full-length buffers: x is
-    centred in its scaled copy, which then holds products."""
+    4**ex and 4**ey, cov in 2**(ex + ey). y may be an (R, n) batch of rows, each with
+    its own power of two; then ey, mu_y, var_y and cov are arrays over the rows, each
+    element the bits that row alone gives. One row takes at most two full-length
+    buffers: x is centred in its scaled copy, which then holds products."""
     ex, ey = _exponent(xv), _exponent(yv)
+    n = xv.size  # np.add.reduce(v, axis=-1) / n is v.mean(axis=-1) bit for bit, and cheaper
     a = np.ldexp(xv, -ex)
-    mu_x = a.mean()
+    mu_x = np.add.reduce(a) / n
     a -= mu_x
     b = a * a
-    var_x = b.mean()
+    var_x = np.add.reduce(b) / n
     if yv is xv:
         return ex, ex, float(mu_x), float(mu_x), float(var_x), float(var_x), float(var_x)
-    np.ldexp(yv, -ey, out=b)
-    mu_y = b.mean()
-    b -= mu_y
-    a *= b
-    cov = a.mean()
-    np.multiply(b, b, out=a)
-    return ex, ey, float(mu_x), float(mu_y), float(var_x), float(a.mean()), float(cov)
+    one_row = yv.ndim == 1
+    b = np.ldexp(yv, -np.int32(ey)[..., None], out=b if one_row else None)  # int32: fast loop
+    mu_y = np.add.reduce(b, axis=-1) / n
+    b -= mu_y[..., None]
+    c = np.multiply(b, a, out=a if one_row else None)
+    cov = np.add.reduce(c, axis=-1) / n
+    np.multiply(b, b, out=c)
+    var_y = np.add.reduce(c, axis=-1) / n
+    if one_row:
+        mu_y, var_y, cov = float(mu_y), float(var_y), float(cov)
+    return ex, ey, float(mu_x), mu_y, float(var_x), var_y, cov
 
 
-def _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y) -> tuple[int, float, float]:
-    """(e, mu_x - mu_y, var_x + var_y + (mu_x - mu_y)**2) of :func:`_moments` output,
-    in units of 2**e and 4**e for e = max(ex, ey)."""
-    e = max(ex, ey)
-    dmu = math.ldexp(mu_x, ex - e) - math.ldexp(mu_y, ey - e)
-    return e, dmu, math.ldexp(var_x, 2 * (ex - e)) + math.ldexp(var_y, 2 * (ey - e)) + dmu**2
+def _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y):
+    """(e, mu_x - mu_y, var_x + var_y + (mu_x - mu_y)**2) of :func:`_moments` output in units
+    of 2**e and 4**e, e = max(ex, ey); elementwise over a batch, Python floats for one row."""
+    batch = isinstance(ey, np.ndarray)
+    e, ldexp = (np.maximum(ex, ey), np.ldexp) if batch else (max(ex, ey), math.ldexp)
+    dmu = ldexp(mu_x, ex - e) - ldexp(mu_y, ey - e)
+    return e, dmu, ldexp(var_x, 2 * (ex - e)) + ldexp(var_y, 2 * (ey - e)) + dmu * dmu
 
 
 def _unscale(value: float, e: float, name: str) -> float:
@@ -92,13 +105,14 @@ def _pearson(var_x: float, var_y: float, cov: float) -> float:
     return min(1.0, max(-1.0, cov / math.sqrt(var_x * var_y)))  # clamp rounding spill past +-1
 
 
-def _ccc(ex, ey, mu_x, mu_y, var_x, var_y, cov) -> float:
-    if var_x == 0.0 and var_y == 0.0:
+def _ccc(ex, ey, mu_x, mu_y, var_x, var_y, cov):
+    """ccc of :func:`_moments` output: a float for one row, an array over a batch."""
+    if var_x == 0.0 and np.any(var_y == 0.0):
         raise DegenerateVariance("ccc undefined when both sequences are constant")
-    if cov == 0.0:
-        return 0.0
     e, _, denom = _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y)
-    return math.ldexp(2.0 * cov / denom, ex + ey - 2 * e)
+    ldexp = np.ldexp if isinstance(ey, np.ndarray) else math.ldexp
+    # exactly 0 where cov is: only there can the scaled denominator underflow to 0
+    return ldexp(2.0 * cov / (denom + (cov == 0.0)), ex + ey - 2 * e)
 
 
 def _mean_variance(arr: np.ndarray, name: str) -> tuple[float, float]:

@@ -85,6 +85,12 @@ class TestAnalyze:
         proc = run(["analyze"], stdin="1_0,2\n2,3\n")
         assert proc.returncode == 2
 
+    def test_non_ascii_digit_names_the_line(self):
+        # an Arabic-Indic one is a Unicode decimal digit but not a plain decimal
+        proc = run(["analyze", "--json"], stdin="\u0661,2\n2,3\n3,5\n")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "line 1" in proc.stderr
+
     def test_crlf_input_accepted(self):
         proc = run(["analyze", "--json"], stdin="1,2\r\n2,3\r\n3,4\r\n")
         assert proc.returncode == 0
@@ -311,6 +317,16 @@ class TestLoss:
         losses = [float(r["loss"]) for r in rows]
         assert losses == sorted(losses, reverse=True)
 
+    @pytest.mark.parametrize("scale", ["e154", "e-160"])
+    def test_abs_mse_over_cov_across_the_range(self, scale):
+        stdin = "".join(f"{g}{scale},{p}{scale}\n" for g, p in ((1, 2), (2, 1), (3, 4)))
+        proc = run(["loss", "--variant", "abs_mse_over_cov", "--json"], stdin=stdin)
+        assert proc.returncode == 0 and "Warning" not in proc.stderr
+        assert "null" not in proc.stdout
+        results = json.loads(proc.stdout)["results"]
+        assert results["loss"] == pytest.approx(1.5, rel=1e-15)
+        assert np.all(np.isfinite(results["gradient"]))
+
 
 class TestRegion:
     def test_mse_region_labeled_points(self):
@@ -388,12 +404,14 @@ class TestParameterAndRangeErrors:
              "1,2\n2,3\n3,5\n"),
             (["permute", "--json"], "1.7e308,0.1\n1.6e308,0.2\n1.5e308,0.3\n"),
             (["loss", "--variant", "diff", "--json"], "1.7e308,1\n1.6e308,2\n1.5e308,3\n"),
+            (["solve-even-p", "--format", "plain", "--k", "4", "--lk", "1", "--restarts", "-1"],
+             "1\n2\n3\n"),
         ],
         ids=[
             "mse-nan", "alpha-nan", "lk-nan", "k-band-overflow", "x-max-nan", "sphere-mse-nan",
             "gold-variance-overflow", "gamma-inf", "solve-lk-inf", "solve-k-inf", "band-k-inf",
             "sphere-lk-inf", "errors-mse-overflow", "x-max-inf", "trace-step-inf",
-            "permute-gold-near-max", "loss-gold-near-max",
+            "permute-gold-near-max", "loss-gold-near-max", "solve-restarts-negative",
         ],
     )
     def test_bad_parameter_exits_2(self, args, stdin):
@@ -446,7 +464,7 @@ class TestDeterminism:
 # ---------------------------------------------------------------------------
 # the table loader against its per-line reference
 
-_ORACLE_FLOAT = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+_ORACLE_FLOAT = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$", re.ASCII)
 
 
 def _oracle_load(text, fmt, header_row, selectors):

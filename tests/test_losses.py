@@ -118,6 +118,20 @@ class TestLossCccLink:
                 ccc(g, p), rel=1e-12
             )
 
+    @pytest.mark.parametrize("exponent", [-500, 500])
+    def test_abs_mse_over_cov_exact_under_power_of_two_scaling(self, exponent):
+        # cov * cov is past float64 at 2**500 and below it at 2**-500 in raw units
+        rng = np.random.default_rng(3)
+        params = LossParams(variant="abs_mse_over_cov", gamma=1.5)
+        for _ in range(20):
+            g = rng.uniform(-2, 2, 7)
+            p = g + rng.uniform(-0.5, 0.5, 7)
+            gs, ps = np.ldexp(g, exponent), np.ldexp(p, exponent)
+            assert loss(params, gs, ps) == loss(params, g, p)
+            np.testing.assert_array_equal(
+                np.ldexp(loss_gradient(params, gs, ps), exponent), loss_gradient(params, g, p)
+            )
+
 
 class TestGradients:
     def test_diff_gradient_closed_form(self):

@@ -1,6 +1,8 @@
 """Tests for the brute-force verifiers themselves."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,6 +124,52 @@ class TestLkSphereOracle:
         g = [1.0, 2.0, 5.0, 3.0]
         report = lk_sphere_oracle(g, 4.0, 1.9, trials=50, seed=2)
         assert lp_norm(report.witness_worst, 4.0) == pytest.approx(1.9, rel=1e-12)
+
+
+def _oracle_runs(exponent: int):
+    """(name, gold, report, whether witnesses are errors) for each oracle, with gold,
+    errors and sphere radii scaled by 2**exponent; the unit-scale runs are the golden
+    CLI cases ``audit_permutation_json``, ``readme_audit_mse_sphere`` and ``audit_lk_sphere``."""
+    g = np.ldexp([1.0, 2.0, 4.0, 0.0], exponent)
+    errors = error_set(np.ldexp([0.5, -1.0, 2.0, 0.1], exponent))
+    sphere_gold = np.ldexp([1.0, 2.0, 3.0, 4.0, 6.0], exponent)
+    return [
+        ("permutation-add", g, permutation_oracle(g, errors, PRED_MINUS_GOLD), False),
+        ("permutation-sub", g, permutation_oracle(g, errors, GOLD_MINUS_PRED), False),
+        ("mse-sphere", sphere_gold[:4],
+         mse_sphere_oracle(sphere_gold[:4], math.ldexp(0.5, 2 * exponent), 100_000, seed=1), True),
+        ("lk-sphere", sphere_gold,
+         lk_sphere_oracle(sphere_gold, 4.0, math.ldexp(1.5, exponent), 100_000, seed=2), True),
+    ]
+
+
+def _exact_ccc(gold, pred) -> Fraction:
+    g, p = [Fraction(v) for v in gold], [Fraction(v) for v in pred]
+    n = len(g)
+    mu_g, mu_p = sum(g) / n, sum(p) / n
+    cov = sum((a - mu_g) * (b - mu_p) for a, b in zip(g, p)) / n
+    var_g = sum((a - mu_g) ** 2 for a in g) / n
+    var_p = sum((b - mu_p) ** 2 for b in p) / n
+    return 2 * cov / (var_g + var_p + (mu_g - mu_p) ** 2)
+
+
+class TestOracleValues:
+    @pytest.mark.parametrize("which", ["best", "worst"])
+    def test_extremes_are_the_direct_ccc_of_their_witnesses(self, which):
+        for name, gold, report, error_witness in _oracle_runs(0):
+            value, witness = getattr(report, f"{which}_value"), getattr(report, f"witness_{which}")
+            pred = gold + witness if error_witness else witness
+            assert value == ccc(gold, pred), name
+            exact = _exact_ccc(gold, pred)
+            assert abs(Fraction(value) - exact) <= 2 * Fraction(math.ulp(float(exact))), name
+
+    @pytest.mark.parametrize("exponent", [-500, 500, 511])
+    def test_reports_exact_under_power_of_two_scaling(self, exponent):
+        # at 2**511 the gold's raw squares are past float64
+        for (name, _, base, _), (_, _, scaled, _) in zip(_oracle_runs(0), _oracle_runs(exponent)):
+            assert (scaled.best_value, scaled.worst_value) == (base.best_value, base.worst_value), name
+            np.testing.assert_array_equal(scaled.witness_best, np.ldexp(base.witness_best, exponent))
+            np.testing.assert_array_equal(scaled.witness_worst, np.ldexp(base.witness_worst, exponent))
 
 
 class TestFiniteDifference:

@@ -8,13 +8,13 @@ from cccmap import (
     InvalidInput,
     Singularity,
     ccc,
-    ccc_error_form1,
-    ccc_error_form2,
+    ccc_error_form,
     chebyshev_check,
     compare_max_conventions,
     error_set,
     optimal_permutations,
 )
+from cccmap.ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD
 
 
 def random_instance(rng, n_min=3, n_max=10):
@@ -42,33 +42,33 @@ class TestErrorSet:
 
 class TestErrorFormCcc:
     def test_zero_errors(self):
-        assert ccc_error_form1([1, 2, 3], [0, 0, 0]) == pytest.approx(1.0, abs=1e-15)
-        assert ccc_error_form2([1, 2, 3], [0, 0, 0]) == pytest.approx(1.0, abs=1e-15)
+        assert ccc_error_form([1, 2, 3], [0, 0, 0], PRED_MINUS_GOLD) == pytest.approx(1.0, abs=1e-15)
+        assert ccc_error_form([1, 2, 3], [0, 0, 0], GOLD_MINUS_PRED) == pytest.approx(1.0, abs=1e-15)
 
     def test_constant_shift(self):
         g = [1.0, 2.0, 3.0]
         e = [0.1, 0.1, 0.1]
-        assert ccc_error_form1(g, e) == pytest.approx(
+        assert ccc_error_form(g, e, PRED_MINUS_GOLD) == pytest.approx(
             ccc(g, [1.1, 2.1, 3.1]), rel=1e-12
         )
 
     def test_constant_prediction_gives_zero(self):
-        assert ccc_error_form1([1, 2, 3], [1, 0, -1]) == pytest.approx(0.0, abs=1e-15)
+        assert ccc_error_form([1, 2, 3], [1, 0, -1], PRED_MINUS_GOLD) == pytest.approx(0.0, abs=1e-15)
         assert ccc([1, 2, 3], [2, 2, 2]) == 0.0
 
     def test_matches_direct_ccc_random(self):
         rng = np.random.default_rng(1)
         for _ in range(400):
             g, e = random_instance(rng)
-            assert ccc_error_form1(g, e) == pytest.approx(ccc(g, g + e), rel=1e-11, abs=1e-12)
-            assert ccc_error_form2(g, e) == pytest.approx(ccc(g, g - e), rel=1e-11, abs=1e-12)
+            assert ccc_error_form(g, e, PRED_MINUS_GOLD) == pytest.approx(ccc(g, g + e), rel=1e-11, abs=1e-12)
+            assert ccc_error_form(g, e, GOLD_MINUS_PRED) == pytest.approx(ccc(g, g - e), rel=1e-11, abs=1e-12)
 
     def test_sign_convention_duality(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             g, e = random_instance(rng)
-            assert ccc_error_form1(g, e) == pytest.approx(
-                ccc_error_form2(g, -e), rel=1e-14, abs=1e-15
+            assert ccc_error_form(g, e, PRED_MINUS_GOLD) == pytest.approx(
+                ccc_error_form(g, -e, GOLD_MINUS_PRED), rel=1e-14, abs=1e-15
             )
 
     @pytest.mark.parametrize("exponent", [-500, 500, 511])
@@ -76,13 +76,13 @@ class TestErrorFormCcc:
         # at 2**511, var_g + cov(g, e) is past float64; the mapping is taken in scaled units
         g, e = np.array([-1.5, 2.0, -1.75, 1.5]), np.array([-1.0, 1.0, -0.5, 1.25])
         gs, es = np.ldexp(g, exponent), np.ldexp(e, exponent)
-        assert ccc_error_form1(gs, es) == ccc_error_form1(g, e)
-        assert ccc_error_form2(gs, es) == ccc_error_form2(g, e)
+        assert ccc_error_form(gs, es, PRED_MINUS_GOLD) == ccc_error_form(g, e, PRED_MINUS_GOLD)
+        assert ccc_error_form(gs, es, GOLD_MINUS_PRED) == ccc_error_form(g, e, GOLD_MINUS_PRED)
 
     def test_zero_denominator_raises(self):
         # constant gold with zero errors: the prediction collapses onto it
         with pytest.raises(Singularity):
-            ccc_error_form1([2.0, 2.0, 2.0], [0.0, 0.0, 0.0])
+            ccc_error_form([2.0, 2.0, 2.0], [0.0, 0.0, 0.0], PRED_MINUS_GOLD)
 
 
 class TestChebyshevCheck:
@@ -132,6 +132,12 @@ class TestOptimalPermutations:
             ext = optimal_permutations(g, error_set(e))
             for res in (ext.max_add, ext.max_sub, ext.min_add, ext.min_sub):
                 assert res.formula_value == pytest.approx(res.ccc_value, abs=1e-10)
+
+    def test_closed_form_with_errors_below_the_normal_range(self):
+        # mean(e**2) is subnormal here; the mapping takes it in the moment kernel's units
+        ext = optimal_permutations([1e-160, 2e-160, 4e-160], error_set([1e-161, -3e-161, 2e-161]))
+        for res in (ext.max_add, ext.max_sub, ext.min_add, ext.min_sub):
+            assert res.formula_value == pytest.approx(res.ccc_value, rel=1e-12, abs=0)
 
     def test_closed_forms_are_shift_invariant(self):
         g = np.array([1.0, 2.0, 4.0, 0.0])
