@@ -117,7 +117,7 @@ def _line_number(text: str, row: int) -> int:
 
 
 def _resolve_column(selector: str, header: list[str] | None, width: int, what: str) -> int:
-    if re.fullmatch(r"\d+", selector):
+    if re.fullmatch(r"\d+", selector, re.ASCII):  # a digit from another script is a name
         idx = int(selector)
         if idx >= width:
             raise InvalidInput(f"{what} column index {idx} out of range (width {width})")

@@ -96,7 +96,8 @@ def _general_vectors(params: LossParams, n: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
-    """(inner value, d inner / d p, wrap_abs_power?) for the chosen variant."""
+    """(inner value, gradient, wrap_abs_power?) for the chosen variant; ``gradient()``
+    computes d inner / d p, so a caller that wants only the loss builds no gradient."""
     variant = params.variant
     n = g.size
     if variant == "abs_mse_over_cov":
@@ -105,58 +106,53 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
         if cov == 0.0:
             raise Singularity("covariance is exactly zero")
         d, u = _scaled_errors(p, g)
-        gz = np.ldexp(g, -eg) - mu_g
-        with np.errstate(all="ignore"):  # a gradient past float64 is reported below
-            dinner = np.ldexp((2.0 * d / n) / cov, u - eg - ep)
-            mse_val = _error_mean(d, 0, 2, "mse")  # overwrites d
-            dinner -= np.ldexp(mse_val * (gz / n) / (cov * cov), 2 * u - eg - 2 * ep)
-        if not np.all(np.isfinite(dinner)):
-            raise InvalidInput("loss gradient overflows float64")
-        return _unscale(mse_val / cov, 2 * u - eg - ep, "loss"), dinner, True
+        mse_val = _error_mean(d, 0, 2, "mse")  # leaves the signed d for the gradient
+
+        def gradient():
+            gz = np.ldexp(g, -eg) - mu_g
+            with np.errstate(all="ignore"):  # a gradient past float64 is reported below
+                dinner = np.ldexp((2.0 * d / n) / cov, u - eg - ep)
+                dinner -= np.ldexp(mse_val * (gz / n) / (cov * cov), 2 * u - eg - 2 * ep)
+            if not np.all(np.isfinite(dinner)):
+                raise InvalidInput("loss gradient overflows float64")
+            return dinner
+
+        return _unscale(mse_val / cov, 2 * u - eg - ep, "loss"), gradient, True
     err = p - g
-    sq = float(err @ err)
-    dsq = 2.0 * err
 
     if variant in ("ratio", "ratio_pow"):
+        sq = float(err @ err)
         dot = float(g @ p)
         if dot == 0.0:
             raise Singularity("sum(g_j p_j) is exactly zero")
-        inner = sq / dot
-        dinner = dsq / dot - sq * g / (dot * dot)
-        return inner, dinner, variant == "ratio_pow"
-
-    if variant == "general_ratio":
-        eps, alpha, beta = _general_vectors(params, n)
-        num = float(eps @ (err * err))
-        powers = (g * p) ** (2 * beta)  # even exponent, safe for negative products
-        den = float(np.sum(alpha * powers * (g * p)))
-        if den == 0.0:
-            raise Singularity("weighted dot-product denominator is exactly zero")
-        dnum = 2.0 * eps * err
-        dden = alpha * (2 * beta + 1) * powers * g
-        inner = num / den
-        dinner = dnum / den - num * dden / (den * den)
-        return inner, dinner, True
+        return sq / dot, lambda: 2.0 * err / dot - sq * g / (dot * dot), variant == "ratio_pow"
 
     if variant == "diff":
         dot = float(g @ p)
-        inner = sq - params.alpha * dot
-        dinner = dsq - params.alpha * g
-        return inner, dinner, False
+        return float(err @ err) - params.alpha * dot, lambda: 2.0 * err - params.alpha * g, False
 
     if variant == "diff_pow":
-        powers = (g * p) ** (2 * params.beta)
-        reward = float(np.sum(powers * (g * p)))
-        inner = sq - params.alpha * reward
-        dinner = dsq - params.alpha * (2 * params.beta + 1) * powers * g
-        return inner, dinner, True
+        gp = g * p
+        powers = gp ** (2 * params.beta)
+        inner = float(err @ err) - params.alpha * float(np.sum(powers * gp))
+        return inner, lambda: 2.0 * err - params.alpha * (2 * params.beta + 1) * powers * g, True
 
-    # general_diff
+    # general_ratio and general_diff
     eps, alpha, beta = _general_vectors(params, n)
-    powers = (g * p) ** (2 * beta)
-    inner = float(eps @ (err * err)) - float(np.sum(alpha * powers * (g * p)))
-    dinner = 2.0 * eps * err - alpha * (2 * beta + 1) * powers * g
-    return inner, dinner, True
+    gp = g * p
+    powers = gp ** (2 * beta)  # even exponent, safe for negative products
+    num = float(eps @ (err * err))
+    den = float(np.sum(alpha * powers * gp))
+    if variant == "general_diff":
+        return num - den, lambda: 2.0 * eps * err - alpha * (2 * beta + 1) * powers * g, True
+    if den == 0.0:
+        raise Singularity("weighted dot-product denominator is exactly zero")
+
+    def gradient():
+        dden = alpha * (2 * beta + 1) * powers * g
+        return 2.0 * eps * err / den - num * dden / (den * den)
+
+    return num / den, gradient, True
 
 
 def loss(params: LossParams, gold, pred) -> float:
@@ -164,17 +160,29 @@ def loss(params: LossParams, gold, pred) -> float:
     inner, _, wrap = _inner_and_grad(params, g, p)
     if not wrap:
         return float(inner)
-    return float(abs(inner) ** params.gamma)
+    try:
+        return float(abs(inner) ** params.gamma)
+    except OverflowError:
+        raise InvalidInput(f"loss overflows float64 at gamma {params.gamma}") from None
 
 
 def loss_gradient(params: LossParams, gold, pred) -> np.ndarray:
     g, p = _as_pair(gold, pred)
-    inner, dinner, wrap = _inner_and_grad(params, g, p)
+    inner, gradient, wrap = _inner_and_grad(params, g, p)
     if not wrap:
-        return dinner
+        return gradient()
     if inner == 0.0:
-        return np.zeros_like(dinner)  # subgradient at the |.|^gamma kink
-    return params.gamma * abs(inner) ** (params.gamma - 1.0) * np.sign(inner) * dinner
+        return np.zeros(g.size)  # subgradient at the |.|^gamma kink
+    dinner = gradient()
+    try:
+        scale = params.gamma * abs(inner) ** (params.gamma - 1.0) * np.sign(inner)
+    except OverflowError:
+        scale = np.inf
+    with np.errstate(all="ignore"):  # a gradient past float64 is reported below
+        grad = scale * dinner
+    if not np.all(np.isfinite(grad)):
+        raise InvalidInput(f"loss gradient overflows float64 at gamma {params.gamma}")
+    return grad
 
 
 #: Column names of :class:`TrainingTrace` rows.
@@ -216,17 +224,19 @@ def training_trace(
     record(0, current)
     if not np.isfinite(current):
         return TrainingTrace(rows=np.array(rows), diverged=True, final_pred=p)
+    grad = loss_gradient(params, g, p)
     for it in range(1, iters + 1):
         moved = False
         for _ in range(60):
-            candidate = p - current_step * loss_gradient(params, g, p)
+            candidate = p - current_step * grad
             try:
                 cand_loss = loss(params, g, candidate)
+                if np.isfinite(cand_loss) and cand_loss <= current:
+                    grad = loss_gradient(params, g, candidate)  # the next step's, once per step
+                    p, current, moved = candidate, cand_loss, True
+                    break
             except (Singularity, InvalidInput):
-                cand_loss = np.inf  # singular or non-finite candidate: halve and retry
-            if np.isfinite(cand_loss) and cand_loss <= current:
-                p, current, moved = candidate, cand_loss, True
-                break
+                pass  # a singular or non-finite candidate or gradient: halve and retry
             current_step *= 0.5
         if not moved:
             break

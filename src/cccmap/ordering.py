@@ -115,12 +115,42 @@ class OrderingExtremes:
     min_sub: PermutationResult  # P = G - E, errors sorted like gold
 
 
+def _gold_order(g: np.ndarray) -> np.ndarray:
+    """Indices that sort g ascending, equal values in index order (a stable sort's order).
+
+    numpy's default argsort is not stable, so only where equal neighbours exist (ties,
+    and -0.0 == 0.0) is each run of equal values put back in index order: sorting the
+    keys run * n + index, distinct int64 values below n**2 + n, orders by run, then by
+    index, and subtracting run * n again leaves the indices.
+    """
+    order = np.argsort(g)
+    gs = g[order]
+    new_run = np.empty(g.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(gs[1:], gs[:-1], out=new_run[1:])
+    del gs
+    if new_run.all():
+        return order
+    base = np.cumsum(new_run, dtype=np.int64)
+    del new_run
+    base *= g.size
+    order += base
+    order.sort()
+    order -= base
+    return order
+
+
 def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
-    """The four ccc-extreme orderings of an error multiset for a gold standard."""
+    """The four ccc-extreme orderings of an error multiset for a gold standard.
+
+    The gold order comes from :func:`_gold_order`: an unstable argsort, with each run
+    of equal gold values put back in index order, so ties are broken by original index
+    exactly as a stable sort breaks them.
+    """
     g = as_sequence(gold)
     if g.size != errors.n:
         raise InvalidInput(f"length mismatch: gold {g.size} vs errors {errors.n}")
-    order = np.argsort(g, kind="stable")
+    order = _gold_order(g)
     rows = np.empty((2, g.size))
     rows[0, order] = errors.values  # e_same: ascending errors onto ascending gold
     rows[1, order] = errors.values[::-1]  # e_opp: descending

@@ -131,8 +131,10 @@ def _scaled_errors(xv: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _error_mean(d: np.ndarray, u: float, k: float, name: str) -> float:
-    """(1/N) sum |d_i|**k * 2**(k*u) for (d, u) from :func:`_scaled_errors`; overwrites d with |d|."""
-    np.abs(d, out=d)
+    """(1/N) sum |d_i|**k * 2**(k*u) for (d, u) from :func:`_scaled_errors`; overwrites d
+    with |d| unless k is 2, whose square needs no sign."""
+    if k != 2:
+        np.abs(d, out=d)
     return _unscale(float((d**k).mean()), k * u, name)
 
 

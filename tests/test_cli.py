@@ -91,6 +91,19 @@ class TestAnalyze:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "line 1" in proc.stderr
 
+    def test_non_ascii_digit_selector_is_a_header_name(self):
+        # an Arabic-Indic one names a column; it is not the index 1
+        stdin = "\u0661,b\n1,2\n2,3\n3,5\n"
+        by_name = run(["analyze", "--json", "--header", "--gold-col", "\u0661", "--pred-col", "b"],
+                      stdin=stdin)
+        by_index = run(["analyze", "--json", "--header", "--gold-col", "0", "--pred-col", "1"],
+                       stdin=stdin)
+        assert by_name.returncode == 0 and by_name.stdout == by_index.stdout
+        missing = run(["analyze", "--json", "--header", "--gold-col", "\u0661", "--pred-col", "0"],
+                      stdin="a,b\n1,2\n2,3\n3,5\n")
+        assert missing.returncode == 2 and missing.stdout == ""
+        assert "not found in header" in missing.stderr
+
     def test_crlf_input_accepted(self):
         proc = run(["analyze", "--json"], stdin="1,2\r\n2,3\r\n3,4\r\n")
         assert proc.returncode == 0
@@ -406,12 +419,14 @@ class TestParameterAndRangeErrors:
             (["loss", "--variant", "diff", "--json"], "1.7e308,1\n1.6e308,2\n1.5e308,3\n"),
             (["solve-even-p", "--format", "plain", "--k", "4", "--lk", "1", "--restarts", "-1"],
              "1\n2\n3\n"),
+            (["loss", "--variant", "ratio_pow", "--gamma", "300", "--json"], "1,2\n2,30\n3,50\n"),
         ],
         ids=[
             "mse-nan", "alpha-nan", "lk-nan", "k-band-overflow", "x-max-nan", "sphere-mse-nan",
             "gold-variance-overflow", "gamma-inf", "solve-lk-inf", "solve-k-inf", "band-k-inf",
             "sphere-lk-inf", "errors-mse-overflow", "x-max-inf", "trace-step-inf",
             "permute-gold-near-max", "loss-gold-near-max", "solve-restarts-negative",
+            "loss-gamma-overflow",
         ],
     )
     def test_bad_parameter_exits_2(self, args, stdin):
@@ -491,7 +506,7 @@ def _oracle_load(text, fmt, header_row, selectors):
     width = len(rows[0])
     out = {}
     for what, selector in selectors:
-        if re.fullmatch(r"\d+", selector):
+        if re.fullmatch(r"\d+", selector, re.ASCII):
             idx = int(selector)
             if idx >= width:
                 raise InvalidInput(f"{what} column index {idx} out of range (width {width})")

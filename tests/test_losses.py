@@ -17,6 +17,7 @@ from cccmap import (
     mse,
     training_trace,
 )
+from cccmap import losses
 from cccmap.losses import VARIANTS
 
 
@@ -89,6 +90,29 @@ class TestLossValues:
         for step in (0.0, float("nan"), float("inf")):
             with pytest.raises(InvalidInput, match="step"):
                 training_trace(LossParams(variant="diff"), [1.0, 2.0], [1.5, 2.5], step, 5)
+
+
+class TestOverflow:
+    # |inner| = 2994 / 212 for these rows, and its 300th power is past float64
+    GOLD, PRED = [1.0, 2.0, 3.0], [2.0, 30.0, 50.0]
+
+    def test_loss_past_float64_names_the_loss(self):
+        with pytest.raises(InvalidInput, match="^loss overflows"):
+            loss(LossParams(variant="ratio_pow", gamma=300.0), self.GOLD, self.PRED)
+
+    def test_gradient_past_float64_names_the_gradient(self):
+        with pytest.raises(InvalidInput, match="^loss gradient overflows"):
+            loss_gradient(LossParams(variant="ratio_pow", gamma=300.0), self.GOLD, self.PRED)
+
+    def test_loss_builds_no_gradient(self):
+        # mse is 7e210 and cov 1/3, so the loss is finite; the gradient's
+        # mse * (g - mean g) / cov**2 term is past float64
+        g = np.array([1.0, 2.0, 4.0]) * 1e105
+        p = np.array([1.0, 3.0, 2.0]) * 1e-105
+        params = LossParams(variant="abs_mse_over_cov")
+        assert loss(params, g, p) == pytest.approx(mse(g, p) / covariance(g, p), rel=1e-14)
+        with pytest.raises(InvalidInput, match="gradient"):
+            loss_gradient(params, g, p)
 
 
 class TestLossCccLink:
@@ -265,6 +289,29 @@ class TestTrainingTrace:
         params = LossParams(variant="abs_mse_over_cov", gamma=1.0)
         trace = training_trace(params, g, start, step=step, iters=500)
         assert trace.rows[0, 3] < 0 < trace.rows[-1, 3]
+
+    def test_one_gradient_per_step(self, monkeypatch):
+        # the gradient at p is taken once, not once per halving of the step
+        calls = {"loss": 0, "loss_gradient": 0}
+
+        def counted(name):
+            real = getattr(losses, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(losses, name, counted(name))
+        rng = np.random.default_rng(12)
+        g = rng.uniform(0.5, 3, 12)
+        p = g + rng.uniform(-0.5, 0.5, 12)
+        params = LossParams(variant="abs_mse_over_cov")
+        trace = training_trace(params, g, p, step=50.0, iters=30)
+        assert calls["loss"] > trace.rows.shape[0]  # the step was halved
+        assert calls["loss_gradient"] == trace.rows.shape[0]
 
     def test_mse_descent_can_reduce_ccc_while_reducing_mse(self):
         rng = np.random.default_rng(11)

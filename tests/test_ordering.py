@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cccmap import (
     DegenerateVariance,
@@ -14,7 +16,8 @@ from cccmap import (
     error_set,
     optimal_permutations,
 )
-from cccmap.ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD
+from cccmap.ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD, PermutationResult, _mapped_ccc
+from cccmap.stats import _error_mean, _moments
 
 
 def random_instance(rng, n_min=3, n_max=10):
@@ -262,3 +265,87 @@ class TestCompareConventions:
             if {"add_better", "sub_better"} <= seen:
                 break
         assert {"add_better", "sub_better"} <= seen
+
+
+# ---------------------------------------------------------------------------
+# the extremes against a frozen stable-argsort reference
+
+
+def _stable_reference(g, es):
+    """The four extremes as built from a stable argsort of the gold (ties in gold in
+    index order), frozen here as the reference for every field's bits."""
+    order = np.argsort(g, kind="stable")
+    out = {}
+    for name, convention, objective, assignment in (
+        ("max_add", PRED_MINUS_GOLD, "max", es.values),
+        ("max_sub", GOLD_MINUS_PRED, "max", es.values[::-1]),
+        ("min_add", PRED_MINUS_GOLD, "min", es.values[::-1]),
+        ("min_sub", GOLD_MINUS_PRED, "min", es.values),
+    ):
+        errors = np.empty(g.size)
+        errors[order] = assignment
+        add = convention == PRED_MINUS_GOLD
+        pred = g + errors if add else g - errors
+        eg, ee, _, _, var_g, _, cov = _moments(g, errors)
+        mse = _error_mean(np.ldexp(es.values, -ee), 0, 2, "mse")
+        out[name] = PermutationResult(
+            convention=convention,
+            objective=objective,
+            assignment=assignment.copy(),
+            errors=errors,
+            prediction=pred,
+            ccc_value=ccc(g, pred),
+            formula_value=_mapped_ccc(eg, ee, var_g, cov, mse, add),
+        )
+    return out
+
+
+def _gold(kind, n, rng):
+    if kind == "few_levels":  # two to five levels, at least two of them present
+        levels = rng.uniform(-3, 3, int(rng.integers(2, 6)))
+        g = rng.choice(levels, n)
+        g[:2] = levels[:2]
+        return rng.permutation(g)
+    if kind == "signed_zeros":  # -0.0 == 0.0: one tie run that mixes the two
+        return rng.choice([-0.0, 0.0, 0.0, 1.0, -2.5], n)
+    return rng.permutation(np.arange(n) + rng.uniform(0, 0.5, n))  # all distinct
+
+
+def _assert_matches_stable_reference(g, errors):
+    es = error_set(errors)
+    if np.ptp(g) == 0:
+        with pytest.raises(DegenerateVariance):
+            optimal_permutations(g, es)
+        return
+    ext = optimal_permutations(g, es)
+    for name, ref in _stable_reference(g, es).items():
+        got = getattr(ext, name)
+        for field in ("convention", "objective"):
+            assert getattr(got, field) == getattr(ref, field)
+        for field in ("assignment", "errors", "prediction"):
+            assert getattr(got, field).dtype == np.float64
+            assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), (name, field)
+        for field in ("ccc_value", "formula_value"):
+            assert np.float64(getattr(got, field)).tobytes() == np.float64(getattr(ref, field)).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["few_levels", "signed_zeros", "distinct"]),
+    n=st.integers(2, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extremes_match_the_stable_argsort_reference(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    g = _gold(kind, n, rng)
+    errors = rng.standard_normal(n)
+    if rng.integers(2):
+        errors = np.round(errors, 1)  # ties in the errors as well
+    _assert_matches_stable_reference(g, errors)
+
+
+@pytest.mark.parametrize("kind", ["few_levels", "signed_zeros", "distinct"])
+def test_large_gold_matches_the_stable_argsort_reference(kind):
+    rng = np.random.default_rng(13)
+    n = 200_000
+    _assert_matches_stable_reference(_gold(kind, n, rng), rng.standard_normal(n))
