@@ -1,22 +1,29 @@
 """A family of concordance-aware regression losses with analytic gradients.
 
 Every member combines an error term with a reward on the gold/prediction dot
-product sum(g_j p_j) (or on the covariance), so that descent pushes both for
-small errors and for positive joint variability:
+product (or on the covariance), so that descent pushes both for small errors
+and for positive joint variability. All but abs_mse_over_cov are one weighted
+sum in two forms, the ratio N / R and the difference N - R, of
 
-    ratio            sum(g-p)^2 / sum(g p)                      (signed)
-    ratio_pow        |ratio|^gamma
-    general_ratio    |sum eps_j (g-p)^2 / sum alpha_j (g p)^(2 beta_j + 1)|^gamma
-    diff             sum(g-p)^2 - alpha * sum(g p)              (signed)
-    diff_pow         |sum(g-p)^2 - alpha * sum (g p)^(2 beta + 1)|^gamma
-    general_diff     |sum eps_j (g-p)^2 - sum alpha_j (g p)^(2 beta_j + 1)|^gamma
-    abs_mse_over_cov |mse / cov|^gamma
+    N = sum eps_j (p_j - g_j)^2        R = coef * sum alpha_j (g_j p_j)^(2 beta_j + 1)
 
-The signed ratio is unbounded below when the dot product can go negative;
-abs_mse_over_cov is the safe variant (bounded below on the negative-cov side,
-so driving the covariance more negative cannot pay off indefinitely).
-Gradients are with respect to the prediction. At a non-differentiable point
-of |.|^gamma (inner value exactly zero) the subgradient 0 is returned.
+    variant          form                  weights read
+    ratio            N / R   (signed)      none: eps = coef = alpha = 1, beta = 0
+    ratio_pow        |N / R|^gamma         gamma
+    general_ratio    |N / R|^gamma         gamma, per_sample_eps/alpha/beta (default 1, 1, 0)
+    diff             N - R   (signed)      coef = alpha
+    diff_pow         |N - R|^gamma         gamma, coef = alpha, beta
+    general_diff     |N - R|^gamma         gamma, per_sample_eps/alpha/beta (default 1, 1, 0)
+    abs_mse_over_cov |mse / cov|^gamma     gamma
+
+A variant ignores the parameters it does not read. The signed ratio is
+unbounded below when the dot product can go negative; abs_mse_over_cov is the
+safe variant (bounded below on the negative-cov side, so driving the
+covariance more negative cannot pay off indefinitely), and the only one
+evaluated in the moment kernel's scaled units. A sum, loss or gradient past
+float64 raises InvalidInput naming it. Gradients are with respect to the
+prediction. At a non-differentiable point of |.|^gamma (inner value exactly
+zero) the subgradient 0 is returned.
 """
 
 from __future__ import annotations
@@ -82,19 +89,6 @@ class LossParams:
             object.__setattr__(self, "per_sample_beta", vec.astype(np.int64))
 
 
-def _general_vectors(params: LossParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    eps = params.per_sample_eps if params.per_sample_eps is not None else np.ones(n)
-    alpha = params.per_sample_alpha if params.per_sample_alpha is not None else np.ones(n)
-    beta = (
-        params.per_sample_beta
-        if params.per_sample_beta is not None
-        else np.zeros(n, dtype=np.int64)
-    )
-    if len(eps) != n or len(alpha) != n or len(beta) != n:
-        raise InvalidInput("per-sample coefficient length does not match N")
-    return eps, alpha, beta
-
-
 def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
     """(inner value, gradient, wrap_abs_power?) for the chosen variant; ``gradient()``
     computes d inner / d p, so a caller that wants only the loss builds no gradient."""
@@ -110,49 +104,39 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
 
         def gradient():
             gz = np.ldexp(g, -eg) - mu_g
-            with np.errstate(all="ignore"):  # a gradient past float64 is reported below
-                dinner = np.ldexp((2.0 * d / n) / cov, u - eg - ep)
-                dinner -= np.ldexp(mse_val * (gz / n) / (cov * cov), 2 * u - eg - 2 * ep)
-            if not np.all(np.isfinite(dinner)):
-                raise InvalidInput("loss gradient overflows float64")
+            dinner = np.ldexp((2.0 * d / n) / cov, u - eg - ep)
+            dinner -= np.ldexp(mse_val * (gz / n) / (cov * cov), 2 * u - eg - 2 * ep)
             return dinner
 
         return _unscale(mse_val / cov, 2 * u - eg - ep, "loss"), gradient, True
-    err = p - g
 
-    if variant in ("ratio", "ratio_pow"):
-        sq = float(err @ err)
-        dot = float(g @ p)
-        if dot == 0.0:
-            raise Singularity("sum(g_j p_j) is exactly zero")
-        return sq / dot, lambda: 2.0 * err / dot - sq * g / (dot * dot), variant == "ratio_pow"
-
-    if variant == "diff":
-        dot = float(g @ p)
-        return float(err @ err) - params.alpha * dot, lambda: 2.0 * err - params.alpha * g, False
-
-    if variant == "diff_pow":
-        gp = g * p
-        powers = gp ** (2 * params.beta)
-        inner = float(err @ err) - params.alpha * float(np.sum(powers * gp))
-        return inner, lambda: 2.0 * err - params.alpha * (2 * params.beta + 1) * powers * g, True
-
-    # general_ratio and general_diff
-    eps, alpha, beta = _general_vectors(params, n)
-    gp = g * p
-    powers = gp ** (2 * beta)  # even exponent, safe for negative products
-    num = float(eps @ (err * err))
-    den = float(np.sum(alpha * powers * gp))
-    if variant == "general_diff":
-        return num - den, lambda: 2.0 * eps * err - alpha * (2 * beta + 1) * powers * g, True
-    if den == 0.0:
-        raise Singularity("weighted dot-product denominator is exactly zero")
+    # N = sum eps_j (p_j - g_j)^2 and R = coef * sum alpha_j (g_j p_j)^(2 beta_j + 1);
+    # unit weights are exact, so ratio is err @ err / (g @ p) and diff keeps alpha outside
+    eps, coef, alpha, beta = 1.0, 1.0, 1.0, 0
+    if variant.startswith("general_"):
+        vectors = (params.per_sample_eps, params.per_sample_alpha, params.per_sample_beta)
+        if any(v is not None and len(v) != n for v in vectors):
+            raise InvalidInput("per-sample coefficient length does not match N")
+        eps, alpha, beta = (w if v is None else v for v, w in zip(vectors, (eps, alpha, beta)))
+    elif variant.startswith("diff"):
+        coef, beta = params.alpha, params.beta if variant == "diff_pow" else 0
+    ratio = "ratio" in variant
+    with np.errstate(all="ignore"):  # a sum past float64 is reported below
+        err = p - g
+        powers = alpha * (g * p) ** (2 * beta)  # even exponent, safe for negative products
+        num = float(err @ (eps * err))
+        reward = coef * float(g @ (powers * p))
+    if ratio and reward == 0.0:
+        raise Singularity("reward sum(alpha_j (g_j p_j)^(2 beta_j + 1)) is exactly zero")
+    inner = num / reward if ratio else num - reward
+    if not np.all(np.isfinite((num, reward, inner))):
+        raise InvalidInput("loss overflows float64")
 
     def gradient():
-        dden = alpha * (2 * beta + 1) * powers * g
-        return 2.0 * eps * err / den - num * dden / (den * den)
+        dnum, dreward = 2.0 * eps * err, coef * (2 * beta + 1) * powers * g
+        return dnum / reward - num * dreward / (reward * reward) if ratio else dnum - dreward
 
-    return num / den, gradient, True
+    return inner, gradient, variant not in ("ratio", "diff")
 
 
 def loss(params: LossParams, gold, pred) -> float:
@@ -169,19 +153,15 @@ def loss(params: LossParams, gold, pred) -> float:
 def loss_gradient(params: LossParams, gold, pred) -> np.ndarray:
     g, p = _as_pair(gold, pred)
     inner, gradient, wrap = _inner_and_grad(params, g, p)
-    if not wrap:
-        return gradient()
-    if inner == 0.0:
+    if wrap and inner == 0.0:
         return np.zeros(g.size)  # subgradient at the |.|^gamma kink
-    dinner = gradient()
-    try:
-        scale = params.gamma * abs(inner) ** (params.gamma - 1.0) * np.sign(inner)
-    except OverflowError:
-        scale = np.inf
     with np.errstate(all="ignore"):  # a gradient past float64 is reported below
-        grad = scale * dinner
+        grad = gradient()
+        if wrap:
+            grad *= params.gamma * np.float64(abs(inner)) ** (params.gamma - 1.0) * np.sign(inner)
     if not np.all(np.isfinite(grad)):
-        raise InvalidInput(f"loss gradient overflows float64 at gamma {params.gamma}")
+        at = f" at gamma {params.gamma}" if wrap else ""  # ratio and diff do not read gamma
+        raise InvalidInput(f"loss gradient overflows float64{at}")
     return grad
 
 

@@ -48,8 +48,14 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 def _exponent(v: np.ndarray):
     """The e with max |v_i| in [2**(e-1), 2**e) along the last axis, 0 for zeros; int for 1-D v."""
     if v.ndim == 1:
-        return math.frexp(max(v.max(), -v.min()))[1]
+        return _span(v)[0]
     return np.frexp(np.abs(v).max(axis=-1))[1]  # one reduction over short rows, not two
+
+
+def _span(v: np.ndarray) -> tuple[int, bool]:
+    """(:func:`_exponent` of a 1-D v, whether v is constant), from one max and one min."""
+    hi, lo = v.max(), v.min()
+    return math.frexp(max(hi, -lo))[1], hi == lo
 
 
 def _moments(xv: np.ndarray, yv: np.ndarray):
@@ -58,19 +64,21 @@ def _moments(xv: np.ndarray, yv: np.ndarray):
     4**ex and 4**ey, cov in 2**(ex + ey). y may be an (R, n) batch of rows, each with
     its own power of two; then ey, mu_y, var_y and cov are arrays over the rows, each
     element the bits that row alone gives. One row takes at most two full-length
-    buffers: x is centred in its scaled copy, which then holds products."""
-    ex, ey = _exponent(xv), _exponent(yv)
+    buffers: x is centred in its scaled copy, which then holds products. A constant
+    sequence (not a batch row) takes its first value as its mean, so it centres to 0."""
+    ex, x_constant = _span(xv)
     n = xv.size  # np.add.reduce(v, axis=-1) / n is v.mean(axis=-1) bit for bit, and cheaper
     a = np.ldexp(xv, -ex)
-    mu_x = np.add.reduce(a) / n
+    mu_x = a[0] if x_constant else np.add.reduce(a) / n
     a -= mu_x
     b = a * a
     var_x = np.add.reduce(b) / n
     if yv is xv:
         return ex, ex, float(mu_x), float(mu_x), float(var_x), float(var_x), float(var_x)
     one_row = yv.ndim == 1
+    ey, y_constant = _span(yv) if one_row else (_exponent(yv), False)
     b = np.ldexp(yv, -np.int32(ey)[..., None], out=b if one_row else None)  # int32: fast loop
-    mu_y = np.add.reduce(b, axis=-1) / n
+    mu_y = b[0] if y_constant else np.add.reduce(b, axis=-1) / n
     b -= mu_y[..., None]
     c = np.multiply(b, a, out=a if one_row else None)
     cov = np.add.reduce(c, axis=-1) / n
@@ -139,9 +147,10 @@ def _error_mean(d: np.ndarray, u: float, k: float, name: str) -> float:
 
 
 def _mean(arr: np.ndarray) -> float:
-    """Mean of a validated array, summed at the power of two that cannot overflow."""
-    e = _exponent(arr)
-    return math.ldexp(float(np.ldexp(arr, -e).mean()), e)
+    """Mean of a validated array, summed at the power of two that cannot overflow; a
+    constant array's mean is its value."""
+    e, constant = _span(arr)
+    return float(arr[0]) if constant else math.ldexp(float(np.ldexp(arr, -e).mean()), e)
 
 
 def _power_mean(arr: np.ndarray, k: float, name: str) -> float:

@@ -225,6 +225,17 @@ class TestBoundsLk:
 
 
 class TestPermute:
+    @pytest.mark.parametrize(
+        "verb, message",
+        [("permute", "gold standard is constant"), ("analyze", "DegenerateVariance")],
+    )
+    def test_constant_gold_that_is_no_power_of_two(self, verb, message):
+        # 18 copies of this value do not sum to 18 times it
+        stdin = "".join(f"-2.0527140857596002,{i}\n" for i in range(18))
+        proc = run([verb, "--json"], stdin=stdin)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert message in proc.stderr
+
     def test_zero_errors_reproduce_gold(self, tmp_path):
         out = tmp_path / "perm.csv"
         proc = run(
@@ -420,19 +431,22 @@ class TestParameterAndRangeErrors:
             (["solve-even-p", "--format", "plain", "--k", "4", "--lk", "1", "--restarts", "-1"],
              "1\n2\n3\n"),
             (["loss", "--variant", "ratio_pow", "--gamma", "300", "--json"], "1,2\n2,30\n3,50\n"),
+            (["loss", "--variant", "ratio", "--json"], "1e154,2e154\n2e154,1e154\n3e154,4e154\n"),
+            (["loss", "--variant", "ratio", "--json"], "1e-300,1e-300\n-1e-300,1e-300\n1,1e-300\n"),
         ],
         ids=[
             "mse-nan", "alpha-nan", "lk-nan", "k-band-overflow", "x-max-nan", "sphere-mse-nan",
             "gold-variance-overflow", "gamma-inf", "solve-lk-inf", "solve-k-inf", "band-k-inf",
             "sphere-lk-inf", "errors-mse-overflow", "x-max-inf", "trace-step-inf",
             "permute-gold-near-max", "loss-gold-near-max", "solve-restarts-negative",
-            "loss-gamma-overflow",
+            "loss-gamma-overflow", "loss-sums-overflow", "loss-gradient-underflowing-reward",
         ],
     )
     def test_bad_parameter_exits_2(self, args, stdin):
         proc = run(args, stdin=stdin)
         assert proc.returncode == 2
         assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     def test_analyze_names_overflowing_moment(self):

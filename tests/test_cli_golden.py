@@ -156,6 +156,7 @@ def _run(name: str, workdir: Path) -> dict[str, bytes]:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert proc.stderr == b""  # a leaked RuntimeWarning fails the example
     result = {"stdout": proc.stdout}
     for out in outputs:
         result[out] = (workdir / out).read_bytes()

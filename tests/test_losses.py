@@ -114,6 +114,27 @@ class TestOverflow:
         with pytest.raises(InvalidInput, match="gradient"):
             loss_gradient(params, g, p)
 
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "abs_mse_over_cov"])
+    def test_raw_sums_past_float64_name_the_loss(self, variant):
+        g, p = [1e154, 2e154, 3e154], [2e154, 1e154, 4e154]
+        for fn in (loss, loss_gradient):
+            with pytest.raises(InvalidInput, match="^loss overflows float64$"):
+                fn(LossParams(variant=variant), g, p)
+
+    @pytest.mark.parametrize(
+        "params, g, p",
+        [
+            # the loss is 1e300, but sum(g p)**2 in the gradient's denominator underflows
+            (LossParams(variant="ratio"), [1e-300, -1e-300, 1.0], [1e-300, 1e-300, 1e-300]),
+            (LossParams(variant="diff", alpha=1e300), [1e10, 2e10], [1e-300, 1e-300]),
+        ],
+        ids=["ratio", "diff"],
+    )
+    def test_unwrapped_gradient_past_float64(self, params, g, p):
+        assert np.isfinite(loss(params, g, p))
+        with pytest.raises(InvalidInput, match="^loss gradient overflows"):
+            loss_gradient(params, g, p)
+
 
 class TestLossCccLink:
     def test_ratio_equals_n_mse_over_dot(self):
@@ -225,7 +246,8 @@ class TestSpecializationChain:
                 per_sample_beta=np.zeros(n, dtype=np.int64),
             )
             power = LossParams(variant="ratio_pow", gamma=gamma)
-            assert loss(general, g, p) == pytest.approx(loss(power, g, p), rel=1e-12)
+            assert loss(general, g, p) == loss(power, g, p)  # unit weights are exact
+            np.testing.assert_array_equal(loss_gradient(general, g, p), loss_gradient(power, g, p))
 
     def test_ratio_pow_gamma_one_to_ratio(self):
         rng = np.random.default_rng(7)

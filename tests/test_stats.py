@@ -58,6 +58,15 @@ class TestPopulationVariance:
     def test_constant(self):
         assert population_variance([5.5, 5.5, 5.5]) == 0.0
 
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+        st.integers(1, 40),
+    )
+    def test_constant_column_of_any_finite_value(self, value, n):
+        # n copies of most values do not sum to n times the value
+        assert population_variance([value] * n) == 0.0
+        assert mean([value] * n) == value
+
     def test_hand_computed(self):
         # (1 + 0 + 1)/3
         assert population_variance([1, 2, 3]) == pytest.approx(2.0 / 3.0, rel=1e-12)
