@@ -17,11 +17,17 @@ Numerics (the choice is ours, nothing canonical exists): the objective at
 multi-start tangent-projected gradient ascent with step halving on regression
 and renormalization after every step; each endpoint is then polished by a
 damped Newton iteration on the full Karush-Kuhn-Tucker system to drive the
-residual to machine precision. Restarts are deterministic given the seed.
+residual to machine precision. The presample draws and scores its points in
+cache-sized blocks through the sphere sampler the oracles use, into one
+(PRESAMPLES, n) array whose single argsort picks the starts; the L_k norms
+behind it and behind every renormalization come from ``stats._lp_norm``, which
+recomputes a norm whose plain sum underflows or overflows. Restarts are
+deterministic given the seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -29,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidInput, NotConverged, Singularity
 from .mse_bounds import CenteredGold, ccc_from_mse_cov
-from .stats import _lp_norm, as_sequence
+from .stats import _block_rows, _lp_norm, _rng, _sphere_rows, as_sequence
 from .tolerances import TOL
 
 #: Random sphere points scored by :func:`solve` to choose its ascent starts.
@@ -133,6 +139,20 @@ def _renorm(d: np.ndarray, k: int, lk: float) -> np.ndarray | None:
     return d
 
 
+def _check_range(n: int, k: int, lk: float) -> None:
+    """InvalidInput unless the powers that the solver takes of an iterate d on the L_k
+    sphere of radius lk stay in float64: the normal's squared norm, sum (k d_i^(k-1))^2,
+    scales as lk**(2k-2), and the mse squared, a divisor, is at least (lk**2 / n)**2
+    because |d|_2 >= |d|_k. The bounds on lk**(2k-2) are where overflow and underflow were
+    seen to begin for n from 3 to 300 and k from 2 to 2000; they are not proven ones."""
+    e = math.log2(lk)
+    if not (-1074 < (2 * k - 2) * e < 1020 and 4 * e - 2 * math.log2(n) > -1074):
+        raise InvalidInput(
+            f"lk = {lk} is out of range at k = {k}: the solver's powers of the iterate, "
+            f"up to lk**{max(4, 2 * k - 2)}, leave float64"
+        )
+
+
 def _ascend(
     yz: np.ndarray, var_g: float, k: int, lk: float, d0: np.ndarray, sign: float,
     max_iters: int,
@@ -214,23 +234,31 @@ def solve(
 
     Starts are the two closed-form mse-bound directions plus the best
     ``restarts`` of ``PRESAMPLES`` random sphere points, each run through
-    gradient ascent and Newton polish. Raises InvalidInput when ``restarts`` is
-    negative or the centred gold's L_k norm is zero or overflows in float64, and
+    gradient ascent and Newton polish. Raises InvalidInput when ``restarts`` or
+    ``seed`` is negative, ``seed`` is not an integer, the powers of lk that the
+    iterates reach leave float64 (:func:`_check_range`), or a sampled or the
+    centred gold's L_k norm is zero or overflows in float64, and
     NotConverged (with the best state attached) if no candidate meets the
     residual tolerance.
     """
     if restarts < 0:
         raise InvalidInput(f"restarts must be nonnegative, got {restarts}")
+    rng = _rng(seed)
     yz = prob.gold.centered
     var_g = prob.gold.var_g
     n, k, lk = prob.gold.n, prob.k, prob.lk
+    _check_range(n, k, lk)
     sign = 1.0 if prob.objective == "max" else -1.0
 
-    rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((PRESAMPLES, n))
-    samples *= (lk / _lp_norm(samples, k))[:, None]
-    sample_mse = np.sum(samples * samples, axis=1) / n
-    sample_f = sign * (var_g + samples @ yz / n) / sample_mse
+    samples = np.empty((PRESAMPLES, n))
+    sample_f = np.empty(PRESAMPLES)
+    rows = _block_rows(n)
+    # BLAS may round a row's dot product with yz differently for another row count, so
+    # a score can move by an ulp with the block size; a start moves only on such a tie
+    for lo in range(0, PRESAMPLES, rows):
+        block = _sphere_rows(rng, samples[lo:lo + rows], k, lk)
+        block_mse = np.sum(block * block, axis=1) / n
+        sample_f[lo:lo + rows] = sign * (var_g + block @ yz / n) / block_mse
     top = np.argsort(sample_f)[::-1][:restarts]
 
     starts = [_renorm(yz.copy(), k, lk), _renorm(-yz, k, lk)]

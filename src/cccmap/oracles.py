@@ -2,36 +2,58 @@
 
 These are the ground-truth generators the tests check closed forms against.
 They never call the closed-form code paths they are meant to audit: they score
-each chunk of predictions as one batch through the moment kernel and ccc formula
+each block of predictions as one batch through the moment kernel and ccc formula
 of :func:`stats.ccc`, so each reported value is ``ccc`` of its witness bit for
-bit. All randomness is seeded and every report is reproducible bit for bit.
+bit. A block holds ``stats._block_rows(n)`` rows, about 2**16 float64 values, so
+that it stays in cache. The permutation oracle gathers each block of orderings
+from an index table in the lexicographic order of ``itertools.permutations``;
+the sphere oracles draw each block into one reused buffer from one seeded
+stream, so block k holds rows k*R to (k+1)*R - 1 of a single draw. Ties keep the
+first row, so no report depends on the block size. Every report names the trial
+number of each witness, and is reproducible bit for bit from its seed.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, TooLarge
 from .ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD, Convention, ErrorSet
-from .stats import _ccc, _lp_norm, _moments, as_sequence
+from .stats import _block_rows, _ccc, _moments, _rng, _sphere_rows, as_sequence
 
 #: Enumerating beyond 9! orderings is refused.
 MAX_ENUM_N = 9
 
-_CHUNK = 200_000
-
 
 @dataclass(frozen=True)
 class OracleReport:
+    """Extremes of a brute-force search. ``best_index`` and ``worst_index`` are the
+    0-based trial numbers of the witnesses: the rank of the ordering in lexicographic
+    order, or the row of the seeded Gaussian draw that was scaled onto the sphere."""
+
     trials: int
     best_value: float
     worst_value: float
     witness_best: np.ndarray
     witness_worst: np.ndarray
     seed: int
+    best_index: int
+    worst_index: int
+
+
+def _permutation_table(n: int) -> np.ndarray:
+    """Every ordering of range(n) as an (n!, n) int8 table, in the lexicographic order
+    in which ``itertools.permutations(range(n))`` yields them."""
+    table = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, n + 1):
+        # each first element in turn, followed by the orderings of the other m - 1
+        first = np.repeat(np.arange(m, dtype=np.int8), len(table))[:, None]
+        rest = np.tile(table, (m, 1))
+        table = np.hstack([first, rest + (rest >= first)])
+    return table
 
 
 def permutation_oracle(gold, errors: ErrorSet, convention: Convention) -> OracleReport:
@@ -50,33 +72,35 @@ def permutation_oracle(gold, errors: ErrorSet, convention: Convention) -> Oracle
         raise InvalidInput(f"unknown convention {convention!r}")
 
     sign = 1.0 if convention == PRED_MINUS_GOLD else -1.0
+    table = _permutation_table(g.size)
+    rows = _block_rows(g.size)
 
-    def chunks():
-        perms = itertools.permutations(errors.values.tolist())
-        while block := list(itertools.islice(perms, _CHUNK)):
-            preds = g[None, :] + sign * np.asarray(block, dtype=np.float64)
+    def blocks():
+        for lo in range(0, len(table), rows):
+            preds = g[None, :] + sign * errors.values[table[lo:lo + rows]]
             yield preds, preds
 
-    return _extremes(g, chunks(), seed=0)
+    return _extremes(g, blocks(), seed=0)
 
 
-def _extremes(gold: np.ndarray, chunks, seed: int) -> OracleReport:
-    """Best and worst ccc over chunks of (predictions, witnesses); ties keep the first row."""
+def _extremes(gold: np.ndarray, blocks, seed: int) -> OracleReport:
+    """Best and worst ccc over blocks of (predictions, witnesses); ties keep the first row."""
     best_val, worst_val = -np.inf, np.inf
     best_wit = worst_wit = None
+    best_idx = worst_idx = -1
     trials = 0
-    for preds, witnesses in chunks:
+    for preds, witnesses in blocks:
         moments = _moments(gold, preds)
         if moments[4] == 0.0:  # the gold's variance, in units of its own power of two
             raise InvalidInput("gold standard is constant")
         vals = _ccc(*moments)
-        trials += len(vals)
         i_max = int(np.argmax(vals))
         i_min = int(np.argmin(vals))
         if vals[i_max] > best_val:
-            best_val, best_wit = float(vals[i_max]), witnesses[i_max].copy()
+            best_val, best_wit, best_idx = float(vals[i_max]), witnesses[i_max].copy(), trials + i_max
         if vals[i_min] < worst_val:
-            worst_val, worst_wit = float(vals[i_min]), witnesses[i_min].copy()
+            worst_val, worst_wit, worst_idx = float(vals[i_min]), witnesses[i_min].copy(), trials + i_min
+        trials += len(vals)
     return OracleReport(
         trials=trials,
         best_value=best_val,
@@ -84,22 +108,28 @@ def _extremes(gold: np.ndarray, chunks, seed: int) -> OracleReport:
         witness_best=best_wit,
         witness_worst=worst_wit,
         seed=seed,
+        best_index=best_idx,
+        worst_index=worst_idx,
     )
 
 
-def _sphere_report(gold: np.ndarray, p: float, radius: float, trials: int, seed: int) -> OracleReport:
+def _sphere_report(gold: np.ndarray, p: float, radius: float, trials, seed) -> OracleReport:
     """Extremes over Gaussian directions rescaled to L_p norm ``radius``."""
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise InvalidInput(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise InvalidInput("trials must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
+    buf = np.empty((min(_block_rows(gold.size), trials), gold.size))
 
-    def chunks():
-        for done in range(0, trials, _CHUNK):
-            d = rng.standard_normal((min(_CHUNK, trials - done), gold.size))
-            d *= (radius / _lp_norm(d, p))[:, None]
+    def blocks():
+        for done in range(0, trials, len(buf)):
+            d = _sphere_rows(rng, buf[:trials - done], p, radius)
             yield gold[None, :] + d, d
 
-    return _extremes(gold, chunks(), seed)
+    return _extremes(gold, blocks(), seed)
 
 
 def mse_sphere_oracle(gold, mse: float, trials: int, seed: int) -> OracleReport:

@@ -14,11 +14,18 @@ is pure.
 
 :func:`_moments` also takes a batch of rows, and :func:`_ccc` serves one row and a
 batch alike; only the even-k solver still sums its own moments.
+
+The sampled searches share three private pieces: :func:`_rng`, the seeded stream;
+:func:`_block_rows`, the rows of one cache-sized block; and :func:`_sphere_rows`,
+which draws a block of Gaussian rows and scales each onto an L_p sphere. Its row
+norms come from :func:`_lp_norm`, the plain formula row by row, except that a row
+whose plain norm underflows to 0 or overflows is recomputed as ``lp_norm`` does.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +105,16 @@ def _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y):
     return e, dmu, ldexp(var_x, 2 * (ex - e)) + ldexp(var_y, 2 * (ey - e)) + dmu * dmu
 
 
+def _ldexp(value: float, e: float) -> float:
+    """value * 2**e for a real e; OverflowError when that exceeds float64."""
+    whole = math.floor(e)
+    return math.ldexp(value * 2.0 ** (e - whole), whole)
+
+
 def _unscale(value: float, e: float, name: str) -> float:
     """value * 2**e; InvalidInput naming the statistic when that overflows float64."""
     try:
-        whole = math.floor(e)
-        return math.ldexp(value * 2.0 ** (e - whole), whole)
+        return _ldexp(value, e)
     except OverflowError:
         raise InvalidInput(f"{name} overflows float64") from None
 
@@ -203,30 +215,112 @@ def _identity_residual(xv: np.ndarray, yv: np.ndarray) -> float:
 
 
 def _lp_norm(arr: np.ndarray, p: float):
-    """(sum |arr_i|^p)^(1/p) along the last axis, unvalidated and unscaled."""
-    return np.sum(np.abs(arr) ** p, axis=-1) ** (1.0 / p)
+    """(sum |arr_i|^p)^(1/p) along the last axis, unvalidated. A row whose plain norm
+    underflows to 0 or overflows is recomputed by :func:`_max_scaled_norm`, inf where even
+    that exceeds float64; every other row keeps the plain formula's bits. Only an input
+    whose largest magnitude could overflow the plain formula pays for ``np.errstate``,
+    which on the solver's short rows costs as much as the norm itself."""
+    m = np.abs(arr)
+    if _may_overflow(float(m.flat[m.argmax()]), p, m.shape[-1]):
+        with np.errstate(over="ignore"):
+            norm = _plain_norm(m, p)
+    else:
+        norm = _plain_norm(m, p)
+    if norm.ndim == 0:
+        return _max_scaled_norm(m, p) if norm == 0.0 or norm == math.inf else norm
+    bad = (norm == 0.0) | (norm == math.inf)
+    if bad.any():
+        norm[bad] = [_max_scaled_norm(row, p) for row in m[bad]]
+    return norm
 
 
-def lp_norm(e, p: float) -> float:
-    """(sum |e_i|^p)^(1/p) for finite p > 0, computed on e / max |e_i|, whose largest
-    term is exactly 1, so that the sum lies in [1, N] for every p; InvalidInput when
-    the norm exceeds float64."""
-    arr = np.abs(as_sequence(e))
-    if not 0.0 < p < math.inf:
-        raise InvalidInput(f"p must be finite and positive, got {p}")
-    top = float(arr.max())
+def _plain_norm(m: np.ndarray, p: float):
+    return np.add.reduce(m**p, axis=-1) ** (1.0 / p)  # np.sum's bits, without its overhead
+
+
+def _may_overflow(top: float, p: float, n: int) -> bool:
+    """Whether n terms of at most top**p, their sum or its 1/p-th root can reach the top
+    of the float64 range (Python floats raise where numpy warns)."""
+    try:
+        total = 2.0 * n * top**p  # bounds the rounded sum, and the terms' rounding, with room
+        return not (total < 2.0**1023 and total ** (1.0 / p) < 2.0**1023)
+    except OverflowError:
+        return True
+
+
+def _max_scaled_norm(m: np.ndarray, p: float) -> float:
+    """(sum m_i^p)^(1/p) of a nonnegative 1-D m, computed on m / max m_i, whose largest term
+    is exactly 1, so that the sum lies in [1, N] for every p; inf when the norm exceeds
+    float64."""
+    top = float(m.max())
     if top == 0.0:
         return 0.0
-    total = float(np.sum((arr / top) ** p))
-    m, u = math.frexp(top)
+    total = float(np.sum((m / top) ** p))
+    mant, u = math.frexp(top)
     try:
         root = total ** (1.0 / p)  # inf without an exception when 1/p overflows
     except OverflowError:
         root = math.inf
-    if root < math.inf:
-        return _unscale(m * root, u, "lp_norm")
-    # tiny p: the root alone exceeds float64, the norm may not
-    return _unscale(m, u + math.log2(total) / p, "lp_norm")
+    try:
+        if root < math.inf:
+            return _ldexp(mant * root, u)
+        # tiny p: the root alone exceeds float64, the norm may not
+        return _ldexp(mant, u + math.log2(total) / p)
+    except OverflowError:
+        return math.inf
+
+
+def lp_norm(e, p: float) -> float:
+    """(sum |e_i|^p)^(1/p) for finite p > 0, computed on e / max |e_i| as
+    :func:`_max_scaled_norm` does; InvalidInput when the norm exceeds float64."""
+    arr = np.abs(as_sequence(e))
+    if not 0.0 < p < math.inf:
+        raise InvalidInput(f"p must be finite and positive, got {p}")
+    norm = _max_scaled_norm(arr, p)
+    if norm == math.inf:
+        raise InvalidInput("lp_norm overflows float64")
+    return norm
+
+
+#: The sampled searches (the oracles and the solver's presample) draw and score their
+#: rows in blocks of about this many float64 values, small enough to stay in cache.
+_BLOCK = 1 << 16
+
+
+def _block_rows(n: int) -> int:
+    """Rows of length n in one block of a sampled search."""
+    return max(1, _BLOCK // n)
+
+
+def _rng(seed) -> np.random.Generator:
+    """The random stream of a sampled search; InvalidInput unless seed is a nonnegative integer."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidInput(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
+def _sphere_rows(rng: np.random.Generator, out: np.ndarray, p: float, radius: float) -> np.ndarray:
+    """``out``, an (R, n) array, filled with the next R rows of standard normals from
+    ``rng`` and each row scaled to L_p norm ``radius``. Consecutive blocks hold the rows of
+    one larger draw bit for bit. InvalidInput naming the sampled norm when it overflows,
+    or when a scaled row overflows or underflows to zero."""
+    rng.standard_normal(out=out)
+    norm = _lp_norm(out, p)
+    if not np.all(norm < math.inf):
+        raise InvalidInput(f"the L_{p:g} norm of a sampled row overflows float64")
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = radius / norm
+    if np.all(scale < math.inf):
+        out *= scale[:, None]
+        # a scaled row's largest entry is at least radius / n**(1/p): only below the normal
+        # range can a row have underflowed to zero
+        if radius * out.shape[-1] ** (-1.0 / p) >= 2.0**-1021 or np.all(np.any(out, axis=-1)):
+            return out
+    raise InvalidInput(f"a sampled row scaled to L_{p:g} norm {radius:g} leaves float64")
 
 
 def mse(x, y) -> float:

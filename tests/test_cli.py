@@ -4,6 +4,7 @@ table loader in process against a frozen copy of its per-line reference."""
 import csv
 import itertools
 import json
+import math
 import re
 import subprocess
 import sys
@@ -405,6 +406,28 @@ class TestAudit:
         results = json.loads(proc.stdout)["results"]
         assert results["bounds_respected"] is True
 
+    def test_lk_sphere_at_large_k_reports_finite_extremes(self):
+        # plain |d|**2000 sums of the sampled rows overflow or underflow
+        proc = run(
+            ["audit", "lk-sphere", "--format", "plain", "--k", "2000", "--lk", "1",
+             "--trials", "10", "--json"],
+            stdin="1\n2\n4\n3\n",
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        results = json.loads(proc.stdout)["results"]
+        assert results["envelope_lower"] <= results["worst"] <= results["best"] <= results["envelope_upper"]
+        assert results["bounds_respected"] is True
+
+    def test_solve_even_p_at_large_k_converges(self):
+        proc = run(
+            ["solve-even-p", "--format", "plain", "--k", "2000", "--lk", "1", "--json"],
+            stdin="1\n2\n3\n4\n5\n",
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        results = json.loads(proc.stdout)["results"]
+        assert all(math.isfinite(v) for v in results["errors"])
+        assert math.isfinite(results["ccc"])
+
 
 class TestParameterAndRangeErrors:
     @pytest.mark.parametrize(
@@ -433,6 +456,15 @@ class TestParameterAndRangeErrors:
             (["loss", "--variant", "ratio_pow", "--gamma", "300", "--json"], "1,2\n2,30\n3,50\n"),
             (["loss", "--variant", "ratio", "--json"], "1e154,2e154\n2e154,1e154\n3e154,4e154\n"),
             (["loss", "--variant", "ratio", "--json"], "1e-300,1e-300\n-1e-300,1e-300\n1,1e-300\n"),
+            (["audit", "mse-sphere", "--format", "plain", "--mse", "1", "--seed", "-1"],
+             "1\n2\n4\n3\n"),
+            (["audit", "lk-sphere", "--format", "plain", "--k", "4", "--lk", "1", "--seed", "-2"],
+             "1\n2\n4\n3\n"),
+            (["solve-even-p", "--format", "plain", "--k", "4", "--lk", "1", "--seed", "-1"],
+             "1\n2\n3\n"),
+            (["audit", "lk-sphere", "--format", "plain", "--k", "0.001", "--lk", "1",
+              "--trials", "10"], "1\n2\n4\n3\n"),
+            (["solve-even-p", "--format", "plain", "--k", "2000", "--lk", "2"], "1\n2\n3\n4\n5\n"),
         ],
         ids=[
             "mse-nan", "alpha-nan", "lk-nan", "k-band-overflow", "x-max-nan", "sphere-mse-nan",
@@ -440,6 +472,8 @@ class TestParameterAndRangeErrors:
             "sphere-lk-inf", "errors-mse-overflow", "x-max-inf", "trace-step-inf",
             "permute-gold-near-max", "loss-gold-near-max", "solve-restarts-negative",
             "loss-gamma-overflow", "loss-sums-overflow", "loss-gradient-underflowing-reward",
+            "sphere-mse-seed-negative", "sphere-lk-seed-negative", "solve-seed-negative",
+            "sphere-lk-sampled-norm-overflow", "solve-lk-powers-overflow",
         ],
     )
     def test_bad_parameter_exits_2(self, args, stdin):

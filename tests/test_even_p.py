@@ -18,6 +18,7 @@ from cccmap import (
     stationarity_residual,
     upper_envelope,
 )
+from cccmap import even_p, stats
 from cccmap.even_p import StationarityProblem, _moments
 
 
@@ -174,6 +175,51 @@ class TestSolve:
     def test_not_converged_carries_state(self):
         exc = NotConverged("budget exhausted", state="sentinel")
         assert exc.state == "sentinel"
+
+
+def _state_fields(state):
+    return (state.d.tobytes(), state.multiplier, state.sigma_gd, state.objective_value,
+            state.residual_norm, state.ccc_value, state.iterations)
+
+
+class TestPresampleBlocks:
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    def test_state_does_not_depend_on_the_block(self, monkeypatch, k, objective):
+        # a short presample keeps one-row blocks fast; the default block holds all of it
+        monkeypatch.setattr(even_p, "PRESAMPLES", 1000)
+        prob = make_problem(np.random.default_rng(10 + k), k=k, n=5, objective=objective)
+        states, default = [], stats._BLOCK
+        for rows in (1, 7, None):
+            monkeypatch.setattr(stats, "_BLOCK", default if rows is None else rows * 5)
+            states.append(_state_fields(solve(prob, seed=k)))
+        assert states[1] == states[0] and states[2] == states[0]
+
+    def test_full_presample_straddles_default_blocks(self, monkeypatch):
+        prob = make_problem(np.random.default_rng(3), k=4, n=5)
+        default = _state_fields(solve(prob, seed=9))
+        monkeypatch.setattr(stats, "_BLOCK", 4099 * 5)
+        assert _state_fields(solve(prob, seed=9)) == default
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, None])
+    def test_bad_seed_rejected(self, seed):
+        prob = make_problem(np.random.default_rng(0))
+        with pytest.raises(InvalidInput, match="seed"):
+            solve(prob, seed=seed)
+
+    @pytest.mark.parametrize("k, lk", [(2000, 2.0), (2000, 0.5), (2, 1e-300), (4, 1e100), (8, 1e-100)])
+    def test_lk_whose_powers_leave_float64_rejected(self, k, lk):
+        # these raised ZeroDivisionError or OverflowError from the ascent or the polish
+        prob = StationarityProblem(center_gold([1.0, 2.0, 3.0, 4.0, 5.0]), k, lk, "max")
+        with pytest.raises(InvalidInput, match="out of range"):
+            solve(prob, seed=0)
+
+    def test_large_k_presample_and_starts_stay_finite(self):
+        # plain |d|**2000 sums overflow or underflow for most sampled rows and for the gold
+        prob = StationarityProblem(center_gold([1.0, 2.0, 3.0, 4.0, 5.0]), 2000, 1.0, "max")
+        state = solve(prob, seed=0)
+        assert np.all(np.isfinite(state.d)) and np.isfinite(state.ccc_value)
+        assert lp_norm(state.d, 2000) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestQuadraticInGold:

@@ -9,6 +9,7 @@ import pytest
 
 from cccmap import (
     InvalidInput,
+    envelope_given_lk,
     TooLarge,
     ccc,
     bounds_given_mse,
@@ -25,6 +26,8 @@ from cccmap import (
     theta_band,
     upper_envelope,
 )
+from cccmap import stats
+from cccmap.oracles import _permutation_table
 from cccmap.ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD
 
 
@@ -170,6 +173,137 @@ class TestOracleValues:
             assert (scaled.best_value, scaled.worst_value) == (base.best_value, base.worst_value), name
             np.testing.assert_array_equal(scaled.witness_best, np.ldexp(base.witness_best, exponent))
             np.testing.assert_array_equal(scaled.witness_worst, np.ldexp(base.witness_worst, exponent))
+
+
+def _block_of(rows: int, n: int) -> int:
+    """A ``stats._BLOCK`` value that makes blocks of ``rows`` rows of length n."""
+    return rows * n
+
+
+def _fields(report):
+    return (report.trials, report.best_value, report.worst_value, report.witness_best.tobytes(),
+            report.witness_worst.tobytes(), report.seed, report.best_index, report.worst_index)
+
+
+class TestBlocks:
+    # one row, seven rows and the default: every block edge falls somewhere else
+    SIZES = [1, 7, None]
+
+    def _reports(self, monkeypatch, run, n, sizes=SIZES):
+        out = []
+        for rows in sizes:
+            monkeypatch.setattr(stats, "_BLOCK", stats._BLOCK if rows is None else _block_of(rows, n))
+            out.append(_fields(run()))
+        monkeypatch.undo()
+        return out
+
+    @pytest.mark.parametrize("trials", [1, 20, 7 * 3 + 2])
+    def test_sphere_reports_do_not_depend_on_the_block(self, monkeypatch, trials):
+        g = [1.0, 2.0, 5.0, 3.0, 0.5]
+        for run in (lambda: mse_sphere_oracle(g, 0.8, trials, seed=4),
+                    lambda: lk_sphere_oracle(g, 3.0, 1.2, trials, seed=4)):
+            first, *rest = self._reports(monkeypatch, run, len(g))
+            assert all(r == first for r in rest)
+
+    def test_sphere_reports_straddle_the_default_block(self, monkeypatch):
+        g = [1.0, 2.0, 5.0, 3.0]
+        trials = 2 * stats._block_rows(len(g)) + 5
+        for run in (lambda: mse_sphere_oracle(g, 0.8, trials, seed=8),
+                    lambda: lk_sphere_oracle(g, 6.0, 1.2, trials, seed=8)):
+            first, *rest = self._reports(monkeypatch, run, len(g), [None, 7, 4099])
+            assert all(r == first for r in rest)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 9])
+    @pytest.mark.parametrize("convention", [PRED_MINUS_GOLD, GOLD_MINUS_PRED])
+    def test_permutation_reports_do_not_depend_on_the_block(self, monkeypatch, n, convention):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal(n) if n > 1 else np.array([1.0])
+        errors = error_set(np.round(rng.standard_normal(n), 1))  # ties: the first row must win
+
+        def run():
+            try:
+                return permutation_oracle(g, errors, convention)
+            except InvalidInput as exc:  # n = 1: a constant gold, whatever the block
+                return exc
+
+        # small blocks of 8! and 9! orderings take seconds to minutes; 1009 rows divide neither
+        sizes = {8: [7, None], 9: [1009, None]}.get(n, self.SIZES)
+        reports = []
+        for rows in sizes:
+            monkeypatch.setattr(stats, "_BLOCK", stats._BLOCK if rows is None else _block_of(rows, n))
+            reports.append(run())
+        if n == 1:
+            assert all(isinstance(r, InvalidInput) for r in reports)
+            return
+        first, *rest = map(_fields, reports)
+        assert all(r == first for r in rest)
+        assert first[0] == math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_index_table_is_the_itertools_order(self, n):
+        table = _permutation_table(n)
+        assert table.tolist() == [list(p) for p in itertools.permutations(range(n))]
+
+
+class TestWitnessProvenance:
+    def test_sphere_witness_regenerates_from_seed_and_index(self):
+        g = [1.0, 2.0, 5.0, 3.0]
+        seed, p, radius = 17, 3.0, 1.4
+        report = lk_sphere_oracle(g, p, radius, 50_000, seed)
+        for index, witness in ((report.best_index, report.witness_best),
+                               (report.worst_index, report.witness_worst)):
+            row = np.random.default_rng(seed).standard_normal((index + 1, len(g)))[index:]
+            row *= (radius / np.sum(np.abs(row) ** p, axis=-1) ** (1 / p))[:, None]
+            np.testing.assert_array_equal(row[0], witness)
+
+    def test_permutation_witness_is_the_indexed_ordering(self):
+        g = np.array([1.0, 3.0, 2.0, 0.5])
+        errors = error_set([0.5, -1.0, 2.0, 0.1])
+        report = permutation_oracle(g, errors, PRED_MINUS_GOLD)
+        orderings = list(itertools.permutations(errors.values))
+        np.testing.assert_array_equal(report.witness_best, g + orderings[report.best_index])
+        np.testing.assert_array_equal(report.witness_worst, g + orderings[report.worst_index])
+
+
+class TestSamplingParameters:
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidInput, match="seed"):
+            mse_sphere_oracle([1.0, 2.0, 3.0], 0.5, 10, seed)
+        with pytest.raises(InvalidInput, match="seed"):
+            lk_sphere_oracle([1.0, 2.0, 3.0], 4.0, 1.0, 10, seed)
+
+    @pytest.mark.parametrize("trials", [10.5, 0, -3, "10"])
+    def test_bad_trials_rejected(self, trials):
+        with pytest.raises(InvalidInput, match="trials"):
+            mse_sphere_oracle([1.0, 2.0, 3.0], 0.5, trials, 0)
+        with pytest.raises(InvalidInput, match="trials"):
+            lk_sphere_oracle([1.0, 2.0, 3.0], 4.0, 1.0, trials, 0)
+
+    def test_integer_like_trials_and_seed_accepted(self):
+        a = mse_sphere_oracle([1.0, 2.0, 3.0], 0.5, np.int64(40), np.uint8(3))
+        b = mse_sphere_oracle([1.0, 2.0, 3.0], 0.5, 40, 3)
+        assert _fields(a)[:5] == _fields(b)[:5]
+
+
+class TestExtremeP:
+    def test_sampled_norm_overflow_raises(self):
+        # the L_0.001 norm of four Gaussians is near 4**1000: no row can be scaled to 1
+        with pytest.raises(InvalidInput, match="L_0.001 norm"):
+            lk_sphere_oracle([1.0, 2.0, 4.0, 3.0], 0.001, 1.0, 10, 0)
+
+    def test_scaled_row_underflow_raises(self):
+        with pytest.raises(InvalidInput, match="L_0.01 norm"):
+            lk_sphere_oracle([1.0, 2.0, 4.0, 3.0], 0.01, 1e-300, 10, 0)
+
+    @pytest.mark.parametrize("k", [300.0, 2000.0])
+    def test_large_k_samples_are_finite_and_inside_the_envelope(self, k):
+        g = [1.0, 2.0, 4.0, 3.0]
+        gold = center_gold(g)
+        report = lk_sphere_oracle(g, k, 1.0, 2000, 0)
+        env = envelope_given_lk(k, gold.n, 1.0, math.sqrt(gold.var_g), theta=1.0)
+        assert env.ccc_lower <= report.worst_value <= report.best_value <= env.ccc_upper
+        assert lp_norm(report.witness_best, k) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestFiniteDifference:

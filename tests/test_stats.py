@@ -26,6 +26,7 @@ from cccmap import (
     population_variance,
 )
 from cccmap.mse_bounds import center_gold
+from cccmap.stats import _lp_norm
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -154,6 +155,29 @@ class TestNormsAndErrors:
         exact = float(decimal.Decimal(3) ** 1000 * decimal.Decimal("1e-300"))
         assert lp_norm([1e-300] * 3, 0.001) == pytest.approx(exact, rel=1e-12)
         assert lp_norm([0.0, 0.0], 0.001) == 0.0
+
+    def test_row_norms_keep_the_plain_bits_and_mend_the_rest(self):
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((200, 6))
+        rows[::7] *= 1e200  # plain sums overflow at p >= 2
+        rows[3::7] *= 1e-100  # and underflow to 0 at p = 4
+        rows[5] = 0.0
+        for p in (0.5, 2.0, 4.0):
+            with np.errstate(all="ignore"):
+                plain = np.sum(np.abs(rows) ** p, axis=-1) ** (1 / p)
+            norms = _lp_norm(rows, p)
+            mended = ~((0.0 < plain) & (plain < math.inf))
+            assert mended.any() or p == 0.5
+            np.testing.assert_array_equal(norms[~mended], plain[~mended])
+            assert norms[mended].tolist() == [lp_norm(row, p) for row in rows[mended]]
+            for row, plain_row, mend in zip(rows, plain, mended):
+                # a 1-D row takes numpy's scalar power for the root, a batch its loop
+                with np.errstate(all="ignore"):
+                    plain_1d = np.sum(np.abs(row) ** p) ** (1 / p)
+                assert _lp_norm(row, p) == (lp_norm(row, p) if mend else plain_1d)
+        # where even the scaled form overflows: inf, and no warning
+        assert _lp_norm(np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]]), 0.001)[0] == math.inf
+        assert _lp_norm(np.array([1.0, 1.0, 1.0]), 0.001) == math.inf
 
     def test_unit_offsets(self):
         assert mse([1, 2, 3], [2, 3, 4]) == pytest.approx(1.0, abs=1e-15)
