@@ -209,7 +209,7 @@ class TestPresampleBlocks:
 
     @pytest.mark.parametrize("k, lk", [(2000, 2.0), (2000, 0.5), (2, 1e-300), (4, 1e100), (8, 1e-100)])
     def test_lk_whose_powers_leave_float64_rejected(self, k, lk):
-        # these raised ZeroDivisionError or OverflowError from the ascent or the polish
+        # unchecked, these raise ZeroDivisionError or OverflowError in the ascent or the polish
         prob = StationarityProblem(center_gold([1.0, 2.0, 3.0, 4.0, 5.0]), k, lk, "max")
         with pytest.raises(InvalidInput, match="out of range"):
             solve(prob, seed=0)

@@ -9,11 +9,11 @@ import pytest
 
 from cccmap import (
     InvalidInput,
-    envelope_given_lk,
     TooLarge,
     ccc,
     bounds_given_mse,
     center_gold,
+    envelope_given_lk,
     error_set,
     finite_difference,
     lk_sphere_oracle,
@@ -175,11 +175,6 @@ class TestOracleValues:
             np.testing.assert_array_equal(scaled.witness_worst, np.ldexp(base.witness_worst, exponent))
 
 
-def _block_of(rows: int, n: int) -> int:
-    """A ``stats._BLOCK`` value that makes blocks of ``rows`` rows of length n."""
-    return rows * n
-
-
 def _fields(report):
     return (report.trials, report.best_value, report.worst_value, report.witness_best.tobytes(),
             report.witness_worst.tobytes(), report.seed, report.best_index, report.worst_index)
@@ -190,9 +185,9 @@ class TestBlocks:
     SIZES = [1, 7, None]
 
     def _reports(self, monkeypatch, run, n, sizes=SIZES):
-        out = []
+        out, default = [], stats._BLOCK
         for rows in sizes:
-            monkeypatch.setattr(stats, "_BLOCK", stats._BLOCK if rows is None else _block_of(rows, n))
+            monkeypatch.setattr(stats, "_BLOCK", default if rows is None else rows * n)
             out.append(_fields(run()))
         monkeypatch.undo()
         return out
@@ -218,7 +213,8 @@ class TestBlocks:
     def test_permutation_reports_do_not_depend_on_the_block(self, monkeypatch, n, convention):
         rng = np.random.default_rng(n)
         g = rng.standard_normal(n) if n > 1 else np.array([1.0])
-        errors = error_set(np.round(rng.standard_normal(n), 1))  # ties: the first row must win
+        # every value twice: equal orderings in different blocks, and the first must win
+        errors = error_set(np.resize(rng.standard_normal((n + 1) // 2), n))
 
         def run():
             try:
@@ -226,11 +222,11 @@ class TestBlocks:
             except InvalidInput as exc:  # n = 1: a constant gold, whatever the block
                 return exc
 
-        # small blocks of 8! and 9! orderings take seconds to minutes; 1009 rows divide neither
+        # small blocks of 8! and 9! orderings take seconds to minutes; 1009 rows do not divide 9!
         sizes = {8: [7, None], 9: [1009, None]}.get(n, self.SIZES)
-        reports = []
+        reports, default = [], stats._BLOCK
         for rows in sizes:
-            monkeypatch.setattr(stats, "_BLOCK", stats._BLOCK if rows is None else _block_of(rows, n))
+            monkeypatch.setattr(stats, "_BLOCK", default if rows is None else rows * n)
             reports.append(run())
         if n == 1:
             assert all(isinstance(r, InvalidInput) for r in reports)
