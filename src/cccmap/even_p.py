@@ -140,16 +140,30 @@ def _renorm(d: np.ndarray, k: int, lk: float) -> np.ndarray | None:
 
 
 def _check_range(n: int, k: int, lk: float) -> None:
-    """InvalidInput unless the powers that the solver takes of an iterate d on the L_k
-    sphere of radius lk stay in float64: the normal's squared norm, sum (k d_i^(k-1))^2,
-    scales as lk**(2k-2), and the mse squared, a divisor, is at least (lk**2 / n)**2
-    because |d|_2 >= |d|_k. The bounds on lk**(2k-2) are where overflow and underflow were
-    seen to begin for n from 3 to 300 and k from 2 to 2000; they are not proven ones."""
-    e = math.log2(lk)
-    if not (-1074 < (2 * k - 2) * e < 1020 and 4 * e - 2 * math.log2(n) > -1074):
+    """InvalidInput unless every power of lk that the solver forms from an iterate d on
+    the L_k sphere of radius lk is a finite, nonzero float64, with a bit to spare for
+    rounding. For k >= 2, |d|_k <= |d|_2 <= n**(1/2 - 1/k) |d|_k and, by the power-mean
+    inequality, lk**(2k-2) / n <= sum d_i**(2k-2) <= lk**(2k-2), which bound:
+
+    - the ascent's normal @ normal = k**2 sum d_i**(2k-2), a divisor;
+    - the multiplier's divisor k n mke = k lk**k, and lk**k in the polish;
+    - the gradient's divisor n mse**2, in [lk**4 / n, n lk**4];
+    - the polish's divisor n mse**3, in [lk**6 / n**2, n lk**6].
+
+    The gradient, which also scales with the gold, is not bounded here.
+    """
+    e, log_k, log_n = math.log2(lk), math.log2(k), math.log2(n)
+    # (log2 of the least, log2 of the largest) value of each power above
+    powers = [
+        (2 * log_k - log_n + (2 * k - 2) * e, 2 * log_k + (2 * k - 2) * e),
+        (log_k + k * e, log_k + k * e),
+        (4 * e - log_n, 4 * e + log_n),
+        (6 * e - 2 * log_n, 6 * e + log_n),
+    ]
+    if not all(-1073 < low and high < 1023 for low, high in powers):
         raise InvalidInput(
             f"lk = {lk} is out of range at k = {k}: the solver's powers of the iterate, "
-            f"up to lk**{max(4, 2 * k - 2)}, leave float64"
+            f"up to lk**{max(6, 2 * k - 2)}, leave float64"
         )
 
 

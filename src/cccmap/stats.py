@@ -217,35 +217,16 @@ def _identity_residual(xv: np.ndarray, yv: np.ndarray) -> float:
 def _lp_norm(arr: np.ndarray, p: float):
     """(sum |arr_i|^p)^(1/p) along the last axis, unvalidated. A row whose plain norm
     underflows to 0 or overflows is recomputed by :func:`_max_scaled_norm`, inf where even
-    that exceeds float64; every other row keeps the plain formula's bits. Only an input
-    whose largest magnitude could overflow the plain formula pays for ``np.errstate``,
-    which on the solver's short rows costs as much as the norm itself."""
+    that exceeds float64; every other row keeps the plain formula's bits."""
     m = np.abs(arr)
-    if _may_overflow(float(m.flat[m.argmax()]), p, m.shape[-1]):
-        with np.errstate(over="ignore"):
-            norm = _plain_norm(m, p)
-    else:
-        norm = _plain_norm(m, p)
+    with np.errstate(over="ignore"):
+        norm = np.add.reduce(m**p, axis=-1) ** (1.0 / p)  # np.sum's bits, without its overhead
     if norm.ndim == 0:
         return _max_scaled_norm(m, p) if norm == 0.0 or norm == math.inf else norm
     bad = (norm == 0.0) | (norm == math.inf)
     if bad.any():
         norm[bad] = [_max_scaled_norm(row, p) for row in m[bad]]
     return norm
-
-
-def _plain_norm(m: np.ndarray, p: float):
-    return np.add.reduce(m**p, axis=-1) ** (1.0 / p)  # np.sum's bits, without its overhead
-
-
-def _may_overflow(top: float, p: float, n: int) -> bool:
-    """Whether n terms of at most top**p, their sum or its 1/p-th root can reach the top
-    of the float64 range (Python floats raise where numpy warns)."""
-    try:
-        total = 2.0 * n * top**p  # bounds the rounded sum, and the terms' rounding, with room
-        return not (total < 2.0**1023 and total ** (1.0 / p) < 2.0**1023)
-    except OverflowError:
-        return True
 
 
 def _max_scaled_norm(m: np.ndarray, p: float) -> float:
@@ -306,8 +287,9 @@ def _rng(seed) -> np.random.Generator:
 def _sphere_rows(rng: np.random.Generator, out: np.ndarray, p: float, radius: float) -> np.ndarray:
     """``out``, an (R, n) array, filled with the next R rows of standard normals from
     ``rng`` and each row scaled to L_p norm ``radius``. Consecutive blocks hold the rows of
-    one larger draw bit for bit. InvalidInput naming the sampled norm when it overflows,
-    or when a scaled row overflows or underflows to zero."""
+    one larger draw bit for bit. A radius of 0 gives all-zero rows. InvalidInput naming
+    the sampled norm when it overflows, or when a scaled row overflows or, at a positive
+    radius, underflows to zero."""
     rng.standard_normal(out=out)
     norm = _lp_norm(out, p)
     if not np.all(norm < math.inf):
@@ -318,7 +300,11 @@ def _sphere_rows(rng: np.random.Generator, out: np.ndarray, p: float, radius: fl
         out *= scale[:, None]
         # a scaled row's largest entry is at least radius / n**(1/p): only below the normal
         # range can a row have underflowed to zero
-        if radius * out.shape[-1] ** (-1.0 / p) >= 2.0**-1021 or np.all(np.any(out, axis=-1)):
+        if (
+            radius == 0.0
+            or radius * out.shape[-1] ** (-1.0 / p) >= 2.0**-1021
+            or np.all(np.any(out, axis=-1))
+        ):
             return out
     raise InvalidInput(f"a sampled row scaled to L_{p:g} norm {radius:g} leaves float64")
 

@@ -397,6 +397,18 @@ class TestAudit:
         results = json.loads(proc.stdout)["results"]
         assert results["bounds_respected"] is True
 
+    def test_mse_sphere_at_zero_mse_reports_ccc_one(self):
+        proc = run(
+            ["audit", "mse-sphere", "--format", "plain", "--mse", "0",
+             "--trials", "50", "--seed", "3", "--json"],
+            stdin="1\n2\n3\n4\n",
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        results = json.loads(proc.stdout)["results"]
+        assert results["best"] == results["worst"] == 1
+        assert results["envelope_lower"] == results["envelope_upper"] == 1
+        assert results["bounds_respected"] is True
+
     def test_lk_sphere_bounds_respected(self):
         proc = run(
             ["audit", "lk-sphere", "--format", "plain", "--k", "4", "--lk", "1.5",

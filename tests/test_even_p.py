@@ -207,12 +207,26 @@ class TestPresampleBlocks:
         with pytest.raises(InvalidInput, match="seed"):
             solve(prob, seed=seed)
 
-    @pytest.mark.parametrize("k, lk", [(2000, 2.0), (2000, 0.5), (2, 1e-300), (4, 1e100), (8, 1e-100)])
+    @pytest.mark.parametrize(
+        "k, lk",
+        [(2000, 2.0), (2000, 0.5), (2000, 1.19), (2, 1e-300), (2, 1e60), (4, 1e100), (8, 1e-100)],
+    )
     def test_lk_whose_powers_leave_float64_rejected(self, k, lk):
-        # unchecked, these raise ZeroDivisionError or OverflowError in the ascent or the polish
+        # unchecked, these raise ZeroDivisionError or OverflowError in the ascent or the
+        # polish, or warn of overflow in normal @ normal (k = 2000, lk = 1.19: two entries
+        # near lk give about 2000**2 * 1.19**3998 / 2 > 2**1024), or at k = 2 overflow
+        # n mse**3 to inf, which drops a term of the polish's Jacobian
         prob = StationarityProblem(center_gold([1.0, 2.0, 3.0, 4.0, 5.0]), k, lk, "max")
         with pytest.raises(InvalidInput, match="out of range"):
             solve(prob, seed=0)
+
+    @pytest.mark.parametrize("lk", [0.829, 1.1895])
+    def test_lk_just_inside_the_range_solves_without_warnings(self, lk):
+        # at k = 2000 the range of lk is about (0.8275, 1.1896) for n = 5; a RuntimeWarning
+        # fails the test
+        prob = StationarityProblem(center_gold([1.0, 2.0, 3.0, 4.0, 5.0]), 2000, lk, "max")
+        state = solve(prob, seed=0)
+        assert np.all(np.isfinite(state.d)) and np.isfinite(state.ccc_value)
 
     def test_large_k_presample_and_starts_stay_finite(self):
         # plain |d|**2000 sums overflow or underflow for most sampled rows and for the gold

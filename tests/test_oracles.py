@@ -87,6 +87,14 @@ class TestMseSphereOracle:
         report = mse_sphere_oracle(g, 0.5, trials=100, seed=9)
         assert mse(g, np.asarray(g) + report.witness_best) == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("trials", [1, 50, 20_000])
+    def test_zero_mse_scores_the_gold_itself(self, trials):
+        # every row scales to zero, so each prediction is the gold and ccc is 1
+        report = mse_sphere_oracle([1.0, 2.0, 3.0, 4.0], 0.0, trials, seed=3)
+        assert report.best_value == report.worst_value == 1.0
+        assert not report.witness_best.any() and not report.witness_worst.any()
+        assert report.best_index == report.worst_index == 0
+
 
 class TestLkSphereOracle:
     def test_k2_reduces_to_mse_sphere(self):
