@@ -267,10 +267,11 @@ def solve(
     samples = np.empty((PRESAMPLES, n))
     sample_f = np.empty(PRESAMPLES)
     rows = _block_rows(n)
+    scratch = np.empty_like(samples[:rows])
     # BLAS may round a row's dot product with yz differently for another row count, so
     # a score can move by an ulp with the block size; a start moves only on such a tie
     for lo in range(0, PRESAMPLES, rows):
-        block = _sphere_rows(rng, samples[lo:lo + rows], k, lk)
+        block = _sphere_rows(rng, samples[lo:lo + rows], k, lk, scratch[:PRESAMPLES - lo])
         block_mse = np.sum(block * block, axis=1) / n
         sample_f[lo:lo + rows] = sign * (var_g + block @ yz / n) / block_mse
     top = np.argsort(sample_f)[::-1][:restarts]

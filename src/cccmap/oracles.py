@@ -7,10 +7,11 @@ of :func:`stats.ccc`, so each reported value is ``ccc`` of its witness bit for
 bit. A block holds ``stats._block_rows(n)`` rows, about 2**16 float64 values, so
 that it stays in cache. The permutation oracle gathers each block of orderings
 from an index table in the lexicographic order of ``itertools.permutations``;
-the sphere oracles draw each block into one reused buffer from one seeded
-stream, so block k holds rows k*R to (k+1)*R - 1 of a single draw. Ties keep the
-first row, so no report depends on the block size. Every report names the trial
-number of each witness, and is reproducible bit for bit from its seed.
+the sphere oracles draw each block from one seeded stream, so block k holds rows
+k*R to (k+1)*R - 1 of a single draw. Every buffer and scratch array a search
+uses is allocated once per call, and the gold is scaled and centred once. Ties
+keep the first row, so no report depends on the block size. Every report names
+the trial number of each witness, and is reproducible bit for bit from its seed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInput, TooLarge
 from .ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD, Convention, ErrorSet
-from .stats import _block_rows, _ccc, _moments, _rng, _sphere_rows, as_sequence
+from .stats import _block_rows, _ccc, _gold_moments, _rng, _row_moments, _sphere_rows, as_sequence
 
 #: Enumerating beyond 9! orderings is refused.
 MAX_ENUM_N = 9
@@ -71,29 +72,38 @@ def permutation_oracle(gold, errors: ErrorSet, convention: Convention) -> Oracle
     if convention not in (PRED_MINUS_GOLD, GOLD_MINUS_PRED):
         raise InvalidInput(f"unknown convention {convention!r}")
 
-    sign = 1.0 if convention == PRED_MINUS_GOLD else -1.0
+    combine = np.add if convention == PRED_MINUS_GOLD else np.subtract
     table = _permutation_table(g.size)
-    rows = _block_rows(g.size)
+    preds = np.empty((min(_block_rows(g.size), len(table)), g.size))
 
     def blocks():
-        for lo in range(0, len(table), rows):
-            preds = g[None, :] + sign * errors.values[table[lo:lo + rows]]
-            yield preds, preds
+        for lo in range(0, len(table), len(preds)):
+            block = preds[:len(table) - lo]
+            # every index is in range, so "clip" changes no value; it spares the buffered
+            # copy of ``out`` that the default mode makes
+            np.take(errors.values, table[lo:lo + len(block)], out=block, mode="clip")
+            yield combine(g, block, out=block), block
 
     return _extremes(g, blocks(), seed=0)
 
 
 def _extremes(gold: np.ndarray, blocks, seed: int) -> OracleReport:
-    """Best and worst ccc over blocks of (predictions, witnesses); ties keep the first row."""
+    """Best and worst ccc over blocks of (predictions, witnesses); ties keep the first row.
+    The gold's side of the moment kernel is taken once, and every block is scored in the
+    same scratch, sized by the first block, which is the largest."""
+    ex, mu_x, var_x, a = _gold_moments(gold, np.empty(gold.size))
+    scratch = None
     best_val, worst_val = -np.inf, np.inf
     best_wit = worst_wit = None
     best_idx = worst_idx = -1
     trials = 0
     for preds, witnesses in blocks:
-        moments = _moments(gold, preds)
-        if moments[4] == 0.0:  # the gold's variance, in units of its own power of two
+        if var_x == 0.0:  # the gold's variance, in units of its own power of two
             raise InvalidInput("gold standard is constant")
-        vals = _ccc(*moments)
+        if scratch is None:
+            scratch = np.empty((2, *preds.shape))
+        ey, mu_y, var_y, cov = _row_moments(a, preds, *scratch[:, :len(preds)])
+        vals = _ccc(ex, ey, mu_x, mu_y, var_x, var_y, cov)
         i_max = int(np.argmax(vals))
         i_min = int(np.argmin(vals))
         if vals[i_max] > best_val:
@@ -122,12 +132,12 @@ def _sphere_report(gold: np.ndarray, p: float, radius: float, trials, seed) -> O
     if trials < 1:
         raise InvalidInput("trials must be at least 1")
     rng = _rng(seed)
-    buf = np.empty((min(_block_rows(gold.size), trials), gold.size))
+    buf, preds = np.empty((2, min(_block_rows(gold.size), trials), gold.size))
 
     def blocks():
         for done in range(0, trials, len(buf)):
-            d = _sphere_rows(rng, buf[:trials - done], p, radius)
-            yield gold[None, :] + d, d
+            d = _sphere_rows(rng, buf[:trials - done], p, radius, preds[:trials - done])
+            yield np.add(gold, d, out=preds[:trials - done]), d
 
     return _extremes(gold, blocks(), seed)
 

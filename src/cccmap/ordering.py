@@ -25,7 +25,18 @@ import numpy as np
 
 from .errors import DegenerateVariance, InvalidInput
 from .mse_bounds import ccc_from_mse_cov
-from .stats import _as_pair, _error_mean, _mean, _moments, _power_mean, as_sequence, ccc, covariance
+from .stats import (
+    _as_pair,
+    _ccc,
+    _error_mean,
+    _gold_moments,
+    _mean,
+    _moments,
+    _power_mean,
+    _row_moments,
+    as_sequence,
+    covariance,
+)
 
 Convention = Literal["pred_minus_gold", "gold_minus_pred"]
 PRED_MINUS_GOLD: Convention = "pred_minus_gold"
@@ -96,6 +107,11 @@ class PermutationResult:
     input ErrorSet bit for bit. ``prediction`` is gold +- errors per the
     convention. ``formula_value`` comes from the closed form and must agree
     with ``ccc_value`` computed directly from the prediction.
+
+    The three arrays are read-only, and the extremes of one call share them where
+    they hold the same values: ``max_add`` and ``min_sub`` share ``errors`` and
+    ``assignment``, as do ``max_sub`` and ``min_add``, and the two assignments are
+    one array read forwards and backwards. Copy an array before changing it.
     """
 
     convention: Convention
@@ -140,44 +156,60 @@ def _gold_order(g: np.ndarray) -> np.ndarray:
     return order
 
 
+#: (field, convention, objective, row) of each extreme; row 0 of the error rows holds the
+#: errors sorted like the gold, row 1 sorted opposite to it.
+_EXTREMES = (
+    ("max_add", PRED_MINUS_GOLD, "max", 0),
+    ("max_sub", GOLD_MINUS_PRED, "max", 1),
+    ("min_add", PRED_MINUS_GOLD, "min", 1),
+    ("min_sub", GOLD_MINUS_PRED, "min", 0),
+)
+
+
 def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
     """The four ccc-extreme orderings of an error multiset for a gold standard.
 
     The gold order comes from :func:`_gold_order`: an unstable argsort, with each run
     of equal gold values put back in index order, so ties are broken by original index
-    exactly as a stable sort breaks them.
+    exactly as a stable sort breaks them. The gold is scaled and centred once, and both
+    error rows and all four predictions are scored against it in one pair of scratch
+    buffers; each ``ccc_value`` is ``stats.ccc`` of its prediction bit for bit.
     """
     g = as_sequence(gold)
     if g.size != errors.n:
         raise InvalidInput(f"length mismatch: gold {g.size} vs errors {errors.n}")
+    scratch = np.empty((2, g.size))
+    eg, mu_g, var_g, a = _gold_moments(g, scratch[0])
+    if var_g == 0.0:  # the gold's variance, in units of its own power of two
+        raise DegenerateVariance("gold standard is constant")
     order = _gold_order(g)
     rows = np.empty((2, g.size))
     rows[0, order] = errors.values  # e_same: ascending errors onto ascending gold
     rows[1, order] = errors.values[::-1]  # e_opp: descending
-    eg, ee, _, _, var_g, _, cov = _moments(g, rows)
-    if var_g == 0.0:  # the gold's variance, in units of its own power of two
-        raise DegenerateVariance("gold standard is constant")
-    mse = _error_mean(np.ldexp(errors.values, -ee[0]), 0, 2, "mse")  # one multiset in both rows
-
-    def build(convention, objective, row):
+    del order  # freed before the predictions are made: the peak stays at 9 n-length arrays
+    rows.flags.writeable = False
+    # (ee, mu, var, cov) of each error row; one multiset, so one power of two ee
+    moments = [_row_moments(a, row, *scratch) for row in rows]
+    ee = moments[0][0]
+    mse = _error_mean(np.ldexp(errors.values, -ee, out=scratch[0]), 0, 2, "mse")
+    scored = []  # (prediction, ccc_value, formula_value) of each extreme
+    for _, convention, _, row in _EXTREMES:
         add = convention == PRED_MINUS_GOLD
         pred = g + rows[row] if add else g - rows[row]
-        return PermutationResult(
-            convention=convention,
-            objective=objective,
-            assignment=(errors.values[::-1] if row else errors.values).copy(),
-            errors=rows[row].copy(),
-            prediction=pred,
-            ccc_value=ccc(g, pred),
-            formula_value=_mapped_ccc(eg, int(ee[row]), var_g, float(cov[row]), mse, add),
-        )
-
-    return OrderingExtremes(
-        max_add=build(PRED_MINUS_GOLD, "max", 0),
-        max_sub=build(GOLD_MINUS_PRED, "max", 1),
-        min_add=build(PRED_MINUS_GOLD, "min", 1),
-        min_sub=build(GOLD_MINUS_PRED, "min", 0),
-    )
+        pred.flags.writeable = False
+        ep, mu_p, var_p, cov_p = _row_moments(a, pred, *scratch)
+        scored.append((
+            pred,
+            _ccc(eg, ep, mu_g, mu_p, var_g, var_p, cov_p),
+            _mapped_ccc(eg, ee, var_g, moments[row][3], mse, add),
+        ))
+    del a, scratch  # likewise before the assignment's copy
+    asc = errors.values.copy()
+    asc.flags.writeable = False
+    return OrderingExtremes(**{
+        name: PermutationResult(convention, objective, asc[::-1] if row else asc, rows[row], *score)
+        for (name, convention, objective, row), score in zip(_EXTREMES, scored)
+    })
 
 
 ComparisonOutcome = Literal["add_better", "sub_better", "tie"]

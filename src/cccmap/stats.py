@@ -13,7 +13,10 @@ does not fit in float64 raises :class:`InvalidInput` naming it. Every function
 is pure.
 
 :func:`_moments` also takes a batch of rows, and :func:`_ccc` serves one row and a
-batch alike; only the even-k solver still sums its own moments.
+batch alike; only the even-k solver still sums its own moments. The kernel is two
+halves: :func:`_gold_moments` scales and centres x once, and :func:`_row_moments`
+scores rows against it in caller-owned scratch, so that the ordering extremes and the
+oracles take the gold's side once per call and allocate nothing per row or block.
 
 The sampled searches share three private pieces: :func:`_rng`, the seeded stream;
 :func:`_block_rows`, the rows of one cache-sized block; and :func:`_sphere_rows`,
@@ -52,17 +55,19 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xv, yv
 
 
-def _exponent(v: np.ndarray):
-    """The e with max |v_i| in [2**(e-1), 2**e) along the last axis, 0 for zeros; int for 1-D v."""
-    if v.ndim == 1:
-        return _span(v)[0]
-    return np.frexp(np.abs(v).max(axis=-1))[1]  # one reduction over short rows, not two
+def _exponent(v: np.ndarray) -> int:
+    """The e with max |v_i| in [2**(e-1), 2**e) of a 1-D v, 0 for zeros."""
+    return _span(v)[0]
 
 
 def _span(v: np.ndarray) -> tuple[int, bool]:
-    """(:func:`_exponent` of a 1-D v, whether v is constant), from one max and one min."""
+    """(:func:`_exponent` of a 1-D v, whether v is constant), from one max and one min;
+    InvalidInput when v holds NaN or Inf."""
     hi, lo = v.max(), v.min()
-    return math.frexp(max(hi, -lo))[1], hi == lo
+    top = max(hi, -lo)
+    if not top < math.inf:
+        raise InvalidInput("sequence contains NaN or Inf")
+    return math.frexp(top)[1], hi == lo
 
 
 def _moments(xv: np.ndarray, yv: np.ndarray):
@@ -71,29 +76,61 @@ def _moments(xv: np.ndarray, yv: np.ndarray):
     4**ex and 4**ey, cov in 2**(ex + ey). y may be an (R, n) batch of rows, each with
     its own power of two; then ey, mu_y, var_y and cov are arrays over the rows, each
     element the bits that row alone gives. One row takes at most two full-length
-    buffers: x is centred in its scaled copy, which then holds products. A constant
-    sequence (not a batch row) takes its first value as its mean, so it centres to 0."""
-    ex, x_constant = _span(xv)
+    buffers: x is centred in its scaled copy, which then holds products. The two halves,
+    :func:`_gold_moments` and :func:`_row_moments`, also serve callers that score many
+    rows against one x."""
+    b = np.empty(yv.shape)  # the gold's squares, then y's scaled rows
+    ex, mu_x, var_x, a = _gold_moments(xv, b.reshape(-1)[:xv.size])
+    if yv is xv:
+        return ex, ex, mu_x, mu_x, var_x, var_x, var_x
+    c = a if yv.ndim == 1 else np.empty(yv.shape)  # one row: products overwrite x's copy
+    ey, mu_y, var_y, cov = _row_moments(a, yv, b, c)
+    return ex, ey, mu_x, mu_y, var_x, var_y, cov
+
+
+def _gold_moments(xv: np.ndarray, out: np.ndarray) -> tuple[int, float, float, np.ndarray]:
+    """(ex, mu_x, var_x, a) of a 1-D x: the power of two of :func:`_exponent`, the mean and
+    variance of x / 2**ex, and a, a new array holding x / 2**ex - mu_x. ``out`` is x-length
+    scratch that receives the squares. A constant x takes its first value as its mean, so
+    it centres to exactly 0."""
+    ex, constant = _span(xv)
     n = xv.size  # np.add.reduce(v, axis=-1) / n is v.mean(axis=-1) bit for bit, and cheaper
     a = np.ldexp(xv, -ex)
-    mu_x = a[0] if x_constant else np.add.reduce(a) / n
+    mu_x = a[0] if constant else np.add.reduce(a) / n
     a -= mu_x
-    b = a * a
-    var_x = np.add.reduce(b) / n
-    if yv is xv:
-        return ex, ex, float(mu_x), float(mu_x), float(var_x), float(var_x), float(var_x)
-    one_row = yv.ndim == 1
-    ey, y_constant = _span(yv) if one_row else (_exponent(yv), False)
-    b = np.ldexp(yv, -np.int32(ey)[..., None], out=b if one_row else None)  # int32: fast loop
-    mu_y = b[0] if y_constant else np.add.reduce(b, axis=-1) / n
+    var_x = np.add.reduce(np.multiply(a, a, out=out)) / n
+    return ex, float(mu_x), float(var_x), a
+
+
+def _row_moments(a: np.ndarray, yv: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """(ey, mu_y, var_y, cov) of y against the centred x ``a`` of :func:`_gold_moments`, in
+    the units of :func:`_moments`: floats for one row, arrays over an (R, n) batch. b and
+    c are caller-owned scratch of y's shape; for one row c may be ``a`` itself, when a is
+    not needed again. A row whose values are all equal takes its first scaled value as its
+    mean, so it centres to exactly 0, alone or in a batch. InvalidInput when y holds NaN
+    or Inf."""
+    n = a.size
+    if yv.ndim == 1:
+        ey, constant = _span(yv)
+        np.ldexp(yv, -np.int32(ey), out=b)  # int32: fast loop
+        mu_y = b[0] if constant else np.add.reduce(b) / n
+    else:
+        top = np.abs(yv, out=c).max(axis=-1)
+        if not np.all(top < math.inf):
+            raise InvalidInput("sequence contains NaN or Inf")
+        ey = np.frexp(top)[1]
+        np.ldexp(yv, -ey[:, None], out=b)
+        mu_y = np.add.reduce(b, axis=-1) / n
+        # a constant row's first value has the largest magnitude: only those rows are read again
+        lead = np.flatnonzero(np.abs(yv[:, 0]) == top)
+        flat = lead[(yv[lead] == yv[lead, :1]).all(axis=-1)]
+        mu_y[flat] = b[flat, 0]
     b -= mu_y[..., None]
-    c = np.multiply(b, a, out=a if one_row else None)
-    cov = np.add.reduce(c, axis=-1) / n
-    np.multiply(b, b, out=c)
-    var_y = np.add.reduce(c, axis=-1) / n
-    if one_row:
-        mu_y, var_y, cov = float(mu_y), float(var_y), float(cov)
-    return ex, ey, float(mu_x), mu_y, float(var_x), var_y, cov
+    cov = np.add.reduce(np.multiply(b, a, out=c), axis=-1) / n
+    var_y = np.add.reduce(np.multiply(b, b, out=c), axis=-1) / n
+    if yv.ndim == 1:
+        return ey, float(mu_y), float(var_y), float(cov)
+    return ey, mu_y, var_y, cov
 
 
 def _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y):
@@ -214,18 +251,20 @@ def _identity_residual(xv: np.ndarray, yv: np.ndarray) -> float:
     return _unscale(left - right, 2 * e, "variance identity residual")
 
 
-def _lp_norm(arr: np.ndarray, p: float):
-    """(sum |arr_i|^p)^(1/p) along the last axis, unvalidated. A row whose plain norm
-    underflows to 0 or overflows is recomputed by :func:`_max_scaled_norm`, inf where even
-    that exceeds float64; every other row keeps the plain formula's bits."""
-    m = np.abs(arr)
+def _lp_norm(arr: np.ndarray, p: float, out: np.ndarray | None = None):
+    """(sum |arr_i|^p)^(1/p) along the last axis, unvalidated; ``out``, if given, is scratch
+    of arr's shape for the powers. A row whose plain norm underflows to 0 or overflows is
+    recomputed by :func:`_max_scaled_norm`, inf where even that exceeds float64; every
+    other row keeps the plain formula's bits."""
+    m = np.abs(arr, out=out)
     with np.errstate(over="ignore"):
-        norm = np.add.reduce(m**p, axis=-1) ** (1.0 / p)  # np.sum's bits, without its overhead
+        m **= p  # m**p bit for bit, in place
+        norm = np.add.reduce(m, axis=-1) ** (1.0 / p)  # np.sum's bits, without its overhead
     if norm.ndim == 0:
-        return _max_scaled_norm(m, p) if norm == 0.0 or norm == math.inf else norm
+        return _max_scaled_norm(np.abs(arr), p) if norm == 0.0 or norm == math.inf else norm
     bad = (norm == 0.0) | (norm == math.inf)
     if bad.any():
-        norm[bad] = [_max_scaled_norm(row, p) for row in m[bad]]
+        norm[bad] = [_max_scaled_norm(row, p) for row in np.abs(arr[bad])]
     return norm
 
 
@@ -284,14 +323,17 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _sphere_rows(rng: np.random.Generator, out: np.ndarray, p: float, radius: float) -> np.ndarray:
+def _sphere_rows(
+    rng: np.random.Generator, out: np.ndarray, p: float, radius: float, scratch: np.ndarray
+) -> np.ndarray:
     """``out``, an (R, n) array, filled with the next R rows of standard normals from
-    ``rng`` and each row scaled to L_p norm ``radius``. Consecutive blocks hold the rows of
-    one larger draw bit for bit. A radius of 0 gives all-zero rows. InvalidInput naming
-    the sampled norm when it overflows, or when a scaled row overflows or, at a positive
-    radius, underflows to zero."""
+    ``rng`` and each row scaled to L_p norm ``radius``; ``scratch``, of out's shape, takes
+    the norms' powers. Consecutive blocks hold the rows of one larger draw bit for bit. A
+    radius of 0 gives all-zero rows. InvalidInput naming the sampled norm when it
+    overflows, or when a scaled row overflows or, at a positive radius, underflows to
+    zero."""
     rng.standard_normal(out=out)
-    norm = _lp_norm(out, p)
+    norm = _lp_norm(out, p, scratch)
     if not np.all(norm < math.inf):
         raise InvalidInput(f"the L_{p:g} norm of a sampled row overflows float64")
     with np.errstate(over="ignore", divide="ignore"):

@@ -44,6 +44,14 @@ class TestPermutationOracle:
         ext = optimal_permutations(g, es)
         assert report.best_value == pytest.approx(ext.max_add.ccc_value, abs=1e-10)
 
+    def test_a_constant_prediction_scores_as_stats_ccc_does(self):
+        # the identity ordering predicts 0.78 everywhere; the mean of a constant row is
+        # its first value, in a batch as alone, so its ccc is exactly 0
+        g = np.array([0.91, -0.7, 0.95])
+        report = permutation_oracle(g, error_set(0.78 - g), PRED_MINUS_GOLD)
+        assert np.ptp(report.witness_worst) == 0.0
+        assert report.worst_value == ccc(g, report.witness_worst) == 0.0
+
     def test_constant_errors_collapse(self):
         report = permutation_oracle([1, 2, 3], error_set([0.4, 0.4, 0.4]), GOLD_MINUS_PRED)
         assert report.best_value == report.worst_value

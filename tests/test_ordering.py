@@ -1,5 +1,7 @@
 """Tests for ccc-extreme error orderings and the error-form ccc expressions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from cccmap import (
     error_set,
     optimal_permutations,
 )
-from cccmap.ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD, PermutationResult, _mapped_ccc
+from cccmap.ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD, ErrorSet, PermutationResult, _mapped_ccc
 from cccmap.stats import _error_mean, _moments
 
 
@@ -127,6 +129,12 @@ class TestOptimalPermutations:
     def test_constant_gold_rejected(self):
         with pytest.raises(DegenerateVariance):
             optimal_permutations([2, 2, 2], error_set([1, 2, 3]))
+
+    def test_overflowing_prediction_rejected(self):
+        # error_set refuses errors this large (their mse overflows); a hand-built set does not
+        es = ErrorSet(values=np.array([0.0, 0.5, 1e308]), mu_e=0.0, mse=0.0)
+        with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="sequence contains NaN or Inf"):
+            optimal_permutations([0.0, 1.0, 1.7e308], es)
 
     def test_closed_form_matches_direct_ccc(self):
         rng = np.random.default_rng(4)
@@ -246,6 +254,41 @@ class TestOptimalPermutations:
         assert np.all(ext.max_sub.prediction <= g)
 
 
+class TestResultArrays:
+    def test_arrays_are_read_only_and_shared_between_equal_extremes(self):
+        ext = optimal_permutations([1.0, 3.0, 2.0, 0.5], error_set([0.2, -1.0, 0.7, 0.1]))
+        results = (ext.max_add, ext.max_sub, ext.min_add, ext.min_sub)
+        for res in results:
+            for arr in (res.assignment, res.errors, res.prediction):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+        assert np.shares_memory(ext.max_add.errors, ext.min_sub.errors)
+        assert np.shares_memory(ext.max_sub.errors, ext.min_add.errors)
+        # one ascending copy of the multiset, read forwards and backwards
+        assert np.shares_memory(ext.max_add.assignment, ext.min_sub.assignment)
+        assert np.shares_memory(ext.max_add.assignment, ext.max_sub.assignment)
+        for i, a in enumerate(results):
+            for b in results[i + 1:]:
+                assert not np.shares_memory(a.prediction, b.prediction)
+
+    def test_retained_and_peak_memory_at_2e5_rows(self):
+        n = 200_000
+        rng = np.random.default_rng(14)
+        g, es = rng.standard_normal(n), error_set(rng.standard_normal(n))
+        optimal_permutations(g[:100], error_set(es.values[:100]))  # lazy set-up outside the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ext = optimal_permutations(g, es)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        column, slack = 8 * n, 1 << 16  # an n-length float64 array; the small objects
+        assert after - before <= 7 * column + slack  # two error rows, one assignment, four predictions
+        assert peak - before <= 10 * column + slack
+        assert ext.max_add.prediction.size == n
+
+
 class TestCompareConventions:
     def test_symmetric_instance_ties(self):
         assert compare_max_conventions([-2, 0, 2], error_set([-1, 0, 1])) == "tie"
@@ -332,15 +375,18 @@ def _assert_matches_stable_reference(g, errors):
 @settings(max_examples=200, deadline=None)
 @given(
     kind=st.sampled_from(["few_levels", "signed_zeros", "distinct"]),
+    errors_kind=st.sampled_from(["normal", "rounded", "constant_prediction"]),
     n=st.integers(2, 2000),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_extremes_match_the_stable_argsort_reference(kind, n, seed):
+def test_extremes_match_the_stable_argsort_reference(kind, errors_kind, n, seed):
     rng = np.random.default_rng(seed)
     g = _gold(kind, n, rng)
     errors = rng.standard_normal(n)
-    if rng.integers(2):
+    if errors_kind == "rounded":
         errors = np.round(errors, 1)  # ties in the errors as well
+    elif errors_kind == "constant_prediction":
+        errors = np.round(errors[0], 2) - g  # min_add predicts (about) this constant everywhere
     _assert_matches_stable_reference(g, errors)
 
 

@@ -26,7 +26,7 @@ from cccmap import (
     population_variance,
 )
 from cccmap.mse_bounds import center_gold
-from cccmap.stats import _lp_norm
+from cccmap.stats import _lp_norm, _moments
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -166,6 +166,7 @@ class TestNormsAndErrors:
             with np.errstate(all="ignore"):
                 plain = np.sum(np.abs(rows) ** p, axis=-1) ** (1 / p)
             norms = _lp_norm(rows, p)
+            np.testing.assert_array_equal(_lp_norm(rows, p, np.empty_like(rows)), norms)
             mended = ~((0.0 < plain) & (plain < math.inf))
             assert mended.any() or p == 0.5
             np.testing.assert_array_equal(norms[~mended], plain[~mended])
@@ -195,6 +196,30 @@ class TestNormsAndErrors:
     def test_mismatch(self):
         with pytest.raises(InvalidInput):
             mse([1], [1, 2])
+
+
+class TestMomentKernel:
+    def test_batch_rows_keep_the_bits_of_one_row(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(18)
+        rows = rng.standard_normal((7, 18)) * np.exp2(rng.integers(-40, 40, (7, 1)))
+        rows[1] = -2.0527140857596002  # 18 copies do not average to the value
+        rows[3] = 0.1
+        rows[4, 0] = 2 * np.abs(rows[4]).max()  # largest first value, not constant
+        rows[5] = 0.0
+        rows[6, ::2] = -0.0  # equal to 0.0, so constant
+        rows[6, 1::2] = 0.0
+        batch = _moments(x, rows)
+        for i, row in enumerate(rows):
+            alone = [np.float64(v).tobytes() for v in _moments(x, row)]
+            assert [np.float64(v[i] if np.ndim(v) else v).tobytes() for v in batch] == alone, i
+        assert batch[5][[1, 3, 5, 6]].tolist() == [0.0] * 4  # var_y of the constant rows
+
+    def test_nonfinite_batch_row_rejected(self):
+        rows = np.ones((3, 4))
+        rows[2, 1] = math.inf
+        with pytest.raises(InvalidInput, match="NaN or Inf"):
+            _moments(np.arange(4.0), rows)
 
 
 class TestPairStats:
