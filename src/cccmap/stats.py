@@ -12,11 +12,11 @@ differ from the plain formula in the last bits. A reported statistic that
 does not fit in float64 raises :class:`InvalidInput` naming it. Every function
 is pure.
 
-:func:`_moments` also takes a batch of rows, and :func:`_ccc` serves one row and a
-batch alike; only the even-k solver still sums its own moments. The kernel is two
-halves: :func:`_gold_moments` scales and centres x once, and :func:`_row_moments`
-scores rows against it in caller-owned scratch, so that the ordering extremes and the
-oracles take the gold's side once per call and allocate nothing per row or block.
+The kernel is two halves: :func:`_gold_moments` scales and centres x once, and
+:func:`_row_moments` scores one row or an (R, n) batch of rows against it in
+caller-owned scratch, so that the ordering extremes and the oracles take the gold's
+side once per call and allocate nothing per row or block. :func:`_ccc` serves one row
+and a batch alike; only the even-k solver still sums its own moments.
 
 The sampled searches share three private pieces: :func:`_rng`, the seeded stream;
 :func:`_block_rows`, the rows of one cache-sized block; and :func:`_sphere_rows`,
@@ -73,18 +73,15 @@ def _span(v: np.ndarray) -> tuple[int, bool]:
 def _moments(xv: np.ndarray, yv: np.ndarray):
     """(ex, ey, mu_x, mu_y, var_x, var_y, cov) of x / 2**ex and y / 2**ey, each array
     scaled by its own power of two: means in units of 2**ex and 2**ey, variances in
-    4**ex and 4**ey, cov in 2**(ex + ey). y may be an (R, n) batch of rows, each with
-    its own power of two; then ey, mu_y, var_y and cov are arrays over the rows, each
-    element the bits that row alone gives. One row takes at most two full-length
-    buffers: x is centred in its scaled copy, which then holds products. The two halves,
-    :func:`_gold_moments` and :func:`_row_moments`, also serve callers that score many
-    rows against one x."""
-    b = np.empty(yv.shape)  # the gold's squares, then y's scaled rows
-    ex, mu_x, var_x, a = _gold_moments(xv, b.reshape(-1)[:xv.size])
+    4**ex and 4**ey, cov in 2**(ex + ey). It composes the kernel's two halves,
+    :func:`_gold_moments` and :func:`_row_moments`, which also serve callers that score
+    many rows against one x. It takes two full-length buffers: x is centred in its
+    scaled copy, which then holds products."""
+    b = np.empty(xv.size)  # x's squares, then y's scaled copy
+    ex, mu_x, var_x, a = _gold_moments(xv, b)
     if yv is xv:
         return ex, ex, mu_x, mu_x, var_x, var_x, var_x
-    c = a if yv.ndim == 1 else np.empty(yv.shape)  # one row: products overwrite x's copy
-    ey, mu_y, var_y, cov = _row_moments(a, yv, b, c)
+    ey, mu_y, var_y, cov = _row_moments(a, yv, b, a)  # the products overwrite x's copy
     return ex, ey, mu_x, mu_y, var_x, var_y, cov
 
 
@@ -104,7 +101,8 @@ def _gold_moments(xv: np.ndarray, out: np.ndarray) -> tuple[int, float, float, n
 
 def _row_moments(a: np.ndarray, yv: np.ndarray, b: np.ndarray, c: np.ndarray):
     """(ey, mu_y, var_y, cov) of y against the centred x ``a`` of :func:`_gold_moments`, in
-    the units of :func:`_moments`: floats for one row, arrays over an (R, n) batch. b and
+    the units of :func:`_moments`: floats for one row, arrays over an (R, n) batch, each
+    row with its own power of two and each element the bits that row alone gives. b and
     c are caller-owned scratch of y's shape; for one row c may be ``a`` itself, when a is
     not needed again. A row whose values are all equal takes its first scaled value as its
     mean, so it centres to exactly 0, alone or in a batch. InvalidInput when y holds NaN
@@ -163,7 +161,8 @@ def _pearson(var_x: float, var_y: float, cov: float) -> float:
 
 
 def _ccc(ex, ey, mu_x, mu_y, var_x, var_y, cov):
-    """ccc of :func:`_moments` output: a float for one row, an array over a batch."""
+    """ccc of :func:`_moments` output: a float for one row, an array over a batch scored by
+    :func:`_row_moments`."""
     if var_x == 0.0 and np.any(var_y == 0.0):
         raise DegenerateVariance("ccc undefined when both sequences are constant")
     e, _, denom = _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y)

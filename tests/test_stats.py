@@ -26,7 +26,7 @@ from cccmap import (
     population_variance,
 )
 from cccmap.mse_bounds import center_gold
-from cccmap.stats import _lp_norm, _moments
+from cccmap.stats import _gold_moments, _lp_norm, _moments, _row_moments
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -209,17 +209,20 @@ class TestMomentKernel:
         rows[5] = 0.0
         rows[6, ::2] = -0.0  # equal to 0.0, so constant
         rows[6, 1::2] = 0.0
-        batch = _moments(x, rows)
+        ex, mu_x, var_x, a = _gold_moments(x, np.empty(x.size))
+        ey, mu_y, var_y, cov = _row_moments(a, rows, *np.empty((2, *rows.shape)))
         for i, row in enumerate(rows):
             alone = [np.float64(v).tobytes() for v in _moments(x, row)]
-            assert [np.float64(v[i] if np.ndim(v) else v).tobytes() for v in batch] == alone, i
-        assert batch[5][[1, 3, 5, 6]].tolist() == [0.0] * 4  # var_y of the constant rows
+            batch = (ex, ey[i], mu_x, mu_y[i], var_x, var_y[i], cov[i])
+            assert [np.float64(v).tobytes() for v in batch] == alone, i
+        assert var_y[[1, 3, 5, 6]].tolist() == [0.0] * 4  # the constant rows
 
     def test_nonfinite_batch_row_rejected(self):
         rows = np.ones((3, 4))
         rows[2, 1] = math.inf
+        a = _gold_moments(np.arange(4.0), np.empty(4))[3]
         with pytest.raises(InvalidInput, match="NaN or Inf"):
-            _moments(np.arange(4.0), rows)
+            _row_moments(a, rows, *np.empty((2, 3, 4)))
 
 
 class TestPairStats:
