@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import re
 import sys
 
@@ -51,7 +52,7 @@ from .ordering import (
     error_set,
     optimal_permutations,
 )
-from .stats import _identity_residual, _mean_variance, as_sequence, pair_stats
+from .stats import _gold_moments, _identity_residual, _unscale, as_sequence, pair_stats
 from .tolerances import TOL
 
 _FLOAT_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$", re.ASCII)
@@ -255,12 +256,13 @@ def _parse_rows(text: str, args, selectors: list[tuple[str, str]]) -> dict[str, 
     return out
 
 
-def _digest(n: int, mean: float, var: float) -> dict:
-    return {"n": int(n), "mean": float(mean), "std": float(np.sqrt(var))}
+def _digest(n: int, e: int, mu: float, var: float) -> dict:
+    _unscale(var, 2 * e, "variance")  # mu, var in the kernel's units: refuse a var past float64
+    return {"n": int(n), "mean": math.ldexp(mu, e), "std": math.ldexp(math.sqrt(var), e)}
 
 
 def _digest_of(arr: np.ndarray) -> dict:
-    return _digest(arr.size, *_mean_variance(arr, "variance"))
+    return _digest(arr.size, *_gold_moments(arr)[:3])
 
 
 def _load_gold(args) -> CenteredGold:
@@ -387,10 +389,7 @@ def cmd_analyze(args) -> dict:
     gold, pred = cols["gold"], cols["pred"]
     stats = pair_stats(gold, pred)
     report = _report_skeleton(args, "analyze")
-    report["inputs"] = {
-        "gold": _digest(stats.n, stats.mu_x, stats.var_x),
-        "pred": _digest(stats.n, stats.mu_y, stats.var_y),
-    }
+    report["inputs"] = {"gold": _digest_of(gold), "pred": _digest_of(pred)}
     report["results"] = {
         "n": stats.n,
         "mu_gold": stats.mu_x,
@@ -417,10 +416,10 @@ def cmd_bounds_mse(args) -> dict:
     gold = _load_gold(args)
     result = bounds_given_mse(gold, args.mse)
     report = _report_skeleton(args, "bounds-mse")
-    report["inputs"] = {"gold": _digest(gold.n, gold.mu_g, gold.var_g)}
+    report["inputs"] = {"gold": _digest(gold.n, gold.e, gold.mu, gold.var)}
     report["results"] = {
         "mse": args.mse,
-        "sigma_g": float(np.sqrt(gold.var_g)),
+        "sigma_g": gold.sigma_g,
         "x": result.x_param,
         "ccc_max": result.ccc_max,
         "ccc_min": result.ccc_min,
@@ -445,17 +444,16 @@ def cmd_bounds_lk(args) -> dict:
     if args.k is None or args.lk is None:
         raise InvalidInput("bounds-lk requires --k and --lk")
     gold = _load_gold(args)
-    sigma_g = float(np.sqrt(gold.var_g))
     band = theta_band(args.k, gold.n, args.lk)
     thetas = theta_grid(band.theta_max, args.theta_steps)
-    envelope = envelope_given_lk(args.k, gold.n, args.lk, sigma_g, theta=1.0)
+    envelope = envelope_given_lk(args.k, gold.n, args.lk, gold.sigma_g, theta=1.0)
     report = _report_skeleton(args, "bounds-lk")
-    report["inputs"] = {"gold": _digest(gold.n, gold.mu_g, gold.var_g)}
+    report["inputs"] = {"gold": _digest(gold.n, gold.e, gold.mu, gold.var)}
     report["results"] = {
         "k": args.k,
         "n": gold.n,
         "lk": args.lk,
-        "sigma_g": sigma_g,
+        "sigma_g": gold.sigma_g,
         "theta_min": band.theta_min,
         "theta_max": band.theta_max,
         "rmse_min": band.rmse_min,
@@ -555,7 +553,7 @@ def cmd_solve_even_p(args) -> dict:
     )
     state = solve(prob, seed=args.seed, max_iters=args.max_iters, restarts=args.restarts)
     report = _report_skeleton(args, "solve-even-p")
-    report["inputs"] = {"gold": _digest(gold.n, gold.mu_g, gold.var_g)}
+    report["inputs"] = {"gold": _digest(gold.n, gold.e, gold.mu, gold.var)}
     results = {
         "k": int(args.k),
         "lk": args.lk,
@@ -650,7 +648,7 @@ def cmd_audit(args) -> dict:
         gold = _load_gold(args)
         oracle = mse_sphere_oracle(gold.gold, args.mse, args.trials, args.seed)
         bounds = bounds_given_mse(gold, args.mse)
-        report["inputs"] = {"gold": _digest(gold.n, gold.mu_g, gold.var_g)}
+        report["inputs"] = {"gold": _digest(gold.n, gold.e, gold.mu, gold.var)}
         report["results"] = {
             "oracle": "mse-sphere",
             "trials": oracle.trials,
@@ -666,10 +664,9 @@ def cmd_audit(args) -> dict:
     if args.k is None or args.lk is None:
         raise InvalidInput("audit lk-sphere requires --k and --lk")
     gold = _load_gold(args)
-    sigma_g = float(np.sqrt(gold.var_g))
     oracle = lk_sphere_oracle(gold.gold, args.k, args.lk, args.trials, args.seed)
-    envelope = envelope_given_lk(args.k, gold.n, args.lk, sigma_g, theta=1.0)
-    report["inputs"] = {"gold": _digest(gold.n, gold.mu_g, gold.var_g)}
+    envelope = envelope_given_lk(args.k, gold.n, args.lk, gold.sigma_g, theta=1.0)
+    report["inputs"] = {"gold": _digest(gold.n, gold.e, gold.mu, gold.var)}
     report["results"] = {
         "oracle": "lk-sphere",
         "trials": oracle.trials,

@@ -16,13 +16,13 @@ standard is strictly smaller in general.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import frexp, inf
 
 import numpy as np
 
 from .errors import InvalidInput, NoConjugate
 from .mse_bounds import lower_envelope, mse_region_table, upper_envelope
-from .stats import as_sequence, lp_norm
+from .stats import _unscale, as_sequence, lp_norm
 
 
 def norm_sandwich(e, r: float, p: float) -> tuple[float, float, float]:
@@ -120,7 +120,9 @@ def envelope_given_lk(
         raise InvalidInput(
             f"theta={theta} outside [1, {band.theta_max}] for k={k}, n={n}"
         )
-    x = band.rmse_min / sigma_g
+    # from the mantissas of lk and sigma_g, so a band floor below the normal range costs no bits
+    (m_lk, e_lk), (m_s, e_s) = frexp(lk), frexp(sigma_g)
+    x = _unscale(theta_band(k, n, m_lk).rmse_min / m_s, e_lk - e_s, "x")
     return LkEnvelope(
         x=float(x),
         theta=float(theta),

@@ -171,7 +171,8 @@ TRACE_COLUMNS = ("iter", "loss", "mse", "ccc")
 
 @dataclass(frozen=True)
 class TrainingTrace:
-    """Descent trajectory rows of (iteration, loss, mse, ccc)."""
+    """Rows of (iteration, loss, mse, ccc); ``diverged`` is always False, as every loss is
+    finite or raises InvalidInput."""
 
     rows: np.ndarray
     diverged: bool
@@ -184,8 +185,8 @@ def training_trace(
     """Plain gradient descent demonstrator with step halving on increase.
 
     The step persists once halved; equality of consecutive losses is accepted
-    (fixed points produce a flat trace rather than termination). A non-finite
-    loss reports its row and stops with the diverged flag set.
+    (fixed points produce a flat trace rather than termination). A candidate
+    whose loss or gradient raises is treated as an increase.
     """
     if not 0.0 < step < np.inf:
         raise InvalidInput(f"step must be finite and positive, got {step}")
@@ -195,15 +196,12 @@ def training_trace(
     p = as_sequence(init_pred).copy()
     rows = []
     current_step = step
-    diverged = False
 
     def record(it, value):
         rows.append((float(it), float(value), _mse(g, p), _ccc(g, p)))
 
     current = loss(params, g, p)
     record(0, current)
-    if not np.isfinite(current):
-        return TrainingTrace(rows=np.array(rows), diverged=True, final_pred=p)
     grad = loss_gradient(params, g, p)
     for it in range(1, iters + 1):
         moved = False
@@ -211,7 +209,7 @@ def training_trace(
             candidate = p - current_step * grad
             try:
                 cand_loss = loss(params, g, candidate)
-                if np.isfinite(cand_loss) and cand_loss <= current:
+                if cand_loss <= current:
                     grad = loss_gradient(params, g, candidate)  # the next step's, once per step
                     p, current, moved = candidate, cand_loss, True
                     break
@@ -221,7 +219,4 @@ def training_trace(
         if not moved:
             break
         record(it, current)
-        if not np.isfinite(current):
-            diverged = True
-            break
-    return TrainingTrace(rows=np.array(rows), diverged=diverged, final_pred=p)
+    return TrainingTrace(rows=np.array(rows), diverged=False, final_pred=p)

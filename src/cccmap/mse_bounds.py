@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, InvalidInput, Singularity
-from .stats import _mean_variance, _unscale, as_sequence, variance_identity_residual  # re-exported
+from .stats import _gold_moments, _unscale, as_sequence, variance_identity_residual  # re-exported
 
 #: Column names of the region table rows produced by :func:`mse_region_table`.
 MSE_REGION_COLUMNS = ("x", "psi_upper", "psi_lower")
@@ -78,28 +78,42 @@ def lower_envelope(x):
 
 @dataclass(frozen=True)
 class CenteredGold:
-    """A gold-standard sequence with its centering precomputed.
-
-    ``centered`` holds g_i - mu_g and sums to zero; ``var_g`` is positive by
-    construction (constant gold is rejected).
-    """
+    """A gold standard prepared once in the moment kernel's units: ``e``, ``mu``, ``var`` and
+    ``a`` = gold / 2**e - mu from :func:`stats._gold_moments`, and ``var_g`` = var * 4**e > 0.
+    ``mu_g``, ``sigma_g`` and ``centered`` = g_i - mu_g are unscaled on each read: the plain
+    formula's bits wherever they are normal float64, and none lost to a subnormal var_g."""
 
     gold: np.ndarray
-    centered: np.ndarray
-    mu_g: float
+    e: int
+    mu: float
+    var: float
+    a: np.ndarray
     var_g: float
 
     @property
     def n(self) -> int:
         return int(self.gold.size)
 
+    @property
+    def mu_g(self) -> float:
+        return math.ldexp(self.mu, self.e)
+
+    @property
+    def sigma_g(self) -> float:
+        return math.ldexp(math.sqrt(self.var), self.e)
+
+    @property
+    def centered(self) -> np.ndarray:
+        return np.ldexp(self.a, self.e)
+
 
 def center_gold(gold) -> CenteredGold:
     arr = as_sequence(gold)
-    mu, var_g = _mean_variance(arr, "var_g")
+    e, mu, var, a = _gold_moments(arr)
+    var_g = _unscale(var, 2 * e, "var_g")
     if var_g == 0.0:
         raise DegenerateVariance("gold variance is zero in float64; bounds undefined")
-    return CenteredGold(gold=arr, centered=arr - mu, mu_g=mu, var_g=var_g)
+    return CenteredGold(gold=arr, e=e, mu=mu, var=var, a=a, var_g=var_g)
 
 
 @dataclass(frozen=True)
@@ -123,12 +137,13 @@ def bounds_given_mse(gold: CenteredGold, mse_value: float) -> MseBoundsResult:
     """
     if not 0.0 <= mse_value < np.inf:
         raise InvalidInput(f"mse must be finite and nonnegative, got {mse_value}")
-    # sqrt(mse / var_g) from the mantissas, so the quotient cannot overflow; the
-    # plain formula's bits wherever the quotient is a normal float64
-    (m_mse, e_mse), (m_var, e_var) = math.frexp(mse_value), math.frexp(gold.var_g)
-    h = (e_mse - e_var) >> 1
-    x = _unscale(math.sqrt(math.ldexp(m_mse / m_var, e_mse - e_var - 2 * h)), h, "x")
-    err = x * gold.centered
+    # sqrt(mse / var_g) from the mantissas of mse and var = var_g / 4**e, so the quotient
+    # cannot overflow; the plain formula's bits wherever var_g and the quotient are normal
+    (m_mse, e_mse), (m_var, e_var) = math.frexp(mse_value), math.frexp(gold.var)
+    h = (e_mse - e_var - 2 * gold.e) >> 1
+    x = _unscale(math.sqrt(math.ldexp(m_mse / m_var, e_mse - e_var - 2 * (gold.e + h))), h, "x")
+    m_x, e_x = math.frexp(x)  # x * a alone can overflow where err does not
+    err = np.ldexp(m_x * gold.a, gold.e + e_x)
     return MseBoundsResult(
         x_param=x,
         ccc_max=float(upper_envelope(x)),

@@ -27,6 +27,7 @@ whose plain norm underflows to 0 or overflows is recomputed as ``lp_norm`` does.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -55,14 +56,9 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xv, yv
 
 
-def _exponent(v: np.ndarray) -> int:
-    """The e with max |v_i| in [2**(e-1), 2**e) of a 1-D v, 0 for zeros."""
-    return _span(v)[0]
-
-
 def _span(v: np.ndarray) -> tuple[int, bool]:
-    """(:func:`_exponent` of a 1-D v, whether v is constant), from one max and one min;
-    InvalidInput when v holds NaN or Inf."""
+    """(e, whether v is constant) of a 1-D v, e with max |v_i| in [2**(e-1), 2**e) (0 for
+    zeros), from one max and one min; InvalidInput when v holds NaN or Inf."""
     hi, lo = v.max(), v.min()
     top = max(hi, -lo)
     if not top < math.inf:
@@ -79,17 +75,15 @@ def _moments(xv: np.ndarray, yv: np.ndarray):
     scaled copy, which then holds products."""
     b = np.empty(xv.size)  # x's squares, then y's scaled copy
     ex, mu_x, var_x, a = _gold_moments(xv, b)
-    if yv is xv:
-        return ex, ex, mu_x, mu_x, var_x, var_x, var_x
     ey, mu_y, var_y, cov = _row_moments(a, yv, b, a)  # the products overwrite x's copy
     return ex, ey, mu_x, mu_y, var_x, var_y, cov
 
 
-def _gold_moments(xv: np.ndarray, out: np.ndarray) -> tuple[int, float, float, np.ndarray]:
-    """(ex, mu_x, var_x, a) of a 1-D x: the power of two of :func:`_exponent`, the mean and
-    variance of x / 2**ex, and a, a new array holding x / 2**ex - mu_x. ``out`` is x-length
-    scratch that receives the squares. A constant x takes its first value as its mean, so
-    it centres to exactly 0."""
+def _gold_moments(xv: np.ndarray, out: np.ndarray | None = None):
+    """(ex, mu_x, var_x, a) of a 1-D x: the power of two of :func:`_span`, the mean and
+    variance of x / 2**ex, and a, a new array holding x / 2**ex - mu_x. ``out``, if given,
+    is x-length scratch that receives the squares. A constant x takes its first value as
+    its mean, so it centres to exactly 0."""
     ex, constant = _span(xv)
     n = xv.size  # np.add.reduce(v, axis=-1) / n is v.mean(axis=-1) bit for bit, and cheaper
     a = np.ldexp(xv, -ex)
@@ -148,10 +142,10 @@ def _ldexp(value: float, e: float) -> float:
 
 def _unscale(value: float, e: float, name: str) -> float:
     """value * 2**e; InvalidInput naming the statistic when that overflows float64."""
-    try:
-        return _ldexp(value, e)
-    except OverflowError:
-        raise InvalidInput(f"{name} overflows float64") from None
+    with contextlib.suppress(OverflowError):
+        if abs(value) < math.inf:  # a quotient of Python floats overflows to inf silently
+            return _ldexp(value, e)
+    raise InvalidInput(f"{name} overflows float64")
 
 
 def _pearson(var_x: float, var_y: float, cov: float) -> float:
@@ -171,18 +165,12 @@ def _ccc(ex, ey, mu_x, mu_y, var_x, var_y, cov):
     return ldexp(2.0 * cov / (denom + (cov == 0.0)), ex + ey - 2 * e)
 
 
-def _mean_variance(arr: np.ndarray, name: str) -> tuple[float, float]:
-    """(mean, variance) of a validated array; InvalidInput naming the variance on overflow."""
-    e, _, mu, _, var, _, _ = _moments(arr, arr)
-    return _unscale(mu, e, "mean"), _unscale(var, 2 * e, name)
-
-
 def _scaled_errors(xv: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, int]:
     """(d, u) with x - y == d * 2**u elementwise, max |d_i| in [0.5, 1); exact where x - y is."""
-    e = max(_exponent(xv), _exponent(yv))
+    e = max(_span(xv)[0], _span(yv)[0])
     d = np.ldexp(xv, -e)
     d -= np.ldexp(yv, -e)
-    u = _exponent(d)
+    u = _span(d)[0]
     return np.ldexp(d, -u, out=d), e + u
 
 
@@ -203,7 +191,7 @@ def _mean(arr: np.ndarray) -> float:
 
 def _power_mean(arr: np.ndarray, k: float, name: str) -> float:
     """(1/N) sum |arr_i|**k of a validated array; InvalidInput naming it on overflow."""
-    e = _exponent(arr)
+    e = _span(arr)[0]
     return _error_mean(np.ldexp(arr, -e), e, k, name)
 
 
@@ -212,7 +200,8 @@ def mean(s) -> float:
 
 
 def population_variance(s) -> float:
-    return _mean_variance(as_sequence(s), "variance")[1]
+    e, _, var, _ = _gold_moments(as_sequence(s))
+    return _unscale(var, 2 * e, "variance")
 
 
 def covariance(x, y) -> float:

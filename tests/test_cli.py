@@ -2,6 +2,7 @@
 table loader in process against a frozen copy of its per-line reference."""
 
 import csv
+import decimal
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +443,51 @@ class TestAudit:
         assert math.isfinite(results["ccc"])
 
 
+class TestSubnormalGoldVariance:
+    """The gold [1, 2, 3] * 1e-160, whose variance is subnormal in float64: its std and
+    every figure built on it come from the variance in the moment kernel's units."""
+
+    GOLD = (1e-160, 2e-160, 3e-160)
+    STDIN = "1e-160\n2e-160\n3e-160\n"
+
+    def exact_std(self) -> float:
+        g = [Fraction(v) for v in self.GOLD]
+        mu = sum(g) / len(g)
+        var = sum((v - mu) ** 2 for v in g) / len(g)
+        ctx = decimal.Context(prec=60)
+        return float(ctx.divide(decimal.Decimal(var.numerator), var.denominator).sqrt(ctx))
+
+    def test_mse_sphere_audit(self):
+        proc = run(
+            ["audit", "mse-sphere", "--format", "plain", "--mse", "1e-160",
+             "--trials", "1000", "--json"],
+            stdin=self.STDIN,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = json.loads(proc.stdout)
+        std = self.exact_std()
+        assert abs(report["inputs"]["gold"]["std"] - std) <= math.ulp(std)
+        results = report["results"]
+        assert results["best"] <= results["envelope_upper"] + 4 * math.ulp(results["envelope_upper"])
+        assert results["bounds_respected"] is True
+
+    def test_bounds_lk_x(self):
+        proc = run(
+            ["bounds-lk", "--format", "plain", "--k", "4", "--lk", "1e-160", "--json"],
+            stdin=self.STDIN,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        x, exact = json.loads(proc.stdout)["results"]["x"], math.sqrt(0.5)
+        assert abs(x - exact) <= 2 * math.ulp(exact)
+
+    def test_analyze_digest(self):
+        stdin = "".join(f"{g!r},{p}\n" for g, p in zip(self.GOLD, (1, 2, 4)))
+        proc = run(["analyze", "--json"], stdin=stdin)
+        assert proc.returncode == 0 and proc.stderr == ""
+        std = self.exact_std()
+        assert abs(json.loads(proc.stdout)["inputs"]["gold"]["std"] - std) <= math.ulp(std)
+
+
 class TestParameterAndRangeErrors:
     @pytest.mark.parametrize(
         "args, stdin",
@@ -477,6 +524,8 @@ class TestParameterAndRangeErrors:
             (["audit", "lk-sphere", "--format", "plain", "--k", "0.001", "--lk", "1",
               "--trials", "10"], "1\n2\n4\n3\n"),
             (["solve-even-p", "--format", "plain", "--k", "2000", "--lk", "2"], "1\n2\n3\n4\n5\n"),
+            (["bounds-lk", "--format", "plain", "--k", "4", "--lk", "1e300"],
+             "1e-160\n2e-160\n3e-160\n"),
         ],
         ids=[
             "mse-nan", "alpha-nan", "lk-nan", "k-band-overflow", "x-max-nan", "sphere-mse-nan",
@@ -485,7 +534,7 @@ class TestParameterAndRangeErrors:
             "permute-gold-near-max", "loss-gold-near-max", "solve-restarts-negative",
             "loss-gamma-overflow", "loss-sums-overflow", "loss-gradient-underflowing-reward",
             "sphere-mse-seed-negative", "sphere-lk-seed-negative", "solve-seed-negative",
-            "sphere-lk-sampled-norm-overflow", "solve-lk-powers-overflow",
+            "sphere-lk-sampled-norm-overflow", "solve-lk-powers-overflow", "lk-x-overflow",
         ],
     )
     def test_bad_parameter_exits_2(self, args, stdin):

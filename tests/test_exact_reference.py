@@ -1,0 +1,130 @@
+"""Exact-arithmetic reference for the figures derived from a gold standard.
+
+Small-integer golds are scaled by a power of two anywhere in 2^-1074..2^1023, so that
+every gold value is exact in float64, and the mse and the L_k norm are drawn at their
+own, independent powers of two. Each figure is then checked against its value in
+``fractions.Fraction`` arithmetic within a stated budget of units in the last place
+(ulps) of that exact value rounded to float64:
+
+- ``center_gold``'s ``mu_g`` within 1 ulp: one rounding in the kernel's units, and at
+  most one more where mu_g is subnormal;
+- ``var_g``, ``sigma_g``, ``bounds_given_mse``'s x and ``envelope_given_lk``'s x fed
+  ``gold.sigma_g`` within 2n + 4 ulps: the squares, their sum and the quotients round
+  about 2n times, each by at most half an ulp of the kernel's units;
+- ``err_max`` entrywise within 2n + 4 ulps of its largest exact entry, plus x times an
+  ulp of mu_g, the rounding of the mean that every centred entry carries.
+
+A call may instead raise ``InvalidInput`` naming a quantity whose exact value leaves
+float64 (``DegenerateVariance`` where var_g rounds to zero), and must raise where it
+does.
+"""
+
+import math
+import sys
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cccmap.errors import DegenerateVariance, InvalidInput
+from cccmap.lk_bounds import envelope_given_lk
+from cccmap.mse_bounds import bounds_given_mse, center_gold
+
+MAX = Fraction(sys.float_info.max)
+TINY = Fraction(math.ulp(0.0))  # the smallest subnormal, 2**-1074
+
+
+def fsqrt(q: Fraction) -> Fraction:
+    """sqrt(q) of a nonnegative q, within 2**-200 relative."""
+    top = q.numerator * q.denominator  # sqrt(q) = sqrt(top) / denominator
+    shift = max(0, 200 - top.bit_length() // 2)
+    return Fraction(math.isqrt(top << 2 * shift), q.denominator << shift)
+
+
+def ulp(exact: Fraction) -> Fraction:
+    """An ulp of exact rounded to float64; that of MAX past it."""
+    return Fraction(math.ulp(float(min(abs(exact), MAX))))
+
+
+def leaves_float64(exact: Fraction, budget: int) -> bool:
+    return abs(exact) > MAX - budget * ulp(MAX)
+
+
+def must_leave_float64(exact: Fraction, budget: int) -> bool:
+    return abs(exact) > MAX + budget * ulp(MAX)
+
+
+def assert_within(name: str, got: float, exact: Fraction, budget: int) -> None:
+    assert not must_leave_float64(exact, budget), f"{name} = {got!r} past float64 was not refused"
+    ulps = abs(Fraction(got) - exact) / ulp(exact)
+    assert ulps <= budget, f"{name} = {got!r} is {float(ulps):.3g} ulps from {float(exact)!r}"
+
+
+def outcome(name: str, call, exact: Fraction, budget: int):
+    """call()'s value, or None when it raises an InvalidInput naming ``name``, which it
+    may only where exact leaves float64."""
+    try:
+        got = call()
+    except InvalidInput as exc:
+        assert f"{name} overflows" in str(exc), exc
+        assert leaves_float64(exact, budget), f"{name} = {float(exact)!r} refused: {exc}"
+        return None
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ints=st.lists(st.integers(-1000, 1000), min_size=2, max_size=12).filter(
+        lambda v: len(set(v)) > 1
+    ),
+    gold_scale=st.integers(-1074, 1023),
+    mse_mant=st.integers(0, 1 << 20),
+    mse_scale=st.integers(-1074, 1023 - 21),
+    lk_mant=st.integers(0, 1 << 20),
+    lk_scale=st.integers(-1074, 1023 - 21),
+    k=st.sampled_from([1, 2, 4]),
+)
+# the gold [1, 2, 3] near 1e-160, whose var_g is subnormal
+@example(ints=[1, 2, 3], gold_scale=-532, mse_mant=1, mse_scale=-532, lk_mant=1, lk_scale=-532, k=4)
+def test_gold_figures_match_exact_arithmetic(
+    ints, gold_scale, mse_mant, mse_scale, lk_mant, lk_scale, k
+):
+    scale = min(gold_scale, 1024 - max(abs(i) for i in ints).bit_length())  # keep gold finite
+    gold = [math.ldexp(i, scale) for i in ints]
+    n = len(gold)
+    budget = 2 * n + 4
+    exact_gold = [Fraction(g) for g in gold]
+    mu = sum(exact_gold) / n
+    var = sum((g - mu) ** 2 for g in exact_gold) / n
+
+    try:
+        prepared = outcome("var_g", lambda: center_gold(gold), var, budget)
+    except DegenerateVariance:
+        assert var <= budget * TINY, f"var_g = {float(var)!r} refused as zero"
+        return
+    if prepared is None:
+        return
+    assert_within("mu_g", prepared.mu_g, mu, 1)
+    assert_within("var_g", prepared.var_g, var, budget)
+    assert_within("sigma_g", prepared.sigma_g, fsqrt(var), budget)
+
+    mse = math.ldexp(mse_mant, mse_scale)
+    x = fsqrt(Fraction(mse) / var)
+    bounds = outcome("x", lambda: bounds_given_mse(prepared, mse), x, budget)
+    if bounds is not None:
+        assert_within("x", bounds.x_param, x, budget)
+        exact_err = [x * (g - mu) for g in exact_gold]
+        top = max(abs(v) for v in exact_err)
+        tol = budget * ulp(top) + x * ulp(mu)
+        for got, want in zip(bounds.err_max.tolist(), exact_err):
+            assert abs(Fraction(got) - want) <= tol, f"err_max entry {got!r} vs {float(want)!r}"
+
+    lk = math.ldexp(lk_mant, lk_scale)
+    root = Fraction(n) if k == 1 else fsqrt(Fraction(n))
+    x_lk = Fraction(lk) / (root * fsqrt(var))
+    envelope = outcome(
+        "x", lambda: envelope_given_lk(k, n, lk, prepared.sigma_g, theta=1.0), x_lk, budget
+    )
+    if envelope is not None:
+        assert_within("envelope x", envelope.x, x_lk, budget)
+

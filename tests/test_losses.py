@@ -104,6 +104,15 @@ class TestOverflow:
         with pytest.raises(InvalidInput, match="^loss gradient overflows"):
             loss_gradient(LossParams(variant="ratio_pow", gamma=300.0), self.GOLD, self.PRED)
 
+    def test_mse_over_a_subnormal_cov_names_the_loss(self):
+        # in the kernel's units cov is about -1e-314, so mse / cov is past float64 before
+        # it is unscaled; the quotient of two Python floats is inf, not an exception
+        gold, pred = [-1.0, 1.0, 2.0**-1040], [1.0, 1.0, 0.5]
+        with pytest.raises(InvalidInput, match="^loss overflows"):
+            loss(LossParams(variant="abs_mse_over_cov"), gold, pred)
+        with pytest.raises(InvalidInput, match="^loss overflows"):
+            training_trace(LossParams(variant="abs_mse_over_cov"), gold, pred, 0.1, 5)
+
     def test_loss_builds_no_gradient(self):
         # mse is 7e210 and cov 1/3, so the loss is finite; the gradient's
         # mse * (g - mean g) / cov**2 term is past float64

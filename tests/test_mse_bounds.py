@@ -1,5 +1,7 @@
 """Tests for the mse <-> ccc mapping and the constructive envelope bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -156,10 +158,19 @@ class TestBoundsGivenMse:
                 ccc_from_mse_cov(mse_value, 1.0)
 
     def test_x_past_the_range_is_named(self):
-        gold = center_gold([0.0, 3e-162, 6e-162])  # var_g is the smallest subnormal
-        assert bounds_given_mse(gold, 1e-20).x_param == pytest.approx(1e-10 / 5e-324**0.5, rel=1e-12)
+        gold = center_gold([0.0, 3e-162, 6e-162])  # var_g rounds to the smallest subnormal
+        # x from the variance in the kernel's units: sqrt(1e-20 / var_g) with the exact
+        # var_g (6e-324, not its subnormal rounding 5e-324), as fractions.Fraction gives it
+        assert bounds_given_mse(gold, 1e-20).x_param == pytest.approx(4.08248290463863e151, rel=1e-14)
         with pytest.raises(InvalidInput, match="x overflows"):
             bounds_given_mse(gold, 1e300)
+
+    def test_err_where_x_times_the_kernel_units_would_overflow(self):
+        # x is near the top of float64 and a = gold / 2**e - mu reaches 1.575, yet err is 4e154
+        gold = center_gold([math.ldexp(v, -514) for v in [-7] * 9 + [7]])
+        result = bounds_given_mse(gold, 1.7e308)
+        assert result.x_param > 1.6e308
+        np.testing.assert_array_equal(result.err_max, result.x_param * gold.centered)
 
     def test_constant_gold_rejected(self):
         with pytest.raises(DegenerateVariance):

@@ -1,4 +1,5 @@
-"""Guard: no module but ``stats`` calls a numpy mean, variance, deviation or covariance."""
+"""Guards: no module but ``stats`` calls a numpy mean, variance, deviation or covariance,
+and a gold standard deviation comes only from ``CenteredGold.sigma_g``."""
 
 import re
 from pathlib import Path
@@ -7,14 +8,25 @@ import cccmap
 
 PACKAGE = Path(cccmap.__file__).parent
 MOMENT_CALL = re.compile(r"\.mean\(|\bnp\.(mean|var|std|cov)\b")
+# the root of a var_g taken outside the kernel's units: sqrt(gold.var_g), var_g ** 0.5
+GOLD_STD = re.compile(r"sqrt\(\s*[\w.]*\bvar_g\s*\)|\bvar_g\s*\*\*\s*0?\.5\b")
+
+
+def _offenders(pattern, skip=()):
+    return [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in skip
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
 
 
 def test_no_module_but_stats_computes_moments():
-    offenders = [
-        f"{path.name}:{number}: {line.strip()}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "stats.py"
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if MOMENT_CALL.search(line)
-    ]
+    offenders = _offenders(MOMENT_CALL, skip=("stats.py",))
     assert offenders == [], "moments computed outside stats._moments:\n" + "\n".join(offenders)
+
+
+def test_gold_std_comes_from_sigma_g():
+    offenders = _offenders(GOLD_STD)
+    assert offenders == [], "a gold std not from CenteredGold.sigma_g:\n" + "\n".join(offenders)
