@@ -737,8 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--lk", type=float, default=None)
     p.add_argument("--objective", choices=("max", "min"), default="max")
-    p.add_argument("--max-iters", type=int, default=400)
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--max-iters", type=int, default=400, help="cap on each root-find's iterations")
+    p.add_argument("--restarts", type=int, default=16, help="validated; the solve has no restarts")
     p.set_defaults(func=cmd_solve_even_p)
 
     p = sub.add_parser(

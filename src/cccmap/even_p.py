@@ -1,33 +1,32 @@
-"""ccc extremization at a fixed L_k error norm for even k, via the stationarity
-system of the constrained ratio objective.
+"""ccc extremization at a fixed L_k error norm for even k, from the structure of the
+stationarity system of the constrained ratio objective.
 
-The quantity to extremize is f(d) = cov(G, G+d) / mse(d) = (var_g + s_gd)/mse
-on the sphere sum(d_i^k) = lk^k (k even), because ccc is monotone increasing
-in f. Eliminating the multiplier from the first-order conditions gives the
-per-coordinate residual
+The quantity to extremize is f(d) = cov(G, G+d) / mse(d) = (var_g + s_gd)/mse on the
+sphere sum(d_i^k) = lk^k (k even), because ccc is monotone increasing in f. At every
+constrained stationary point the residual d_i (P d_i^(k-1) - Q d_i + yz_i) vanishes,
+with P = (2 var_g + s_gd)/MkE and Q = 2 (var_g + s_gd)/MSE. At k = 2 it is solved by
+d = +-lk yz / |yz|_2, the constructive mse-bound vectors.
 
-    2 var_g (d_i^k/MkE - d_i^2/MSE) + s_gd (d_i^k/MkE - 2 d_i^2/MSE) + yz_i d_i
+For k >= 4, P and Q are shared by every coordinate. With d_i = sigma sign(yz_i) c u_i,
+sigma = +1 for the maximum and -1 for the minimum, u_i >= 0 and c = lk / |u|_k, each
+u_i solves a fixed shape in t_i = |yz_i| / H: the hump (k-1) u - u^(k-1) = (k-2) t
+(an inner root u <= 1 or an outer one u >= 1), mono u^(k-1) + u = t, or dip
+u^(k-1) - u = t, u >= 1; and H solves the one equation P MkE = 2 var_g + s_gd. At the
+extremum |d| is sorted like |yz|, so at most one coordinate, the first with the largest
+|yz|, takes the outer root: four plans, each a bracketed 1-D root-find in H. The root
+with the best objective among those within the residual tolerance is the extremum.
 
-which vanishes at every constrained stationary point. At k = 2 the system is
-solved exactly by d = +-sqrt(MSE/var_g) * yz, the constructive mse-bound
-vectors, which the solver must reproduce.
-
-Numerics (the choice is ours, nothing canonical exists): the objective at
-``PRESAMPLES`` random points on the constraint sphere picks the starts of a
-multi-start tangent-projected gradient ascent with step halving on regression
-and renormalization after every step; each endpoint is then polished by a
-damped Newton iteration on the full Karush-Kuhn-Tucker system to drive the
-residual to machine precision. The presample draws and scores its points in
-cache-sized blocks through the sphere sampler the oracles use, into one
-(PRESAMPLES, n) array whose single argsort picks the starts; the L_k norms
-behind it and behind every renormalization come from ``stats._lp_norm``, which
-recomputes a norm whose plain sum underflows or overflows. Restarts are
-deterministic given the seed.
+The solve runs in the gold's units (``CenteredGold``) and holds d as its largest
+magnitude times a vector whose largest entry is 1, so it forms no power of lk or d:
+its solution scales with the gold and lk by a power of two bit for bit, and a
+reported quantity outside float64 raises InvalidInput naming it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -35,12 +34,8 @@ import numpy as np
 
 from .errors import InvalidInput, NotConverged, Singularity
 from .mse_bounds import CenteredGold, ccc_from_mse_cov
-from .stats import _block_rows, _lp_norm, _rng, _sphere_rows, as_sequence
+from .stats import _count, _lp_norm, as_sequence
 from .tolerances import TOL
-
-#: Random sphere points scored by :func:`solve` to choose its ascent starts.
-PRESAMPLES = 50_000
-
 
 @dataclass(frozen=True)
 class StationarityProblem:
@@ -60,51 +55,54 @@ class StationarityProblem:
             raise InvalidInput(f"objective must be 'max' or 'min', got {self.objective}")
 
 
-def _mse_sgd(yz: np.ndarray, d: np.ndarray) -> tuple[float, float]:
-    """(mse, s_gd) of an error iterate."""
-    n = d.size
-    return float(d @ d) / n, float(yz @ d) / n
-
-
 def _moments(yz: np.ndarray, k: int, d: np.ndarray) -> tuple[float, float, float]:
     """(mse, mke, s_gd) of an error iterate; mke aliases mse exactly at k=2."""
-    mse, s_gd = _mse_sgd(yz, d)
-    mke = mse if k == 2 else float(np.sum(d**k)) / d.size
-    return mse, mke, s_gd
+    n = d.size
+    mse = float(d @ d) / n
+    return mse, mse if k == 2 else float(np.sum(d**k)) / n, float(yz @ d) / n
 
 
-def _iterate(prob: StationarityProblem, d) -> tuple[np.ndarray, float, float, float]:
-    """(d, mse, mke, s_gd) of a validated, nonzero error iterate of ``prob``."""
+def _errors(prob: StationarityProblem, d) -> np.ndarray:
+    """d as a validated, nonzero error vector of ``prob``."""
     dv = as_sequence(d)
     if dv.size != prob.gold.n:
         raise InvalidInput(f"length mismatch: {dv.size} vs {prob.gold.n}")
-    mse, mke, s_gd = _moments(prob.gold.centered, prob.k, dv)
-    if mse == 0.0:
+    if not dv.any():
         raise InvalidInput("zero error vector has no defined residual")
-    return dv, mse, mke, s_gd
+    return dv
 
 
-def _residual(prob: StationarityProblem, dv, mse, mke, s_gd) -> np.ndarray:
-    dk = dv**prob.k
-    d2 = dv * dv
-    return (
-        2.0 * prob.gold.var_g * (dk / mke - d2 / mse)
-        + s_gd * (dk / mke - 2.0 * d2 / mse)
-        + prob.gold.centered * dv
-    )
+def _residual(a: np.ndarray, k: int, v: float, x: np.ndarray):
+    """(residual, scale, s, m2) of d = m x, max |x_i| = 1, against a centred gold ``a``
+    of variance v m, in units of m: the residual / m; scale, the largest of its terms'
+    magnitudes 2 v, |s| and max |a_i x_i|; s = s_gd / m and m2 = mse / m**2."""
+    n = x.size
+    xk, x2, ax = x**k, x * x, a * x
+    m2 = float(np.add.reduce(x2)) / n
+    rk, r2 = xk / (float(np.add.reduce(xk)) / n), x2 / m2
+    s = float(np.add.reduce(ax)) / n
+    res = 2.0 * v * (rk - r2) + s * (rk - 2.0 * r2) + ax
+    return res, max(2.0 * v, abs(s), float(np.max(np.abs(ax)))), s, m2
+
+
+def _residual_of(prob: StationarityProblem, d):
+    """:func:`_residual` of an error vector d of ``prob``, and max |d_i|."""
+    dv, gold = _errors(prob, d), prob.gold
+    top = float(np.max(np.abs(dv)))
+    return _residual(gold.a, prob.k, math.ldexp(gold.var, gold.e) / top, dv / top), top
 
 
 def stationarity_residual(prob: StationarityProblem, d) -> np.ndarray:
     """Per-coordinate first-order residual; all zeros at stationary points."""
-    return _residual(prob, *_iterate(prob, d))
+    (res, *_), top = _residual_of(prob, d)
+    return np.ldexp(res * top, prob.gold.e)
 
 
 def scaled_residual(prob: StationarityProblem, d) -> float:
-    """Max |residual| over the magnitude of its constituent terms, floored at 1."""
-    dv, mse, mke, s_gd = _iterate(prob, d)
-    yz = prob.gold.centered
-    scale = max(1.0, 2.0 * prob.gold.var_g, abs(s_gd), float(np.max(np.abs(yz * dv))))
-    return float(np.max(np.abs(_residual(prob, dv, mse, mke, s_gd)))) / scale
+    """Max |residual| over the largest magnitude of its terms (2 var_g, |s_gd| and
+    max |yz_i d_i|), which does not move with the units of the gold."""
+    (res, scale, *_), _ = _residual_of(prob, d)
+    return float(np.max(np.abs(res))) / scale
 
 
 @dataclass(frozen=True)
@@ -120,122 +118,170 @@ class SolverState:
     iterations: int
 
 
-def _objective(yz: np.ndarray, var_g: float, d: np.ndarray) -> float:
-    mse, s_gd = _mse_sgd(yz, d)
-    return (var_g + s_gd) / mse
+def _shape_roots(shape: str, k: int, t: np.ndarray, outer: int | None) -> np.ndarray:
+    """u >= 0 solving ``shape`` at every t (on the hump t <= 1, the inner root, and the
+    outer one at index ``outer`` of the last axis). Each shape is monotone and concave
+    (hump) or convex (mono, dip) on its branch, so Newton's method started at a bound on
+    the root, on the side its steps do not overshoot, approaches it monotonically."""
+    if shape == "hump":
+        alpha, beta, gamma = -1.0, k - 1.0, k - 2.0
+        # on [0, 1] the hump is below (k-1) u and (k-2) (1 - (1-u)^2)
+        u = np.maximum(t * (gamma / beta), 1.0 - np.sqrt(1.0 - t))
+        if outer is not None:  # on u >= 1 it is below (k-2) - (k-1) (k-2) (u-1)^2 / 2
+            bound = 1.0 + np.sqrt(2.0 * (1.0 - t[..., outer]) / (k - 1))
+            u[..., outer] = np.minimum((k - 1.0) ** (1.0 / (k - 2)), bound)
+    elif shape == "mono":
+        alpha, beta, gamma = 1.0, 1.0, 1.0
+        u = np.minimum(t, t ** (1.0 / (k - 1)))
+    else:  # the dip has slope k-2 at u = 1, and u^(k-1) = t + u
+        alpha, beta, gamma = 1.0, -1.0, 1.0
+        u = np.minimum(1.0 + t / (k - 2), (1.0 + t * (k - 1) / (k - 2)) ** (1.0 / (k - 1)))
+    step, target = np.zeros_like(u), gamma * t
+    for _ in range(100):
+        p = alpha * u ** (k - 2)
+        slope = (k - 1) * p + beta  # 0 only at the hump's double root u = 1, where t = 1
+        np.divide((p + beta) * u - target, slope, out=step, where=slope != 0.0)
+        u -= step
+        if np.all(np.abs(step) <= 2.0**-50 * u):
+            break
+    return u
 
 
-def _gradient(yz: np.ndarray, var_g: float, d: np.ndarray) -> np.ndarray:
-    mse, s_gd = _mse_sgd(yz, d)
-    return (mse * yz - 2.0 * d * (var_g + s_gd)) / (d.size * mse * mse)
-
-
-def _renorm(d: np.ndarray, k: int, lk: float) -> np.ndarray | None:
-    """d scaled in place to L_k norm lk; None when its norm is zero or not finite."""
-    norm_k = float(_lp_norm(d, k))
-    if not 0.0 < norm_k < np.inf:
-        return None
-    d *= lk / norm_k
-    return d
-
-
-def _check_range(n: int, k: int, lk: float) -> None:
-    """InvalidInput unless every power of lk that the solver forms from an iterate d on
-    the L_k sphere of radius lk is a finite, nonzero float64, with a bit to spare for
-    rounding. For k >= 2, |d|_k <= |d|_2 <= n**(1/2 - 1/k) |d|_k and, by the power-mean
-    inequality, lk**(2k-2) / n <= sum d_i**(2k-2) <= lk**(2k-2), which bound:
-
-    - the ascent's normal @ normal = k**2 sum d_i**(2k-2), a divisor;
-    - the multiplier's divisor k n mke = k lk**k, and lk**k in the polish;
-    - the gradient's divisor n mse**2, in [lk**4 / n, n lk**4];
-    - the polish's divisor n mse**3, in [lk**6 / n**2, n lk**6].
-
-    The gradient, which also scales with the gold, is not bounded here.
-    """
-    e, log_k, log_n = math.log2(lk), math.log2(k), math.log2(n)
-    # (log2 of the least, log2 of the largest) value of each power above
-    powers = [
-        (2 * log_k - log_n + (2 * k - 2) * e, 2 * log_k + (2 * k - 2) * e),
-        (log_k + k * e, log_k + k * e),
-        (4 * e - log_n, 4 * e + log_n),
-        (6 * e - 2 * log_n, 6 * e + log_n),
-    ]
-    if not all(-1073 < low and high < 1023 for low, high in powers):
-        raise InvalidInput(
-            f"lk = {lk} is out of range at k = {k}: the solver's powers of the iterate, "
-            f"up to lk**{max(6, 2 * k - 2)}, leave float64"
-        )
-
-
-def _ascend(
-    yz: np.ndarray, var_g: float, k: int, lk: float, d0: np.ndarray, sign: float,
-    max_iters: int,
-) -> tuple[np.ndarray, int]:
-    """Tangent-projected gradient ascent of sign*f with step halving."""
-    d = d0.copy()
-    f = sign * _objective(yz, var_g, d)
-    step = 0.5
-    it = 0
+def _bracketed_root(fun, x1: float, g1: float, x2: float, g2: float, max_iters: int):
+    """(x, evaluations): a root of a function continuous on [x1, x2], whose end values
+    g1 and g2 have opposite signs, to a few ulps of x by Chandrupatla's method: inverse
+    quadratic interpolation where the last three points allow it, else bisection. An
+    end at x = 0 may hold a limit: it is never returned."""
+    if g1 == 0.0:
+        return x1, 0
+    t, best = 0.5, x1
     for it in range(1, max_iters + 1):
-        grad = sign * _gradient(yz, var_g, d)
-        normal = k * d ** (k - 1)
-        tangent = grad - (float(grad @ normal) / float(normal @ normal)) * normal
-        t_norm = float(np.sqrt(tangent @ tangent))
-        if t_norm < 1e-17:
-            break
-        direction = tangent * (lk / t_norm)
-        moved = False
-        for _ in range(60):
-            cand = _renorm(d + step * direction, k, lk)
-            if cand is not None:
-                f_cand = sign * _objective(yz, var_g, cand)
-                if f_cand > f:
-                    d, f = cand, f_cand
-                    step = min(step * 1.5, 4.0)
-                    moved = True
-                    break
-            step *= 0.5
-        if not moved:
-            break
-    return d, it
+        xt = x1 + t * (x2 - x1)
+        gt = fun(xt)
+        x3, g3 = x1, g1
+        if (gt > 0.0) != (g1 > 0.0):
+            x3, g3, x2, g2 = x2, g2, x1, g1
+        x1, g1 = xt, gt
+        best, gm = (x1, g1) if abs(g1) < abs(g2) or x2 == 0.0 else (x2, g2)
+        width, tol = abs(x2 - x1), 2.0**-51 * abs(best) + 2.0**-1000
+        if gm == 0.0 or width < tol:
+            return best, it
+        xi, phi, t = (x1 - x2) / (x3 - x2), (g1 - g2) / (g3 - g2), 0.5
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = g1 / (g2 - g1) * g3 / (g2 - g3)
+            t += (x3 - x1) / (x2 - x1) * g1 / (g3 - g1) * g2 / (g3 - g2)
+        t = min(1.0 - 0.5 * tol / width, max(0.5 * tol / width, t))
+    return best, max_iters
 
 
-def _newton_polish(
-    yz: np.ndarray, var_g: float, k: int, lk: float, d0: np.ndarray, iters: int = 50
-) -> np.ndarray | None:
-    """Newton iteration on [grad f - lambda * k d^(k-1); sum d^k - lk^k]; the
-    Jacobian is diagonal plus two outer products, bordered by k d^(k-1)."""
-    n = d0.size
-    d = d0.copy()
-    diag = np.diag_indices(n)
-    for _ in range(iters):
-        mse, mke, s_gd = _moments(yz, k, d)
-        sxy = var_g + s_gd
-        grad = _gradient(yz, var_g, d)
-        lam = float(d @ grad) / (k * n * mke)
-        dk1 = d ** (k - 1)
-        full = np.append(grad - lam * k * dk1, np.sum(d**k) - lk**k)
-        dmse = 2.0 * d / n
-        base = n * mse * mse
-        jac = np.zeros((n + 1, n + 1))
-        top = jac[:n, :n]  # the update order below fixes the Jacobian's bits
-        top[:] = (np.outer(yz, dmse) - np.outer(2.0 * d, yz / n)) / base
-        top[diag] += -2.0 * sxy / base
-        top -= np.outer((mse * yz - 2.0 * d * sxy) * 2.0, dmse) / (base * mse)
-        top[diag] -= lam * k * (k - 1) * d ** (k - 2)
-        jac[:n, n] = -k * dk1
-        jac[n, :n] = k * dk1
-        try:
-            delta = np.linalg.solve(jac, -full)
-        except np.linalg.LinAlgError:
-            return None
-        nd = _renorm(d + delta[:n], k, lk)
-        if nd is None:
-            return None
-        if np.max(np.abs(nd - d)) < 1e-15 * max(1.0, float(np.max(np.abs(d)))):
-            return nd
-        d = nd
-    return d
+def _plan_roots(a: np.ndarray, var: float, k: int, lk: float, sigma: float, max_iters: int):
+    """[(u, iterations)] for every root of every plan, in the gold's units.
+
+    With y = |a| / max |a|, t = tau y and rho = 2 var / (lk max |a|), a plan's equation
+    is Phi(tau) = S |u|_k^(k-1) / (w n) - tau (sigma mean(y u) / |u|_k + rho) = 0, with
+    S = sigma and w = k-2 on the hump, S = -sigma and w = 1 otherwise. The root-finds run
+    on Phi / tau^b (b = 0 below tau = 1 for dip and the hump with an outer root, 1
+    otherwise), whose limits at tau -> 0 and, for mono and dip, tau -> inf are known, and
+    every plan's ends bracket its roots but one: where 3 or more |yz| (nearly) tie at the
+    top, the outer root turns the hump's curve back near tau = 1. So that plan is also
+    sampled evenly in (1 - tau)^(1/2), and where a sample is nearer 0 than both its
+    neighbours, the curve between them is sampled again, more finely.
+    """
+    n = a.size
+    ay = np.abs(a)
+    outer = int(np.argmax(ay))
+    y = ay / ay[outer]
+    rho = 2.0 * var / (lk * float(ay[outer]))
+
+    def value(plan, tau):
+        """Phi / tau^b at a float tau, or along an array of them."""
+        tau = np.asarray(tau, dtype=float)
+        u = _shape_roots(plan[0], k, tau[..., None] * y, outer if plan[1] else None)
+        norm = _lp_norm(u, k)
+        b = np.where((tau < 1.0) & (plan in (("hump", True), ("dip", False))), 0.0, 1.0)
+        s, w = (sigma, k - 2.0) if plan[0] == "hump" else (-sigma, 1.0)
+        # the base stays O(1) on every branch, so the power cannot overflow
+        head = s * (norm * tau ** (-b / (k - 1))) ** (k - 1) / (w * n)
+        return (head - tau ** (1.0 - b) * (sigma * (u @ y) / (n * norm) + rho)).tolist()
+
+    # t -> 0: hump and mono u ~ t, the outer root -> (k-1)^(1/(k-2)) and dip u -> 1;
+    # t -> inf: mono and dip u ~ t^(1/(k-1))
+    near = -sigma * float(y @ y) / (n * float(_lp_norm(y, k))) - rho
+    y1 = y ** (1.0 / (k - 1))
+    far = -2.0 * sigma * float(y @ y1) / (n * float(_lp_norm(y1, k))) - rho
+    # at tau = 1 both hump plans have u = 1 at the largest |yz|
+    one = {shape: value((shape, False), 1.0) for shape in ("hump", "mono", "dip")}
+    scan = 1.0 - np.linspace(1.0, 0.0, 17)[1:-1] ** 2
+    samples = {  # plan (shape, whether the first largest |yz| takes the outer hump root):
+        # (tau, Phi / tau^b) in increasing tau, with the limits at 0 and inf
+        ("hump", False): [(0.0, near), (1.0, one["hump"])],
+        ("hump", True): [(0.0, sigma * (k - 1.0) ** ((k - 1.0) / (k - 2)) / ((k - 2) * n))]
+        + list(zip(scan.tolist(), value(("hump", True), scan))) + [(1.0, one["hump"])],
+        ("mono", False): [(0.0, near), (1.0, one["mono"]), (math.inf, far)],
+        ("dip", False): [(0.0, -sigma * n ** (-1.0 / k)), (1.0, one["dip"]), (math.inf, far)],
+    }
+    roots = []
+    for plan, points in samples.items():
+        for _ in range(24):  # resample the turn of the samples nearest 0 until it crosses 0
+            turns = [i for i in range(1, len(points) - 1) if points[i + 1][0] < math.inf
+                     and points[i - 1][1] * points[i][1] > 0.0 < points[i][1] * points[i + 1][1]
+                     and abs(points[i][1]) < min(abs(points[i - 1][1]), abs(points[i + 1][1]))]
+            if not turns:
+                break
+            i = min(turns, key=lambda i: abs(points[i][1]))
+            sub = np.linspace(points[i - 1][0], points[i + 1][0], 10)[1:-1]
+            points[i:i + 1] = sorted([points[i], *zip(sub.tolist(), value(plan, sub))])
+        on = functools.partial(value, plan)
+        for (ta, fa), (tb, fb) in zip(points, points[1:]):
+            if fa * fb > 0.0:
+                continue
+            if tb <= 1.0:
+                tau, it = _bracketed_root(on, tb, fb, ta, fa, max_iters)
+            else:  # in 1 / tau, which holds the limit tau -> inf at 0
+                x, it = _bracketed_root(lambda x: on(1 / x), 1 / ta, fa, 1 / tb, fb, max_iters)
+                tau = 1.0 / x
+            roots.append((_shape_roots(plan[0], k, tau * y, outer if plan[1] else None), it))
+    return roots
+
+
+def _field(name: str, value: float, e: int) -> float:
+    """value * 2**e; InvalidInput naming the field unless that is 0 or a normal float64."""
+    try:
+        out = math.ldexp(value, e)
+    except OverflowError:
+        out = math.inf
+    if out == value == 0.0 or sys.float_info.min <= abs(out) < math.inf:
+        return out
+    raise InvalidInput(f"{name} leaves float64 at this gold and lk")
+
+
+def _state(prob: StationarityProblem, m: float, x: np.ndarray, s: float, m2: float, it: int):
+    """The state of d = m x * 2**e, m in the gold's units and max |x_i| = 1, with s and
+    m2 from :func:`_residual`."""
+    gold, k, v = prob.gold, prob.k, prob.gold.var / m
+    mm, f = math.frexp(m)
+    d = np.ldexp(mm * x, min(f + gold.e, 1024))  # |mm x| < 1: finite
+    if f + gold.e > 1024 or not np.all((np.abs(d) >= sys.float_info.min) | (x == 0.0)):
+        raise InvalidInput("d leaves float64 at this gold and lk")
+    objective = _field("objective_value", (v + s) / (m2 * mm), -f)
+    # multiplier = -(2 var_g + s_gd) / (k mse lk^k): lk^k by squaring, with the exponent
+    # kept apart so that no step overflows or underflows
+    (b, eb), pk, ek, j = math.frexp(prob.lk), 1.0, 0, k
+    while j:
+        if j & 1:
+            pk, e = math.frexp(pk * b)
+            ek += e + eb
+        (b, e), j = math.frexp(b * b), j >> 1
+        eb = 2 * eb + e
+    return SolverState(
+        d=d,
+        multiplier=_field("multiplier", -(2.0 * v + s) / (k * m2 * mm * pk), -f - ek),
+        sigma_gd=_field("sigma_gd", mm * s, f + 2 * gold.e),
+        objective_value=objective,
+        residual_norm=scaled_residual(prob, d),
+        ccc_value=ccc_from_mse_cov(1.0, objective),
+        iterations=it,
+    )
 
 
 def solve(
@@ -244,87 +290,43 @@ def solve(
     max_iters: int = 400,
     restarts: int = 16,
 ) -> SolverState:
-    """Best-of-restarts extremum of ccc on the L_k sphere.
+    """Extremum of ccc on the L_k sphere, from the stationarity structure.
 
-    Starts are the two closed-form mse-bound directions plus the best
-    ``restarts`` of ``PRESAMPLES`` random sphere points, each run through
-    gradient ascent and Newton polish. Raises InvalidInput when ``restarts`` or
-    ``seed`` is negative, ``seed`` is not an integer, the powers of lk that the
-    iterates reach leave float64 (:func:`_check_range`), or a sampled or the
-    centred gold's L_k norm is zero or overflows in float64, and
-    NotConverged (with the best state attached) if no candidate meets the
-    residual tolerance.
+    k = 2 takes the closed form. For k >= 4 each root of each plan is found by a
+    root-find of at most ``max_iters`` iterations, and the one with the best objective
+    among those within the residual tolerance is kept; ``iterations`` counts its
+    root-find's. The solve draws no random numbers and restarts nothing: ``seed`` and
+    ``restarts`` are validated and otherwise unused. Raises InvalidInput when ``seed``
+    or ``restarts`` is not a nonnegative integer or ``max_iters`` not a positive one, or
+    a reported quantity leaves float64; NotConverged when no plan has a root (with no
+    state) or no root meets the residual tolerance (with the best one).
     """
-    if restarts < 0:
-        raise InvalidInput(f"restarts must be nonnegative, got {restarts}")
-    rng = _rng(seed)
-    yz = prob.gold.centered
-    var_g = prob.gold.var_g
-    n, k, lk = prob.gold.n, prob.k, prob.lk
-    _check_range(n, k, lk)
-    sign = 1.0 if prob.objective == "max" else -1.0
-
-    samples = np.empty((PRESAMPLES, n))
-    sample_f = np.empty(PRESAMPLES)
-    rows = _block_rows(n)
-    scratch = np.empty_like(samples[:rows])
-    # BLAS may round a row's dot product with yz differently for another row count, so
-    # a score can move by an ulp with the block size; a start moves only on such a tie
-    for lo in range(0, PRESAMPLES, rows):
-        block = _sphere_rows(rng, samples[lo:lo + rows], k, lk, scratch[:PRESAMPLES - lo])
-        block_mse = np.sum(block * block, axis=1) / n
-        sample_f[lo:lo + rows] = sign * (var_g + block @ yz / n) / block_mse
-    top = np.argsort(sample_f)[::-1][:restarts]
-
-    starts = [_renorm(yz.copy(), k, lk), _renorm(-yz, k, lk)]
-    if starts[0] is None:
-        raise InvalidInput(f"the L_{k} norm of the centred gold is zero or overflows float64")
-    starts.extend(samples[i] for i in top)
-
-    # (signed objective, residual, iterate, ascent iterations)
-    converged: tuple[float, float, np.ndarray, int] | None = None
-    fallback: tuple[float, float, np.ndarray, int] | None = None
-    for start in starts:
-        d, it = _ascend(yz, var_g, k, lk, start, sign, max_iters)
-        candidates = [d]
-        polished = _newton_polish(yz, var_g, k, lk, d)
-        if polished is not None:
-            candidates.append(polished)
-        for cand in candidates:
-            f_signed = sign * _objective(yz, var_g, cand)
-            res = scaled_residual(prob, cand)
-            entry = (f_signed, res, cand, it)
-            if res <= TOL.residual_tol:
-                # best objective wins; near-ties resolve to the smaller residual
-                if (
-                    converged is None
-                    or f_signed > converged[0] + 1e-12 * max(1.0, abs(converged[0]))
-                    or (
-                        abs(f_signed - converged[0]) <= 1e-12 * max(1.0, abs(converged[0]))
-                        and res < converged[1]
-                    )
-                ):
-                    converged = entry
-            if fallback is None or f_signed > fallback[0]:
-                fallback = entry
-
-    assert fallback is not None
-    f_signed, res, d, iters_used = converged if converged is not None else fallback
-    mse, mke, s_gd = _moments(yz, k, d)
-    grad = _gradient(yz, var_g, d)
-    state = SolverState(
-        d=d,
-        multiplier=float(d @ grad) / (k * n * mke),
-        sigma_gd=s_gd,
-        objective_value=(var_g + s_gd) / mse,
-        residual_norm=res,
-        ccc_value=ccc_from_mse_cov(mse, var_g + s_gd),
-        iterations=iters_used,
-    )
-    if res > TOL.residual_tol:
+    _count(seed, "seed", 0)
+    _count(restarts, "restarts", 0)
+    max_iters = _count(max_iters, "max_iters", 1)
+    gold, k = prob.gold, prob.k
+    sigma = 1.0 if prob.objective == "max" else -1.0
+    # the objective scales as (gold / lk)**2: out of range when lk / 2**e is
+    lk = _field("objective_value", prob.lk, -gold.e)
+    roots = ([(np.abs(gold.a), 0)] if k == 2
+             else _plan_roots(gold.a, gold.var, k, lk, sigma, max_iters))
+    if not roots:
+        raise NotConverged(f"no plan of the k = {k} stationarity system has a root")
+    signs = np.where(gold.a < 0.0, -sigma, sigma)
+    best = None  # (rank, m, x, s, m2, iterations) in the gold's units, ranked by
+    # (converged, signed objective)
+    for u, it in roots:
+        top = float(u.max())
+        m, x = lk * (top / float(_lp_norm(u, k))), signs * (u / top)
+        res, scale, s, m2 = _residual(gold.a, k, gold.var / m, x)
+        converged = float(np.max(np.abs(res))) <= TOL.residual_tol * scale
+        rank = (converged, sigma * (gold.var / m + s) / (m2 * m))
+        if best is None or rank > best[0]:
+            best = (rank, m, x, s, m2, it)
+    state = _state(prob, *best[1:])
+    if state.residual_norm > TOL.residual_tol:
         raise NotConverged(
-            f"best residual {res:.3e} above tolerance {TOL.residual_tol:.1e} "
-            f"after {restarts} restarts",
+            f"best residual {state.residual_norm:.3e} above tolerance {TOL.residual_tol:.1e}",
             state=state,
         )
     return state
@@ -343,7 +345,9 @@ def quadratic_in_gold(prob: StationarityProblem, d, i: int) -> tuple[float, floa
     is exactly the denominator degeneracy: Singularity is raised there and
     for any d_i with A ~ 0.
     """
-    dv, mse, mke, _ = _iterate(prob, d)
+    dv = _errors(prob, d)
+    yz = prob.gold.centered
+    mse, mke, _ = _moments(yz, prob.k, dv)
     n = dv.size
     if not 0 <= i < n:
         raise InvalidInput(f"index {i} out of range for length {n}")
@@ -354,7 +358,6 @@ def quadratic_in_gold(prob: StationarityProblem, d, i: int) -> tuple[float, floa
             f"d_i^(k-1)*MSE - d_i*MkE = {a_den:.3e} is degenerate at i={i}"
         )
     b_num = di ** (prob.k - 1) * mse - 2.0 * di * mke
-    yz = prob.gold.centered
     b = (di * b_num + n * mse * mke) / (2.0 * a_den)
     mask = np.arange(n) != i
     c = float(

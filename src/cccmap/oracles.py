@@ -16,14 +16,15 @@ the trial number of each witness, and is reproducible bit for bit from its seed.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, TooLarge
 from .ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD, Convention, ErrorSet
-from .stats import _block_rows, _ccc, _gold_moments, _rng, _row_moments, _sphere_rows, as_sequence
+from .stats import (
+    _block_rows, _ccc, _count, _gold_moments, _row_moments, _sphere_rows, as_sequence,
+)
 
 #: Enumerating beyond 9! orderings is refused.
 MAX_ENUM_N = 9
@@ -125,13 +126,8 @@ def _extremes(gold: np.ndarray, blocks, seed: int) -> OracleReport:
 
 def _sphere_report(gold: np.ndarray, p: float, radius: float, trials, seed) -> OracleReport:
     """Extremes over Gaussian directions rescaled to L_p norm ``radius``."""
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise InvalidInput(f"trials must be an integer, got {trials!r}") from None
-    if trials < 1:
-        raise InvalidInput("trials must be at least 1")
-    rng = _rng(seed)
+    trials = _count(trials, "trials", 1)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     buf, preds = np.empty((2, min(_block_rows(gold.size), trials), gold.size))
 
     def blocks():

@@ -16,9 +16,9 @@ The kernel is two halves: :func:`_gold_moments` scales and centres x once, and
 :func:`_row_moments` scores one row or an (R, n) batch of rows against it in
 caller-owned scratch, so that the ordering extremes and the oracles take the gold's
 side once per call and allocate nothing per row or block. :func:`_ccc` serves one row
-and a batch alike; only the even-k solver still sums its own moments.
+and a batch alike; the even-k solver takes only the gold's side from it.
 
-The sampled searches share three private pieces: :func:`_rng`, the seeded stream;
+The sampled searches share three private pieces: :func:`_count`, the seed and count check;
 :func:`_block_rows`, the rows of one cache-sized block; and :func:`_sphere_rows`,
 which draws a block of Gaussian rows and scales each onto an L_p sphere. Its row
 norms come from :func:`_lp_norm`, the plain formula row by row, except that a row
@@ -290,8 +290,8 @@ def lp_norm(e, p: float) -> float:
     return norm
 
 
-#: The sampled searches (the oracles and the solver's presample) draw and score their
-#: rows in blocks of about this many float64 values, small enough to stay in cache.
+#: The sampled searches (the oracles) draw and score their rows in blocks of about this
+#: many float64 values, small enough to stay in cache.
 _BLOCK = 1 << 16
 
 
@@ -300,15 +300,15 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK // n)
 
 
-def _rng(seed) -> np.random.Generator:
-    """The random stream of a sampled search; InvalidInput unless seed is a nonnegative integer."""
+def _count(value, name: str, least: int) -> int:
+    """value as an int; InvalidInput naming it unless it is an integer of at least ``least``."""
     try:
-        seed = operator.index(seed)
+        value = operator.index(value)
     except TypeError:
-        raise InvalidInput(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise InvalidInput(f"seed must be nonnegative, got {seed}")
-    return np.random.default_rng(seed)
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InvalidInput(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _sphere_rows(

@@ -1,7 +1,13 @@
 """Tests for the even-exponent fixed-norm extremizer and its stationarity system."""
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cccmap import (
     InvalidInput,
@@ -18,7 +24,6 @@ from cccmap import (
     stationarity_residual,
     upper_envelope,
 )
-from cccmap import even_p, stats
 from cccmap.even_p import StationarityProblem, _moments
 
 
@@ -177,48 +182,41 @@ class TestSolve:
         assert exc.state == "sentinel"
 
 
-def _state_fields(state):
-    return (state.d.tobytes(), state.multiplier, state.sigma_gd, state.objective_value,
-            state.residual_norm, state.ccc_value, state.iterations)
-
-
 class TestPresampleBlocks:
-    @pytest.mark.parametrize("k", [2, 4, 6])
-    @pytest.mark.parametrize("objective", ["max", "min"])
-    def test_state_does_not_depend_on_the_block(self, monkeypatch, k, objective):
-        # a short presample keeps one-row blocks fast; the default block holds all of it
-        monkeypatch.setattr(even_p, "PRESAMPLES", 1000)
-        prob = make_problem(np.random.default_rng(10 + k), k=k, n=5, objective=objective)
-        states, default = [], stats._BLOCK
-        for rows in (1, 7, None):
-            monkeypatch.setattr(stats, "_BLOCK", default if rows is None else rows * 5)
-            states.append(_state_fields(solve(prob, seed=k)))
-        assert states[1] == states[0] and states[2] == states[0]
-
-    def test_full_presample_straddles_default_blocks(self, monkeypatch):
-        prob = make_problem(np.random.default_rng(3), k=4, n=5)
-        default = _state_fields(solve(prob, seed=9))
-        monkeypatch.setattr(stats, "_BLOCK", 4099 * 5)
-        assert _state_fields(solve(prob, seed=9)) == default
-
     @pytest.mark.parametrize("seed", [-1, 2.5, None])
     def test_bad_seed_rejected(self, seed):
         prob = make_problem(np.random.default_rng(0))
         with pytest.raises(InvalidInput, match="seed"):
             solve(prob, seed=seed)
 
+    # the reported field that leaves float64 at each (k, lk) for gold 1..5, or None
+    OUT_OF_RANGE = {
+        (2000, 2.0): "multiplier",  # about lk**-k = 2**-2000
+        (2000, 0.5): "multiplier",  # about 2**2000
+        (2000, 1.19): None,
+        (2, 1e-300): "objective_value",  # about n var_g / lk**2 = 1e601
+        (2, 1e60): None,
+        (4, 1e100): "multiplier",  # about lk**-(k+2) = 1e-600
+        (8, 1e-100): "multiplier",  # about 1e1000
+    }
+
     @pytest.mark.parametrize(
         "k, lk",
         [(2000, 2.0), (2000, 0.5), (2000, 1.19), (2, 1e-300), (2, 1e60), (4, 1e100), (8, 1e-100)],
     )
     def test_lk_whose_powers_leave_float64_rejected(self, k, lk):
-        # unchecked, these raise ZeroDivisionError or OverflowError in the ascent or the
-        # polish, or warn of overflow in normal @ normal (k = 2000, lk = 1.19: two entries
-        # near lk give about 2000**2 * 1.19**3998 / 2 > 2**1024), or at k = 2 overflow
-        # n mse**3 to inf, which drops a term of the polish's Jacobian
+        # these lk put a power of lk that a solver on d itself forms outside float64; the
+        # structural solve forms none, so each either converges or refuses, by name, the
+        # reported field that is itself outside float64
         prob = StationarityProblem(center_gold([1.0, 2.0, 3.0, 4.0, 5.0]), k, lk, "max")
-        with pytest.raises(InvalidInput, match="out of range"):
-            solve(prob, seed=0)
+        field = self.OUT_OF_RANGE[k, lk]
+        if field is not None:
+            with pytest.raises(InvalidInput, match=f"^{field} leaves float64"):
+                solve(prob, seed=0)
+            return
+        state = solve(prob, seed=0)
+        assert state.residual_norm <= 1e-8
+        assert lp_norm(state.d, k) == pytest.approx(lk, rel=1e-12)
 
     @pytest.mark.parametrize("lk", [0.829, 1.1895])
     def test_lk_just_inside_the_range_solves_without_warnings(self, lk):
@@ -284,3 +282,88 @@ class TestQuadraticInGold:
         res = bounds_given_mse(gold, 1.0 / 3.0)
         with pytest.raises(Singularity):
             quadratic_in_gold(prob, res.err_max, 0)
+
+
+def _leaves_float64(value: float, e: int) -> bool:
+    """Whether value * 2**e is outside the normal float64 range."""
+    return not -1022 <= math.frexp(value)[1] + e - 1 < 1024
+
+
+class TestScale:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.integers(-(2**20), 2**20), min_size=3, max_size=12),
+        s=st.integers(-400, 400),
+        k=st.sampled_from([4, 6, 8]),
+        factor=st.floats(0.2, 3.0),
+        objective=st.sampled_from(["max", "min"]),
+    )
+    def test_solution_scales_with_the_gold_and_lk(self, values, s, k, factor, objective):
+        gold = np.ldexp(np.array(values, dtype=float), -10)
+        if np.ptp(gold) == 0.0:
+            return
+        base = center_gold(gold)
+        lk = factor * lp_norm(base.centered, k)
+        state = solve(StationarityProblem(base, k, lk, objective), seed=0)
+        prob = StationarityProblem(center_gold(np.ldexp(gold, s)), k, math.ldexp(lk, s), objective)
+        try:
+            scaled = solve(prob, seed=0)
+        except InvalidInput as exc:
+            field = str(exc).split()[0]
+            if field == "d":
+                assert any(_leaves_float64(v, s) for v in state.d if v != 0.0)
+            else:
+                e = {"multiplier": -k * s, "sigma_gd": 2 * s}[field]
+                assert _leaves_float64(getattr(state, field), e)
+            return
+        assert scaled.d.tobytes() == np.ldexp(state.d, s).tobytes()
+        assert scaled.ccc_value == state.ccc_value
+        assert scaled.objective_value == state.objective_value
+        assert scaled.residual_norm == state.residual_norm
+        assert scaled.multiplier == math.ldexp(state.multiplier, -k * s)
+        assert scaled.sigma_gd == math.ldexp(state.sigma_gd, 2 * s)
+
+    @pytest.mark.parametrize(
+        "gold, k, lk, objective, s",
+        [
+            # lk tiny against an n = 3 gold: the multi-start ascent leaked overflow warnings
+            # and did not converge. The maximum's multiplier, about 2**1024.2, is past
+            # float64, so it is refused by name, and its twin at half the scale converges
+            (np.random.default_rng(3).standard_normal(3), 4, 2**-170.3, "min", 0),
+            (np.random.default_rng(3).standard_normal(3), 4, 2**-170.3, "max", 1),
+            # a gold near 1e30 at k = 8: the ascent overflowed in (d^7)^2 and lk**8. At
+            # lk = 1e40 the multiplier, about 2**-1098, is below float64's normal range
+            (1e30 * np.array([1.0, 2.0, 3.0, 5.0]), 8, 1e30, "max", 0),
+            (1e30 * np.array([1.0, 2.0, 3.0, 5.0]), 8, 1e30, "min", 0),
+            (1e30 * np.array([1.0, 2.0, 3.0, 5.0]), 8, 1e40, "max", -10),
+            (1e30 * np.array([1.0, 2.0, 3.0, 5.0]), 8, 1e40, "min", -10),
+        ],
+        ids=["tiny-lk-min", "tiny-lk-max", "1e30-max", "1e30-min", "1e40-max", "1e40-min"],
+    )
+    def test_scale_regressions_converge(self, gold, k, lk, objective, s):
+        # a RuntimeWarning fails the test; s != 0 marks a multiplier outside float64, which
+        # the twin problem scaled by 2**s brings inside
+        prob = StationarityProblem(center_gold(gold), k, lk, objective)
+        if s != 0:
+            with pytest.raises(InvalidInput, match="^multiplier leaves float64"):
+                solve(prob, seed=0)
+            prob = StationarityProblem(center_gold(np.ldexp(gold, s)), k, math.ldexp(lk, s), objective)
+        state = solve(prob, seed=0)
+        assert state.residual_norm <= 1e-8
+        assert lp_norm(state.d, k) == pytest.approx(prob.lk, rel=1e-12)
+        assert (s != 0) == _leaves_float64(state.multiplier, k * s)
+
+
+class TestParentSweep:
+    def test_no_worse_than_the_multi_start_solver(self):
+        # tests/data/make_even_p_sweep.py wrote the 96 problems and the objective values
+        # that the multi-start ascent solver reached on them
+        rows = json.loads((Path(__file__).parent / "data" / "even_p_sweep.json").read_text())
+        assert len(rows) == 96
+        for row in rows:
+            prob = StationarityProblem(center_gold(row["gold"]), row["k"], row["lk"], row["objective"])
+            state = solve(prob, seed=0)
+            sign = 1.0 if row["objective"] == "max" else -1.0
+            f = row["objective_value"]
+            assert sign * (state.objective_value - f) >= -1e-15 * max(1.0, abs(f)), row
+            assert state.residual_norm <= 1e-8, row
