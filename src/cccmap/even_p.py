@@ -72,36 +72,39 @@ def _errors(prob: StationarityProblem, d) -> np.ndarray:
     return dv
 
 
-def _residual(a: np.ndarray, k: int, v: float, x: np.ndarray):
+def _residual(a: np.ndarray, k: int, x: np.ndarray, var: float, m: float):
     """(residual, scale, s, m2) of d = m x, max |x_i| = 1, against a centred gold ``a``
-    of variance v m, in units of m: the residual / m; scale, the largest of its terms'
-    magnitudes 2 v, |s| and max |a_i x_i|; s = s_gd / m and m2 = mse / m**2."""
-    n = x.size
+    of variance var, in units of w = max(m, 1), so that no term overflows: the residual
+    / w; scale, the largest of its terms' magnitudes 2 var, m |s| and m max |a_i x_i|,
+    over w; s = s_gd / m and m2 = mse / m**2."""
+    n, w = x.size, max(m, 1.0)
     xk, x2, ax = x**k, x * x, a * x
     m2 = float(np.add.reduce(x2)) / n
     rk, r2 = xk / (float(np.add.reduce(xk)) / n), x2 / m2
-    s = float(np.add.reduce(ax)) / n
-    res = 2.0 * v * (rk - r2) + s * (rk - 2.0 * r2) + ax
-    return res, max(2.0 * v, abs(s), float(np.max(np.abs(ax)))), s, m2
+    s, vw, mw = float(np.add.reduce(ax)) / n, var / w, min(m, 1.0)
+    res = 2.0 * vw * (rk - r2) + mw * (s * (rk - 2.0 * r2) + ax)
+    return res, max(2.0 * vw, mw * abs(s), mw * float(np.max(np.abs(ax)))), s, m2
 
 
 def _residual_of(prob: StationarityProblem, d):
-    """:func:`_residual` of an error vector d of ``prob``, and max |d_i|."""
+    """:func:`_residual` of an error vector d of ``prob``, in the gold's units."""
     dv, gold = _errors(prob, d), prob.gold
     top = float(np.max(np.abs(dv)))
-    return _residual(gold.a, prob.k, math.ldexp(gold.var, gold.e) / top, dv / top), top
+    with np.errstate(over="ignore"):  # an m past float64 weighs as inf does
+        m = float(np.ldexp(top, -gold.e))
+    return _residual(gold.a, prob.k, dv / top, gold.var, m), m, top
 
 
 def stationarity_residual(prob: StationarityProblem, d) -> np.ndarray:
     """Per-coordinate first-order residual; all zeros at stationary points."""
-    (res, *_), top = _residual_of(prob, d)
-    return np.ldexp(res * top, prob.gold.e)
+    (res, *_), m, top = _residual_of(prob, d)
+    return np.ldexp(res * top, prob.gold.e) if m >= 1.0 else np.ldexp(res, 2 * prob.gold.e)
 
 
 def scaled_residual(prob: StationarityProblem, d) -> float:
     """Max |residual| over the largest magnitude of its terms (2 var_g, |s_gd| and
     max |yz_i d_i|), which does not move with the units of the gold."""
-    (res, scale, *_), _ = _residual_of(prob, d)
+    (res, scale, *_), *_ = _residual_of(prob, d)
     return float(np.max(np.abs(res))) / scale
 
 
@@ -313,17 +316,14 @@ def solve(
     if not roots:
         raise NotConverged(f"no plan of the k = {k} stationarity system has a root")
     signs = np.where(gold.a < 0.0, -sigma, sigma)
-    best = None  # (rank, m, x, s, m2, iterations) in the gold's units, ranked by
-    # (converged, signed objective)
+    ranked = []  # ((converged, signed objective), m, x, s, m2, iterations), gold's units
     for u, it in roots:
         top = float(u.max())
         m, x = lk * (top / float(_lp_norm(u, k))), signs * (u / top)
-        res, scale, s, m2 = _residual(gold.a, k, gold.var / m, x)
+        res, scale, s, m2 = _residual(gold.a, k, x, gold.var, m)
         converged = float(np.max(np.abs(res))) <= TOL.residual_tol * scale
-        rank = (converged, sigma * (gold.var / m + s) / (m2 * m))
-        if best is None or rank > best[0]:
-            best = (rank, m, x, s, m2, it)
-    state = _state(prob, *best[1:])
+        ranked.append(((converged, sigma * (gold.var / m + s) / (m2 * m)), m, x, s, m2, it))
+    state = _state(prob, *max(ranked, key=lambda c: c[0])[1:])
     if state.residual_norm > TOL.residual_tol:
         raise NotConverged(
             f"best residual {state.residual_norm:.3e} above tolerance {TOL.residual_tol:.1e}",
