@@ -328,7 +328,7 @@ class TestScale:
         [
             # lk tiny against an n = 3 gold: the multi-start ascent leaked overflow warnings
             # and did not converge. The maximum's multiplier, about 2**1024.2, is past
-            # float64, so it is refused by name, and its twin at half the scale converges
+            # float64, so it is refused by name, and its twin at twice the scale converges
             (np.random.default_rng(3).standard_normal(3), 4, 2**-170.3, "min", 0),
             (np.random.default_rng(3).standard_normal(3), 4, 2**-170.3, "max", 1),
             # a gold near 1e30 at k = 8: the ascent overflowed in (d^7)^2 and lk**8. At
