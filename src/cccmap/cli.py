@@ -551,7 +551,7 @@ def cmd_solve_even_p(args) -> dict:
     prob = StationarityProblem(
         gold=gold, k=int(args.k), lk=args.lk, objective=args.objective
     )
-    state = solve(prob, seed=args.seed, max_iters=args.max_iters, restarts=args.restarts)
+    state = solve(prob, seed=args.seed, max_iters=args.max_iters)
     report = _report_skeleton(args, "solve-even-p")
     report["inputs"] = {"gold": _digest(gold.n, gold.e, gold.mu, gold.var)}
     results = {
@@ -738,7 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lk", type=float, default=None)
     p.add_argument("--objective", choices=("max", "min"), default="max")
     p.add_argument("--max-iters", type=int, default=400, help="cap on each root-find's iterations")
-    p.add_argument("--restarts", type=int, default=16, help="validated; the solve has no restarts")
     p.set_defaults(func=cmd_solve_even_p)
 
     p = sub.add_parser(

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InvalidInput, NotConverged, Singularity
 from .mse_bounds import CenteredGold, ccc_from_mse_cov
-from .stats import _count, _lp_norm, as_sequence
+from .stats import _count, _lp_norm, _real, as_sequence
 from .tolerances import TOL
 
 @dataclass(frozen=True)
@@ -47,10 +47,9 @@ class StationarityProblem:
     objective: Literal["max", "min"]
 
     def __post_init__(self):
-        if self.k < 2 or self.k % 2 != 0:
+        if _count(self.k, "k", 2) % 2 != 0:
             raise InvalidInput(f"k must be an even integer >= 2, got {self.k}")
-        if not 0.0 < self.lk < np.inf:
-            raise InvalidInput(f"lk must be finite and positive, got {self.lk}")
+        _real(self.lk, "lk", "positive")
         if self.objective not in ("max", "min"):
             raise InvalidInput(f"objective must be 'max' or 'min', got {self.objective}")
 
@@ -287,25 +286,18 @@ def _state(prob: StationarityProblem, m: float, x: np.ndarray, s: float, m2: flo
     )
 
 
-def solve(
-    prob: StationarityProblem,
-    seed: int,
-    max_iters: int = 400,
-    restarts: int = 16,
-) -> SolverState:
+def solve(prob: StationarityProblem, seed: int, max_iters: int = 400) -> SolverState:
     """Extremum of ccc on the L_k sphere, from the stationarity structure.
 
     k = 2 takes the closed form. For k >= 4 each root of each plan is found by a
     root-find of at most ``max_iters`` iterations, and the one with the best objective
     among those within the residual tolerance is kept; ``iterations`` counts its
-    root-find's. The solve draws no random numbers and restarts nothing: ``seed`` and
-    ``restarts`` are validated and otherwise unused. Raises InvalidInput when ``seed``
-    or ``restarts`` is not a nonnegative integer or ``max_iters`` not a positive one, or
-    a reported quantity leaves float64; NotConverged when no plan has a root (with no
-    state) or no root meets the residual tolerance (with the best one).
+    root-find's. The solve draws no random numbers: ``seed`` is validated and otherwise
+    unused. Raises InvalidInput when ``seed`` is not a nonnegative integer or ``max_iters``
+    not a positive one, or a reported quantity leaves float64; NotConverged when no plan
+    has a root (with no state) or no root meets the residual tolerance (with the best one).
     """
     _count(seed, "seed", 0)
-    _count(restarts, "restarts", 0)
     max_iters = _count(max_iters, "max_iters", 1)
     gold, k = prob.gold, prob.k
     sigma = 1.0 if prob.objective == "max" else -1.0
@@ -348,8 +340,8 @@ def quadratic_in_gold(prob: StationarityProblem, d, i: int) -> tuple[float, floa
     dv = _errors(prob, d)
     yz = prob.gold.centered
     mse, mke, _ = _moments(yz, prob.k, dv)
-    n = dv.size
-    if not 0 <= i < n:
+    n, i = dv.size, _count(i, "i", 0)
+    if i >= n:
         raise InvalidInput(f"index {i} out of range for length {n}")
     di = float(dv[i])
     a_den = di ** (prob.k - 1) * mse - di * mke

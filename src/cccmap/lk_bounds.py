@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInput, NoConjugate
 from .mse_bounds import lower_envelope, mse_region_table, upper_envelope
-from .stats import _unscale, as_sequence, lp_norm
+from .stats import _count, _real, _unscale, as_sequence, lp_norm
 
 
 def norm_sandwich(e, r: float, p: float) -> tuple[float, float, float]:
@@ -32,7 +32,8 @@ def norm_sandwich(e, r: float, p: float) -> tuple[float, float, float]:
     tight for constant-magnitude vectors, the lower for single-spike vectors.
     """
     arr = as_sequence(e)
-    if not (0 < r < p):
+    r, p = _real(r, "r", "positive"), _real(p, "p", "positive")
+    if not r < p:
         raise InvalidInput(f"need 0 < r < p, got r={r}, p={p}")
     n = arr.size
     lo = lp_norm(arr, p)
@@ -59,12 +60,8 @@ def theta_band(k: float, n: int, lk: float) -> RmseBand:
     For k >= 2 the band floor is L_k/sqrt(N); for 0 < k <= 2 it is
     L_k/N^(1/k). The two branches coincide at k = 2.
     """
-    if not 0.0 < k < inf:
-        raise InvalidInput(f"k must be finite and positive, got {k}")
-    if n < 1:
-        raise InvalidInput(f"n must be at least 1, got {n}")
-    if not 0.0 <= lk < inf:
-        raise InvalidInput(f"lk must be finite and nonnegative, got {lk}")
+    k, n = _real(k, "k", "positive"), _count(n, "n", 1)
+    lk = _real(lk, "lk", "nonnegative")
     try:
         theta_max = float(n) ** (abs(k - 2.0) / (2.0 * k))
         rmse_min = lk / (np.sqrt(n) if k >= 2 else float(n) ** (1.0 / k))
@@ -112,9 +109,8 @@ def envelope_given_lk(
         -1 (attained at theta = 2/x)    for 2/theta_max <= x <= 2,
         lower_envelope(x)               for x >= 2.
     """
-    if not 0.0 < sigma_g < inf:
-        raise InvalidInput(f"sigma_g must be finite and positive, got {sigma_g}")
-    band = theta_band(k, n, lk)
+    sigma_g = _real(sigma_g, "sigma_g", "positive")
+    band, theta = theta_band(k, n, lk), _real(theta, "theta")
     slack = 1.0 + 1e-12
     if not (1.0 / slack <= theta <= band.theta_max * slack):
         raise InvalidInput(
@@ -130,7 +126,7 @@ def envelope_given_lk(
         ccc_upper=float(upper_envelope(x)),
         ccc_lower=float(_piecewise_lower(x, band.theta_max)),
         ccc_lower_at_theta=float(lower_envelope(theta * x)),
-        theta_at_min=2.0 / x if x > 0 else inf,
+        theta_at_min=_unscale(2.0 / x, 0, "theta_at_min") if x > 0 else inf,
     )
 
 
@@ -139,7 +135,7 @@ def _piecewise_lower(x, theta_max: float):
     x = np.asarray(x, dtype=np.float64)
     return np.where(
         x <= 2.0 / theta_max,
-        lower_envelope(theta_max * x),
+        lower_envelope(theta_max * np.minimum(x, 2.0 / theta_max)),  # finite where unused
         np.where(x <= 2.0, -1.0, lower_envelope(x)),
     )
 
@@ -152,10 +148,7 @@ def conjugate_theta(theta1: float, x: float) -> float:
     fixed point theta = 2/x. Only defined for x*theta1 > 1 (the negative
     branch); elsewhere the partner does not exist and NoConjugate is raised.
     """
-    if not 0.0 < theta1 < inf:
-        raise InvalidInput(f"theta1 must be finite and positive, got {theta1}")
-    if not 0.0 < x < inf:
-        raise InvalidInput(f"x must be finite and positive, got {x}")
+    theta1, x = _real(theta1, "theta1", "positive"), _real(x, "x", "positive")
     if x * theta1 <= 1.0:
         raise NoConjugate(
             f"x*theta1 = {x * theta1} <= 1: envelope value is nonnegative, "
@@ -166,8 +159,8 @@ def conjugate_theta(theta1: float, x: float) -> float:
 
 def theta_grid(theta_max: float, theta_steps: int) -> np.ndarray:
     """Geometric grid from 1 to theta_max inclusive (collapses when theta_max=1)."""
-    if theta_steps < 1:
-        raise InvalidInput("theta_steps must be at least 1")
+    theta_max = _real(theta_max, "theta_max", "positive")
+    theta_steps = _count(theta_steps, "theta_steps", 1)
     if theta_max == 1.0 or theta_steps == 1:
         return np.ones(theta_steps, dtype=np.float64)
     return np.geomspace(1.0, theta_max, theta_steps)

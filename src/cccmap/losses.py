@@ -34,8 +34,8 @@ from typing import Literal, get_args
 import numpy as np
 
 from .errors import InvalidInput, Singularity
-from .stats import _as_pair, _error_mean, _moments, _scaled_errors, _unscale, as_sequence
-from .stats import ccc as _ccc, mse as _mse
+from .stats import _as_pair, _count, _error_mean, _moments, _real, _scaled_errors, _unscale
+from .stats import as_sequence, ccc as _ccc, mse as _mse
 
 Variant = Literal[
     "ratio",
@@ -69,12 +69,9 @@ class LossParams:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidInput(f"unknown variant {self.variant!r}")
-        if not 0.0 < self.gamma < np.inf:
-            raise InvalidInput(f"gamma must be finite and positive, got {self.gamma}")
-        if not 0.0 <= self.alpha < np.inf:
-            raise InvalidInput(f"alpha must be finite and nonnegative, got {self.alpha}")
-        if not 0 <= self.beta < np.inf or int(self.beta) != self.beta:
-            raise InvalidInput(f"beta must be a nonnegative integer, got {self.beta}")
+        _real(self.gamma, "gamma", "positive")
+        _real(self.alpha, "alpha", "nonnegative")
+        _count(self.beta, "beta", 0)
         for name in ("per_sample_alpha", "per_sample_eps"):
             vec = getattr(self, name)
             if vec is not None:
@@ -188,10 +185,7 @@ def training_trace(
     (fixed points produce a flat trace rather than termination). A candidate
     whose loss or gradient raises is treated as an increase.
     """
-    if not 0.0 < step < np.inf:
-        raise InvalidInput(f"step must be finite and positive, got {step}")
-    if iters < 1:
-        raise InvalidInput(f"iters must be at least 1, got {iters}")
+    step, iters = _real(step, "step", "positive"), _count(iters, "iters", 1)
     g = as_sequence(gold)
     p = as_sequence(init_pred).copy()
     rows = []

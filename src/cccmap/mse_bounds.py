@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidInput, Singularity
-from .stats import _gold_moments, _unscale, as_sequence, variance_identity_residual  # re-exported
+from .errors import DegenerateVariance, Singularity
+from .stats import _count, _gold_moments, _real, _reals, _unscale, as_sequence
+from .stats import variance_identity_residual  # re-exported
 
 #: Column names of the region table rows produced by :func:`mse_region_table`.
 MSE_REGION_COLUMNS = ("x", "psi_upper", "psi_lower")
@@ -32,11 +33,8 @@ MSE_REGION_COLUMNS = ("x", "psi_upper", "psi_lower")
 
 def ccc_from_mse_cov(mse_value: float, cov: float) -> float:
     """ccc reconstructed from (mse, covariance) alone: 2*cov / (mse + 2*cov)."""
-    if not 0.0 <= mse_value < np.inf:
-        raise InvalidInput(f"mse must be finite and nonnegative, got {mse_value}")
-    if not -np.inf < cov < np.inf:
-        raise InvalidInput(f"cov must be finite, got {cov}")
-    mse_value, cov = float(mse_value), float(cov)  # Python floats: an overflow is a silent inf
+    mse_value = _real(mse_value, "mse", "nonnegative")  # a Python float: overflows silently
+    cov = _real(cov, "cov")
     half_denom = 0.5 * mse_value + cov  # halved, so 2*cov cannot overflow
     if half_denom == np.inf:  # both terms near the top of the range: halve them once more
         cov *= 0.5
@@ -53,7 +51,7 @@ def envelope_kernel(t):
     overflow; the scaling is exact, so every value the plain formula computes
     without overflow keeps its bits.
     """
-    t = np.asarray(t, dtype=np.float64)
+    t = _reals(t, "t")
     e = np.maximum(np.frexp(t)[1], 0)
     s = np.ldexp(t, -e)
     value = np.ldexp(2.0 * s / (np.ldexp(1.0, -2 * e) + s * s), -e)
@@ -62,18 +60,12 @@ def envelope_kernel(t):
 
 def upper_envelope(x):
     """Largest ccc attainable at normalized error level x >= 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(x >= 0):
-        raise InvalidInput("x must be nonnegative")
-    return envelope_kernel(1.0 + x)
+    return envelope_kernel(1.0 + _reals(x, "x", "nonnegative"))
 
 
 def lower_envelope(x):
     """Smallest ccc attainable at normalized error level x >= 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(x >= 0):
-        raise InvalidInput("x must be nonnegative")
-    return envelope_kernel(1.0 - x)
+    return envelope_kernel(1.0 - _reals(x, "x", "nonnegative"))
 
 
 @dataclass(frozen=True)
@@ -135,8 +127,7 @@ def bounds_given_mse(gold: CenteredGold, mse_value: float) -> MseBoundsResult:
     x = sqrt(mse / var_g). The positive sign attains the maximum, the
     negative sign the minimum.
     """
-    if not 0.0 <= mse_value < np.inf:
-        raise InvalidInput(f"mse must be finite and nonnegative, got {mse_value}")
+    mse_value = _real(mse_value, "mse", "nonnegative")
     # sqrt(mse / var_g) from the mantissas of mse and var = var_g / 4**e, so the quotient
     # cannot overflow; the plain formula's bits wherever var_g and the quotient are normal
     (m_mse, e_mse), (m_var, e_var) = math.frexp(mse_value), math.frexp(gold.var)
@@ -158,9 +149,6 @@ def mse_region_table(x_max: float, steps: int) -> np.ndarray:
 
     Deterministic row order; x runs linearly from 0 to x_max inclusive.
     """
-    if not 0.0 <= x_max < np.inf:
-        raise InvalidInput(f"x_max must be finite and nonnegative, got {x_max}")
-    if steps < 2:
-        raise InvalidInput("steps must be at least 2")
-    xs = np.linspace(0.0, x_max, steps)
+    x_max = _real(x_max, "x_max", "nonnegative")
+    xs = np.linspace(0.0, x_max, _count(steps, "steps", 2))
     return np.column_stack([xs, upper_envelope(xs), lower_envelope(xs)])

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, TooLarge
-from .ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD, Convention, ErrorSet
+from .errors import TooLarge
+from .ordering import Convention, ErrorSet, _adds
 from .stats import (
-    _block_rows, _ccc, _count, _gold_moments, _row_moments, _sphere_rows, as_sequence,
+    _block_rows, _ccc, _count, _prepared_gold, _real, _row_moments, _sphere_rows, as_sequence,
 )
 
 #: Enumerating beyond 9! orderings is refused.
@@ -65,15 +65,10 @@ def permutation_oracle(gold, errors: ErrorSet, convention: Convention) -> Oracle
     of the canonical ascending values; ties resolve to the first ordering
     encountered, so the report is deterministic.
     """
-    g = as_sequence(gold)
-    if g.size != errors.n:
-        raise InvalidInput(f"length mismatch: gold {g.size} vs errors {errors.n}")
+    g, _, moments = _prepared_gold(gold, errors.n)
     if g.size > MAX_ENUM_N:
         raise TooLarge(f"N={g.size} exceeds the enumeration guard of {MAX_ENUM_N}")
-    if convention not in (PRED_MINUS_GOLD, GOLD_MINUS_PRED):
-        raise InvalidInput(f"unknown convention {convention!r}")
-
-    combine = np.add if convention == PRED_MINUS_GOLD else np.subtract
+    combine = np.add if _adds(convention) else np.subtract
     table = _permutation_table(g.size)
     preds = np.empty((min(_block_rows(g.size), len(table)), g.size))
 
@@ -85,22 +80,20 @@ def permutation_oracle(gold, errors: ErrorSet, convention: Convention) -> Oracle
             np.take(errors.values, table[lo:lo + len(block)], out=block, mode="clip")
             yield combine(g, block, out=block), block
 
-    return _extremes(g, blocks(), seed=0)
+    return _extremes(moments, blocks(), seed=0)
 
 
-def _extremes(gold: np.ndarray, blocks, seed: int) -> OracleReport:
-    """Best and worst ccc over blocks of (predictions, witnesses); ties keep the first row.
-    The gold's side of the moment kernel is taken once, and every block is scored in the
-    same scratch, sized by the first block, which is the largest."""
-    ex, mu_x, var_x, a = _gold_moments(gold, np.empty(gold.size))
+def _extremes(moments, blocks, seed: int) -> OracleReport:
+    """Best and worst ccc over blocks of (predictions, witnesses) against a gold prepared by
+    :func:`stats._prepared_gold`; ties keep the first row. Every block is scored in the same
+    scratch, sized by the first block, which is the largest."""
+    ex, mu_x, var_x, a = moments
     scratch = None
     best_val, worst_val = -np.inf, np.inf
     best_wit = worst_wit = None
     best_idx = worst_idx = -1
     trials = 0
     for preds, witnesses in blocks:
-        if var_x == 0.0:  # the gold's variance, in units of its own power of two
-            raise InvalidInput("gold standard is constant")
         if scratch is None:
             scratch = np.empty((2, *preds.shape))
         ey, mu_y, var_y, cov = _row_moments(a, preds, *scratch[:, :len(preds)])
@@ -124,18 +117,18 @@ def _extremes(gold: np.ndarray, blocks, seed: int) -> OracleReport:
     )
 
 
-def _sphere_report(gold: np.ndarray, p: float, radius: float, trials, seed) -> OracleReport:
-    """Extremes over Gaussian directions rescaled to L_p norm ``radius``."""
+def _sphere_report(g: np.ndarray, moments, p: float, radius: float, trials, seed) -> OracleReport:
+    """Extremes over Gaussian directions rescaled to L_p norm ``radius``, around g."""
     trials = _count(trials, "trials", 1)
     rng = np.random.default_rng(_count(seed, "seed", 0))
-    buf, preds = np.empty((2, min(_block_rows(gold.size), trials), gold.size))
+    buf, preds = np.empty((2, min(_block_rows(g.size), trials), g.size))
 
     def blocks():
         for done in range(0, trials, len(buf)):
             d = _sphere_rows(rng, buf[:trials - done], p, radius, preds[:trials - done])
-            yield np.add(gold, d, out=preds[:trials - done]), d
+            yield np.add(g, d, out=preds[:trials - done]), d
 
-    return _extremes(gold, blocks(), seed)
+    return _extremes(moments, blocks(), seed)
 
 
 def mse_sphere_oracle(gold, mse: float, trials: int, seed: int) -> OracleReport:
@@ -144,10 +137,9 @@ def mse_sphere_oracle(gold, mse: float, trials: int, seed: int) -> OracleReport:
     Directions are isotropic (normalized Gaussians); witnesses are the error
     vectors, not the predictions.
     """
-    g = as_sequence(gold)
-    if not 0.0 <= mse < np.inf:
-        raise InvalidInput(f"mse must be finite and nonnegative, got {mse}")
-    return _sphere_report(g, 2, np.sqrt(g.size * mse), trials, seed)
+    g, _, moments = _prepared_gold(gold)
+    mse = _real(mse, "mse", "nonnegative")
+    return _sphere_report(g, moments, 2, np.sqrt(g.size * mse), trials, seed)
 
 
 def lk_sphere_oracle(gold, k: float, lk: float, trials: int, seed: int) -> OracleReport:
@@ -156,19 +148,15 @@ def lk_sphere_oracle(gold, k: float, lk: float, trials: int, seed: int) -> Oracl
     The rescaling is not a uniform measure on the L_k sphere for k != 2, but
     it covers it, which suffices for auditing outer bounds.
     """
-    g = as_sequence(gold)
-    if not 0.0 < k < np.inf:
-        raise InvalidInput(f"k must be finite and positive, got {k}")
-    if not 0.0 < lk < np.inf:
-        raise InvalidInput(f"lk must be finite and positive, got {lk}")
-    return _sphere_report(g, k, lk, trials, seed)
+    g, _, moments = _prepared_gold(gold)
+    k, lk = _real(k, "k", "positive"), _real(lk, "lk", "positive")
+    return _sphere_report(g, moments, k, lk, trials, seed)
 
 
 def finite_difference(f, at, h: float) -> np.ndarray:
     """Central-difference gradient estimate of a scalar function of a sequence."""
     x = as_sequence(at).copy()
-    if not 0.0 < h < np.inf:
-        raise InvalidInput(f"h must be finite and positive, got {h}")
+    h = _real(h, "h", "positive")
     grad = np.empty_like(x)
     for i in range(x.size):
         orig = x[i]

@@ -23,16 +23,16 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidInput
+from .errors import InvalidInput
 from .mse_bounds import ccc_from_mse_cov
 from .stats import (
     _as_pair,
     _ccc,
     _error_mean,
-    _gold_moments,
     _mean,
     _moments,
     _power_mean,
+    _prepared_gold,
     _row_moments,
     as_sequence,
     covariance,
@@ -64,6 +64,13 @@ def error_set(values) -> ErrorSet:
     return ErrorSet(values=arr, mu_e=_mean(arr), mse=_power_mean(arr, 2, "mse"))
 
 
+def _adds(convention: Convention) -> bool:
+    """Whether ``convention`` predicts gold + errors; InvalidInput unless it is one of the two."""
+    if convention not in (PRED_MINUS_GOLD, GOLD_MINUS_PRED):
+        raise InvalidInput(f"unknown convention {convention!r}")
+    return convention == PRED_MINUS_GOLD
+
+
 def _mapped_ccc(eg: int, ee: int, var_g: float, cov: float, mse: float, add: bool) -> float:
     """ccc of (g, g + e) if ``add``, else of (g, g - e), by the exact mapping from
     mse = mean(e**2) and the prediction's covariance with g, var_g +- cov(g, e).
@@ -80,12 +87,11 @@ def ccc_error_form(gold, errors_ordered, convention: Convention) -> float:
     """ccc of (gold, gold + errors) under pred_minus_gold, or of (gold, gold - errors)
     under gold_minus_pred, computed from the error ordering directly: the prediction's
     covariance with the gold is var_g +- cov(g, e) and its mse is mean(e**2)."""
-    if convention not in (PRED_MINUS_GOLD, GOLD_MINUS_PRED):
-        raise InvalidInput(f"unknown convention {convention!r}")
+    add = _adds(convention)
     g, e = _as_pair(gold, errors_ordered)
     eg, ee, _, _, var_g, _, cov = _moments(g, e)
     mse = _error_mean(np.ldexp(e, -ee), 0, 2, "mse")
-    return _mapped_ccc(eg, ee, var_g, cov, mse, convention == PRED_MINUS_GOLD)
+    return _mapped_ccc(eg, ee, var_g, cov, mse, add)
 
 
 def chebyshev_check(a, b) -> float:
@@ -175,13 +181,7 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
     error rows and all four predictions are scored against it in one pair of scratch
     buffers; each ``ccc_value`` is ``stats.ccc`` of its prediction bit for bit.
     """
-    g = as_sequence(gold)
-    if g.size != errors.n:
-        raise InvalidInput(f"length mismatch: gold {g.size} vs errors {errors.n}")
-    scratch = np.empty((2, g.size))
-    eg, mu_g, var_g, a = _gold_moments(g, scratch[0])
-    if var_g == 0.0:  # the gold's variance, in units of its own power of two
-        raise DegenerateVariance("gold standard is constant")
+    g, scratch, (eg, mu_g, var_g, a) = _prepared_gold(gold, errors.n)
     order = _gold_order(g)
     rows = np.empty((2, g.size))
     rows[0, order] = errors.values  # e_same: ascending errors onto ascending gold

@@ -18,17 +18,23 @@ caller-owned scratch, so that the ordering extremes and the oracles take the gol
 side once per call and allocate nothing per row or block. :func:`_ccc` serves one row
 and a batch alike; the even-k solver takes only the gold's side from it.
 
-The sampled searches share three private pieces: :func:`_count`, the seed and count check;
-:func:`_block_rows`, the rows of one cache-sized block; and :func:`_sphere_rows`,
-which draws a block of Gaussian rows and scales each onto an L_p sphere. Its row
-norms come from :func:`_lp_norm`, the plain formula row by row, except that a row
-whose plain norm underflows to 0 or overflows is recomputed as ``lp_norm`` does.
+Every module checks its inputs with the helpers here, one per rule: :func:`as_sequence`
+for a sequence, :func:`_real` (and :func:`_reals`, its form for arrays) for a real
+scalar, :func:`_count` for a count, seed or index, and :func:`_prepared_gold` for the gold
+that the ordering extremes and the oracles score rows against.
+
+The sampled searches share two more private pieces: :func:`_block_rows`, the rows of
+one cache-sized block, and :func:`_sphere_rows`, which draws a block of Gaussian rows
+and scales each onto an L_p sphere. Its row norms come from :func:`_lp_norm`, the plain
+formula row by row, except that a row whose plain norm underflows to 0 or overflows is
+recomputed as ``lp_norm`` does.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -47,6 +53,45 @@ def as_sequence(values) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("sequence contains NaN or Inf")
     return arr
+
+
+def _real(value, name: str, sign: str = "") -> float:
+    """value as a Python float; InvalidInput naming it unless it is a finite real number,
+    and positive or nonnegative where ``sign`` says so."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int or fraction past float64
+        x = math.inf
+    above = {"": True, "nonnegative": x >= 0.0, "positive": x > 0.0}[sign]
+    if not (math.isfinite(x) and above):
+        raise InvalidInput(f"{name} must be finite{' and ' + sign if sign else ''}, got {value}")
+    return x
+
+
+def _reals(values, name: str, sign: str = "") -> np.ndarray:
+    """values as a float64 array; InvalidInput unless its least and greatest entries (NaN
+    if any entry is) pass :func:`_real`."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":  # bool, integers and floats
+        raise InvalidInput(f"{name} must be real numbers, got {values!r}")
+    arr = arr.astype(np.float64, copy=False)
+    if arr.size:
+        _real(arr.min(), name, sign)
+        _real(arr.max(), name, sign)
+    return arr
+
+
+def _count(value, name: str, least: int) -> int:
+    """value as an int; InvalidInput naming it unless it is an integer of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InvalidInput(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -123,6 +168,20 @@ def _row_moments(a: np.ndarray, yv: np.ndarray, b: np.ndarray, c: np.ndarray):
     if yv.ndim == 1:
         return ey, float(mu_y), float(var_y), float(cov)
     return ey, mu_y, var_y, cov
+
+
+def _prepared_gold(gold, n: int | None = None):
+    """(g, scratch, :func:`_gold_moments` of g) of a gold that rows are scored against: g of
+    length ``n`` where given, and a (2, n) scratch whose first row took the squares, for the
+    caller to reuse; DegenerateVariance when g is constant."""
+    g = as_sequence(gold)
+    if n is not None and g.size != n:
+        raise InvalidInput(f"length mismatch: gold {g.size} vs errors {n}")
+    scratch = np.empty((2, g.size))
+    moments = _gold_moments(g, scratch[0])
+    if moments[2] == 0.0:  # the gold's variance, in units of its own power of two
+        raise DegenerateVariance("gold standard is constant")
+    return g, scratch, moments
 
 
 def _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y):
@@ -282,9 +341,7 @@ def lp_norm(e, p: float) -> float:
     """(sum |e_i|^p)^(1/p) for finite p > 0, computed on e / max |e_i| as
     :func:`_max_scaled_norm` does; InvalidInput when the norm exceeds float64."""
     arr = np.abs(as_sequence(e))
-    if not 0.0 < p < math.inf:
-        raise InvalidInput(f"p must be finite and positive, got {p}")
-    norm = _max_scaled_norm(arr, p)
+    norm = _max_scaled_norm(arr, _real(p, "p", "positive"))
     if norm == math.inf:
         raise InvalidInput("lp_norm overflows float64")
     return norm
@@ -298,17 +355,6 @@ _BLOCK = 1 << 16
 def _block_rows(n: int) -> int:
     """Rows of length n in one block of a sampled search."""
     return max(1, _BLOCK // n)
-
-
-def _count(value, name: str, least: int) -> int:
-    """value as an int; InvalidInput naming it unless it is an integer of at least ``least``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise InvalidInput(f"{name} must be at least {least}, got {value}")
-    return value
 
 
 def _sphere_rows(
@@ -350,9 +396,7 @@ def mae(x, y) -> float:
 def mke(x, y, k: float) -> float:
     """Mean k-powered error: (1/N) sum |x_i - y_i|^k; k=2 gives mse, k=1 mae."""
     xv, yv = _as_pair(x, y)
-    if not 0.0 < k < math.inf:
-        raise InvalidInput(f"k must be finite and positive, got {k}")
-    return _error_mean(*_scaled_errors(xv, yv), k, "mke")
+    return _error_mean(*_scaled_errors(xv, yv), _real(k, "k", "positive"), "mke")
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,16 @@ class TestBoundsLk:
         assert results["ccc_upper"] == 1.0 and results["ccc_lower"] == 1.0
 
 
+    def test_theta_at_min_past_float64_exits_2(self):
+        # x > 0 but 2/x overflows: an error, not null after exit 0
+        proc = run(
+            ["bounds-lk", "--format", "plain", "--k", "4", "--lk", "1e-320", "--json"],
+            stdin="1\n2\n3\n4\n",
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: theta_at_min overflows float64\n"
+
+
 class TestPermute:
     @pytest.mark.parametrize(
         "verb, message",
@@ -510,8 +520,6 @@ class TestParameterAndRangeErrors:
              "1,2\n2,3\n3,5\n"),
             (["permute", "--json"], "1.7e308,0.1\n1.6e308,0.2\n1.5e308,0.3\n"),
             (["loss", "--variant", "diff", "--json"], "1.7e308,1\n1.6e308,2\n1.5e308,3\n"),
-            (["solve-even-p", "--format", "plain", "--k", "4", "--lk", "1", "--restarts", "-1"],
-             "1\n2\n3\n"),
             (["loss", "--variant", "ratio_pow", "--gamma", "300", "--json"], "1,2\n2,30\n3,50\n"),
             (["loss", "--variant", "ratio", "--json"], "1e154,2e154\n2e154,1e154\n3e154,4e154\n"),
             (["loss", "--variant", "ratio", "--json"], "1e-300,1e-300\n-1e-300,1e-300\n1,1e-300\n"),
@@ -531,7 +539,7 @@ class TestParameterAndRangeErrors:
             "mse-nan", "alpha-nan", "lk-nan", "k-band-overflow", "x-max-nan", "sphere-mse-nan",
             "gold-variance-overflow", "gamma-inf", "solve-lk-inf", "solve-k-inf", "band-k-inf",
             "sphere-lk-inf", "errors-mse-overflow", "x-max-inf", "trace-step-inf",
-            "permute-gold-near-max", "loss-gold-near-max", "solve-restarts-negative",
+            "permute-gold-near-max", "loss-gold-near-max",
             "loss-gamma-overflow", "loss-sums-overflow", "loss-gradient-underflowing-reward",
             "sphere-mse-seed-negative", "sphere-lk-seed-negative", "solve-seed-negative",
             "sphere-lk-sampled-norm-overflow", "solve-lk-powers-overflow", "lk-x-overflow",

@@ -172,11 +172,6 @@ class TestSolve:
         direct = ccc(prob.gold.gold, prob.gold.gold + state.d)
         assert state.ccc_value == pytest.approx(direct, rel=1e-12)
 
-    def test_negative_restarts_rejected(self):
-        prob = make_problem(np.random.default_rng(8), k=4)
-        with pytest.raises(InvalidInput, match="restarts"):
-            solve(prob, seed=0, restarts=-1)
-
     def test_not_converged_carries_state(self):
         exc = NotConverged("budget exhausted", state="sentinel")
         assert exc.state == "sentinel"

@@ -60,14 +60,16 @@ def assert_within(name: str, got: float, exact: Fraction, budget: int) -> None:
     assert ulps <= budget, f"{name} = {got!r} is {float(ulps):.3g} ulps from {float(exact)!r}"
 
 
-def outcome(name: str, call, exact: Fraction, budget: int):
-    """call()'s value, or None when it raises an InvalidInput naming ``name``, which it
-    may only where exact leaves float64."""
+def outcome(call, budget: int, **exact: Fraction):
+    """call()'s value, or None when it raises an InvalidInput naming one of the quantities
+    of ``exact``, which it may only where that quantity leaves float64."""
     try:
         got = call()
     except InvalidInput as exc:
-        assert f"{name} overflows" in str(exc), exc
-        assert leaves_float64(exact, budget), f"{name} = {float(exact)!r} refused: {exc}"
+        named = [name for name in exact if f"{name} overflows" in str(exc)]
+        assert named, exc
+        value = exact[named[0]]
+        assert leaves_float64(value, budget), f"{named[0]} = {float(value)!r} refused: {exc}"
         return None
     return got
 
@@ -98,7 +100,7 @@ def test_gold_figures_match_exact_arithmetic(
     var = sum((g - mu) ** 2 for g in exact_gold) / n
 
     try:
-        prepared = outcome("var_g", lambda: center_gold(gold), var, budget)
+        prepared = outcome(lambda: center_gold(gold), budget, var_g=var)
     except DegenerateVariance:
         assert var <= budget * TINY, f"var_g = {float(var)!r} refused as zero"
         return
@@ -110,7 +112,7 @@ def test_gold_figures_match_exact_arithmetic(
 
     mse = math.ldexp(mse_mant, mse_scale)
     x = fsqrt(Fraction(mse) / var)
-    bounds = outcome("x", lambda: bounds_given_mse(prepared, mse), x, budget)
+    bounds = outcome(lambda: bounds_given_mse(prepared, mse), budget, x=x)
     if bounds is not None:
         assert_within("x", bounds.x_param, x, budget)
         exact_err = [x * (g - mu) for g in exact_gold]
@@ -122,9 +124,13 @@ def test_gold_figures_match_exact_arithmetic(
     lk = math.ldexp(lk_mant, lk_scale)
     root = Fraction(n) if k == 1 else fsqrt(Fraction(n))
     x_lk = Fraction(lk) / (root * fsqrt(var))
+    # 2/x past float64 is refused; at x = 0 theta_at_min is inf
     envelope = outcome(
-        "x", lambda: envelope_given_lk(k, n, lk, prepared.sigma_g, theta=1.0), x_lk, budget
+        lambda: envelope_given_lk(k, n, lk, prepared.sigma_g, theta=1.0), budget,
+        x=x_lk, theta_at_min=2 / x_lk if x_lk else Fraction(0),
     )
     if envelope is not None:
         assert_within("envelope x", envelope.x, x_lk, budget)
+        if envelope.x:  # 2 / x of an x within budget ulps, rounded once more
+            assert_within("theta_at_min", envelope.theta_at_min, 2 / x_lk, 2 * budget + 2)
 

@@ -168,6 +168,19 @@ class TestEnvelopeGivenLk:
             with pytest.raises(InvalidInput, match="x_max"):
                 lk_region_table(1, 64, x_max=lk, steps=3)
 
+    def test_theta_at_min_past_float64_is_refused(self):
+        # x = 1e-320 / 2 > 0, whose 2/x overflows; at x = 0 theta_at_min is inf
+        with pytest.raises(InvalidInput, match="theta_at_min"):
+            envelope_given_lk(4, 4, lk=1e-320, sigma_g=1.0)
+        assert envelope_given_lk(4, 4, lk=0.0, sigma_g=1.0).theta_at_min == math.inf
+        assert envelope_given_lk(4, 4, lk=1e-300, sigma_g=1.0).theta_at_min == 2 / 5e-301
+
+    def test_lower_bound_where_theta_max_times_x_overflows(self):
+        # theta_max * x past float64 lies on the branch the bound does not take
+        env = envelope_given_lk(0.01, 4, lk=1e300, sigma_g=1e-10)
+        assert env.theta_max * env.x == math.inf
+        assert env.ccc_lower == lower_envelope(env.x)
+
     def test_band_overflow_is_typed(self):
         with pytest.raises(InvalidInput, match="overflows"):
             theta_band(0.001, 64, 8.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cccmap import (
+    DegenerateVariance,
     InvalidInput,
     TooLarge,
     ccc,
@@ -55,6 +56,17 @@ class TestPermutationOracle:
     def test_constant_errors_collapse(self):
         report = permutation_oracle([1, 2, 3], error_set([0.4, 0.4, 0.4]), GOLD_MINUS_PRED)
         assert report.best_value == report.worst_value
+
+    def test_a_constant_gold_is_degenerate_for_the_orderings_and_every_oracle(self):
+        g, es = [2.5, 2.5, 2.5], error_set([0.5, -1.0, 2.0])
+        for call in (
+            lambda: optimal_permutations(g, es),
+            lambda: permutation_oracle(g, es, PRED_MINUS_GOLD),
+            lambda: mse_sphere_oracle(g, 1.0, trials=10, seed=0),
+            lambda: lk_sphere_oracle(g, 4.0, 1.0, trials=10, seed=0),
+        ):
+            with pytest.raises(DegenerateVariance, match="gold standard is constant"):
+                call()
 
     def test_factorial_guard(self):
         with pytest.raises(TooLarge):
@@ -235,7 +247,7 @@ class TestBlocks:
         def run():
             try:
                 return permutation_oracle(g, errors, convention)
-            except InvalidInput as exc:  # n = 1: a constant gold, whatever the block
+            except DegenerateVariance as exc:  # n = 1: a constant gold, whatever the block
                 return exc
 
         # small blocks of 8! and 9! orderings take seconds to minutes; 1009 rows do not divide 9!
@@ -245,7 +257,7 @@ class TestBlocks:
             monkeypatch.setattr(stats, "_BLOCK", default if rows is None else rows * n)
             reports.append(run())
         if n == 1:
-            assert all(isinstance(r, InvalidInput) for r in reports)
+            assert all(isinstance(r, DegenerateVariance) for r in reports)
             return
         first, *rest = map(_fields, reports)
         assert all(r == first for r in rest)
