@@ -132,9 +132,11 @@ def bounds_given_mse(gold: CenteredGold, mse_value: float) -> MseBoundsResult:
     # cannot overflow; the plain formula's bits wherever var_g and the quotient are normal
     (m_mse, e_mse), (m_var, e_var) = math.frexp(mse_value), math.frexp(gold.var)
     h = (e_mse - e_var - 2 * gold.e) >> 1
-    x = _unscale(math.sqrt(math.ldexp(m_mse / m_var, e_mse - e_var - 2 * (gold.e + h))), h, "x")
-    m_x, e_x = math.frexp(x)  # x * a alone can overflow where err does not
-    err = np.ldexp(m_x * gold.a, gold.e + e_x)
+    m_x = math.sqrt(math.ldexp(m_mse / m_var, e_mse - e_var - 2 * (gold.e + h)))
+    x = _unscale(m_x, h, "x")
+    # err from x's mantissa before x is rounded, so a subnormal x costs err no bits;
+    # x * a alone can overflow where err does not
+    err = np.ldexp(m_x * gold.a, gold.e + h)
     return MseBoundsResult(
         x_param=x,
         ccc_max=float(upper_envelope(x)),

@@ -88,6 +88,8 @@ def outcome(call, budget: int, **exact: Fraction):
 )
 # the gold [1, 2, 3] near 1e-160, whose var_g is subnormal
 @example(ints=[1, 2, 3], gold_scale=-532, mse_mant=1, mse_scale=-532, lk_mant=1, lk_scale=-532, k=4)
+# the gold [0, 22] near 1e149 at an mse whose x is subnormal: err must not inherit x's rounding
+@example(ints=[0, 22], gold_scale=490, mse_mant=1, mse_scale=-1065, lk_mant=0, lk_scale=0, k=1)
 def test_gold_figures_match_exact_arithmetic(
     ints, gold_scale, mse_mant, mse_scale, lk_mant, lk_scale, k
 ):
