@@ -28,6 +28,7 @@ from .errors import (
 )
 from .even_p import StationarityProblem, solve
 from .lk_bounds import (
+    _lower_family,
     envelope_given_lk,
     lk_region_columns,
     lk_region_table,
@@ -41,7 +42,6 @@ from .mse_bounds import (
     bounds_given_mse,
     ccc_from_mse_cov,
     center_gold,
-    lower_envelope,
     mse_region_table,
 )
 from .oracles import lk_sphere_oracle, mse_sphere_oracle, permutation_oracle
@@ -464,7 +464,7 @@ def cmd_bounds_lk(args) -> dict:
         "theta_at_min": envelope.theta_at_min,
         "lower_by_theta": [
             {"theta": float(t), "ccc_lower_at_theta": float(v)}
-            for t, v in zip(thetas, lower_envelope(thetas * envelope.x))
+            for t, v in zip(thetas, _lower_family(envelope.x, thetas, "x"))
         ],
     }
     return report

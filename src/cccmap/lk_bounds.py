@@ -38,7 +38,12 @@ def norm_sandwich(e, r: float, p: float) -> tuple[float, float, float]:
     n = arr.size
     lo = lp_norm(arr, p)
     mid = lp_norm(arr, r)
-    hi = n ** ((p - r) / (p * r)) * lo
+    try:
+        hi = n ** ((p - r) / (p * r)) * lo if lo else 0.0
+    except OverflowError:  # the factor alone leaves float64
+        hi = inf
+    if hi == inf:
+        raise InvalidInput(f"upper bound N^((p-r)/(pr)) * L_p overflows float64 at N={n}, r={r}, p={p}")
     return lo, mid, hi
 
 
@@ -179,9 +184,22 @@ def lk_region_table(
     xs = mse_rows[:, 0]
     band = theta_band(k, n, lk=1.0)
     thetas = theta_grid(band.theta_max, theta_steps)
-    family = np.column_stack([lower_envelope(t * xs) for t in thetas])
+    family = _lower_family(xs, thetas, "x_max")
     rows = np.column_stack([mse_rows[:, :2], _piecewise_lower(xs, band.theta_max), family])
     return rows, thetas
+
+
+def _lower_family(x, thetas: np.ndarray, name: str) -> np.ndarray:
+    """lower_envelope(theta_j * x) for each theta_j of a :func:`theta_grid` and each x >= 0
+    (a row per x, a column per theta); InvalidInput naming the largest x when its product
+    with the grid's last (largest) theta leaves float64."""
+    theta_max, x_max = float(thetas[-1]), float(np.max(x))
+    if theta_max * x_max == inf:
+        raise InvalidInput(
+            f"{name} must be at most {np.finfo(np.float64).max / theta_max:.17g} at "
+            f"theta_max={theta_max:.17g}, got {x_max:.17g}"
+        )
+    return lower_envelope(np.multiply.outer(x, thetas))
 
 
 def lk_region_columns(thetas: np.ndarray) -> tuple[str, ...]:

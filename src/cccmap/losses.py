@@ -88,7 +88,8 @@ class LossParams:
 
 def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
     """(inner value, gradient, wrap_abs_power?) for the chosen variant; ``gradient()``
-    computes d inner / d p, so a caller that wants only the loss builds no gradient."""
+    computes d inner / d p, so a caller that wants only the loss builds no gradient. It may
+    build the gradient in buffers of the inner value's, so call it at most once."""
     variant = params.variant
     n = g.size
     if variant == "abs_mse_over_cov":
@@ -100,9 +101,18 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
         mse_val = _error_mean(d, 0, 2, "mse")  # leaves the signed d for the gradient
 
         def gradient():
-            gz = np.ldexp(g, -eg) - mu_g
-            dinner = np.ldexp((2.0 * d / n) / cov, u - eg - ep)
-            dinner -= np.ldexp(mse_val * (gz / n) / (cov * cov), 2 * u - eg - 2 * ep)
+            # (2 d / n) / cov * 2**(u - eg - ep) - mse (gz / n) / cov**2 * 2**(2u - eg - 2ep),
+            # gz = g / 2**eg - mu_g, built in d and one more array
+            dinner = np.multiply(d, 2.0, out=d)
+            dinner /= n
+            dinner /= cov
+            np.ldexp(dinner, np.int32(u - eg - ep), out=dinner)
+            gz = np.ldexp(g, -np.int32(eg))
+            gz -= mu_g
+            gz /= n
+            gz *= mse_val
+            gz /= cov * cov
+            dinner -= np.ldexp(gz, np.int32(2 * u - eg - 2 * ep), out=gz)
             return dinner
 
         return _unscale(mse_val / cov, 2 * u - eg - ep, "loss"), gradient, True
@@ -136,22 +146,33 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
     return inner, gradient, variant not in ("ratio", "diff")
 
 
+def _evaluate(params: LossParams, g: np.ndarray, p: np.ndarray):
+    """(loss, gradient) of a validated pair: the loss as a float, and ``gradient()``, which
+    builds the gradient on its one call."""
+    inner, gradient, wrap = _inner_and_grad(params, g, p)
+    value = inner
+    if wrap:
+        try:
+            value = abs(inner) ** params.gamma
+        except OverflowError:
+            raise InvalidInput(f"loss overflows float64 at gamma {params.gamma}") from None
+    return float(value), lambda: _wrapped_gradient(params, inner, gradient, wrap, g.size)
+
+
 def loss(params: LossParams, gold, pred) -> float:
-    g, p = _as_pair(gold, pred)
-    inner, _, wrap = _inner_and_grad(params, g, p)
-    if not wrap:
-        return float(inner)
-    try:
-        return float(abs(inner) ** params.gamma)
-    except OverflowError:
-        raise InvalidInput(f"loss overflows float64 at gamma {params.gamma}") from None
+    return _evaluate(params, *_as_pair(gold, pred))[0]
 
 
 def loss_gradient(params: LossParams, gold, pred) -> np.ndarray:
     g, p = _as_pair(gold, pred)
-    inner, gradient, wrap = _inner_and_grad(params, g, p)
+    return _wrapped_gradient(params, *_inner_and_grad(params, g, p), g.size)
+
+
+def _wrapped_gradient(params: LossParams, inner: float, gradient, wrap: bool, n: int) -> np.ndarray:
+    """The loss gradient from :func:`_inner_and_grad`'s output, with |.|^gamma applied where
+    ``wrap`` says; InvalidInput when it leaves float64."""
     if wrap and inner == 0.0:
-        return np.zeros(g.size)  # subgradient at the |.|^gamma kink
+        return np.zeros(n)  # subgradient at the |.|^gamma kink
     with np.errstate(all="ignore"):  # a gradient past float64 is reported below
         grad = gradient()
         if wrap:
@@ -186,25 +207,25 @@ def training_trace(
     whose loss or gradient raises is treated as an increase.
     """
     step, iters = _real(step, "step", "positive"), _count(iters, "iters", 1)
-    g = as_sequence(gold)
-    p = as_sequence(init_pred).copy()
+    g, p = _as_pair(gold, init_pred)
+    p = p.copy()
     rows = []
     current_step = step
 
     def record(it, value):
         rows.append((float(it), float(value), _mse(g, p), _ccc(g, p)))
 
-    current = loss(params, g, p)
+    current, gradient = _evaluate(params, g, p)
     record(0, current)
-    grad = loss_gradient(params, g, p)
+    grad = gradient()
     for it in range(1, iters + 1):
         moved = False
         for _ in range(60):
             candidate = p - current_step * grad
             try:
-                cand_loss = loss(params, g, candidate)
+                cand_loss, gradient = _evaluate(params, g, as_sequence(candidate))
                 if cand_loss <= current:
-                    grad = loss_gradient(params, g, candidate)  # the next step's, once per step
+                    grad = gradient()  # the next step's, from this evaluation
                     p, current, moved = candidate, cand_loss, True
                     break
             except (Singularity, InvalidInput):

@@ -29,11 +29,12 @@ from .stats import (
     _as_pair,
     _ccc,
     _error_mean,
-    _mean,
+    _mean_and_mse,
     _moments,
-    _power_mean,
     _prepared_gold,
+    _row_cov,
     _row_moments,
+    _span,
     as_sequence,
     covariance,
 )
@@ -61,7 +62,8 @@ class ErrorSet:
 
 def error_set(values) -> ErrorSet:
     arr = np.sort(as_sequence(values))
-    return ErrorSet(values=arr, mu_e=_mean(arr), mse=_power_mean(arr, 2, "mse"))
+    mu_e, mse = _mean_and_mse(arr, *_span(arr[[0, -1]]))  # sorted: the ends hold the largest magnitude
+    return ErrorSet(values=arr, mu_e=mu_e, mse=mse)
 
 
 def _adds(convention: Convention) -> bool:
@@ -137,29 +139,82 @@ class OrderingExtremes:
     min_sub: PermutationResult  # P = G - E, errors sorted like gold
 
 
-def _gold_order(g: np.ndarray) -> np.ndarray:
-    """Indices that sort g ascending, equal values in index order (a stable sort's order).
+#: The magnitude bits of a float64 seen as an int64.
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
-    numpy's default argsort is not stable, so only where equal neighbours exist (ties,
-    and -0.0 == 0.0) is each run of equal values put back in index order: sorting the
-    keys run * n + index, distinct int64 values below n**2 + n, orders by run, then by
-    index, and subtracting run * n again leaves the indices.
+
+def _gold_order(g: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Indices that sort g ascending, equal values in index order (a stable sort's order),
+    built in ``scratch``, a (2, n) float64 array, and returned as an int64 view of it.
+
+    A non-decreasing g is its own order, found in one compare pass. Otherwise each value
+    becomes its order-preserving int64 image (its magnitude bits, negated when the sign
+    bit is set, so -0.0 and 0.0 share the image 0), taken relative to the smallest one,
+    and :func:`_packed_order` sorts those keys with the index as tie-break.
     """
-    order = np.argsort(g)
-    gs = g[order]
-    new_run = np.empty(g.size, dtype=bool)
-    new_run[0] = True
-    np.not_equal(gs[1:], gs[:-1], out=new_run[1:])
-    del gs
-    if new_run.all():
+    key, order = scratch.view(np.int64)
+    if np.all(g[1:] >= g[:-1]):
+        order[:] = np.arange(g.size)
         return order
-    base = np.cumsum(new_run, dtype=np.int64)
-    del new_run
-    base *= g.size
-    order += base
-    order.sort()
-    order -= base
-    return order
+    bits = g.view(np.int64)
+    np.right_shift(bits, 63, out=order)  # -1 where the sign bit is set, else 0
+    np.bitwise_and(bits, _MAGNITUDE, out=key)
+    key ^= order
+    key -= order
+    key -= key.min()
+    return _packed_order(key.view(np.uint64), order.view(np.uint64))
+
+
+def _packed_order(key: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Positions that sort the uint64 ``key`` ascending, equal keys in position order, built
+    in ``out`` (uint64, key's length) and returned as an intp view of it; key is read only.
+
+    One ``np.sort`` orders packed keys: each key shifted right by s, the fewest bits that
+    leave room for its position in the low bits, then the position. Distinct keys that
+    agree above bit s sort by position, so where s > 0 :func:`_repair` reorders the runs
+    of equal shifted keys that hold such a pair out of order.
+    """
+    n = key.size
+    bits = (n - 1).bit_length()
+    mask = np.uint64((1 << bits) - 1)
+    s = max(0, int(key.max()).bit_length() + bits - 64)
+    np.right_shift(key, np.uint64(s), out=out)
+    out <<= np.uint64(bits)
+    out |= np.arange(n, dtype=np.uint64)
+    out.sort()
+    same = np.bitwise_xor(out[1:], out[:-1]) <= mask if s else None  # neighbours' shifted keys agree
+    out &= mask
+    if s and same.any():
+        _repair(key, out, same, s)
+    return out.view(np.intp)
+
+
+def _repair(key: np.ndarray, order: np.ndarray, same: np.ndarray, s: int) -> None:
+    """Sort each run of ``order`` whose keys agree above bit s by (key, position), in place;
+    ``same[j]`` says whether positions j and j + 1 of ``order`` share a run. Nothing moves
+    unless some run holds two keys out of order (runs of equal keys are already in index
+    order).
+
+    The runs' positions are sorted together by :func:`_packed_order` on the key (run number,
+    the key's low s bits), which orders by run and then by key. With b the bits of a
+    position among m, at most m/2 runs keep that key below 2**(b + s), so its own shift, at
+    most 2b + s - 64, is below s for any m up to 2**31 and the recursion ends.
+    """
+    inrun = np.zeros(order.size, dtype=bool)
+    inrun[:-1] = same
+    inrun[1:] |= same
+    pos = np.flatnonzero(inrun)
+    ix = order[pos]
+    sub = key[ix]
+    link = same[pos[:-1]]  # pos[i] and pos[i + 1] lie in one run
+    if not (link & (sub[1:] < sub[:-1])).any():
+        return
+    first = np.empty(pos.size, dtype=bool)
+    first[0] = True
+    np.logical_not(link, out=first[1:])
+    sub &= np.uint64((1 << s) - 1)
+    sub |= np.cumsum(first, dtype=np.uint64) << np.uint64(s)
+    order[pos] = ix[_packed_order(sub, np.empty_like(sub))]
 
 
 #: (field, convention, objective, row) of each extreme; row 0 of the error rows holds the
@@ -175,22 +230,23 @@ _EXTREMES = (
 def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
     """The four ccc-extreme orderings of an error multiset for a gold standard.
 
-    The gold order comes from :func:`_gold_order`: an unstable argsort, with each run
-    of equal gold values put back in index order, so ties are broken by original index
-    exactly as a stable sort breaks them. The gold is scaled and centred once, and both
-    error rows and all four predictions are scored against it in one pair of scratch
-    buffers; each ``ccc_value`` is ``stats.ccc`` of its prediction bit for bit.
+    The gold order comes from :func:`_gold_order`, a packed-key sort that breaks ties in
+    gold by original index exactly as a stable sort breaks them. The gold is scaled and
+    centred once, and both error rows and all four predictions are scored against it in one
+    pair of scratch buffers, which also hold the gold order while the rows are filled; the
+    error rows are scored for cov(g, e) alone, the one moment the mapping reads from them.
+    Each ``ccc_value`` is ``stats.ccc`` of its prediction bit for bit.
     """
     g, scratch, (eg, mu_g, var_g, a) = _prepared_gold(gold, errors.n)
-    order = _gold_order(g)
+    order = _gold_order(g, scratch)
     rows = np.empty((2, g.size))
     rows[0, order] = errors.values  # e_same: ascending errors onto ascending gold
     rows[1, order] = errors.values[::-1]  # e_opp: descending
-    del order  # freed before the predictions are made: the peak stays at 9 n-length arrays
+    del order  # a view of the scratch, which the scoring below overwrites
     rows.flags.writeable = False
-    # (ee, mu, var, cov) of each error row; one multiset, so one power of two ee
-    moments = [_row_moments(a, row, *scratch) for row in rows]
-    ee = moments[0][0]
+    # one multiset, so one power of two: the sorted errors' extremes hold its largest magnitude
+    ee, constant = _span(errors.values[[0, -1]])
+    covs = [_row_cov(a, row, ee, constant, *scratch)[1] for row in rows]
     mse = _error_mean(np.ldexp(errors.values, -ee, out=scratch[0]), 0, 2, "mse")
     scored = []  # (prediction, ccc_value, formula_value) of each extreme
     for _, convention, _, row in _EXTREMES:
@@ -201,9 +257,9 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
         scored.append((
             pred,
             _ccc(eg, ep, mu_g, mu_p, var_g, var_p, cov_p),
-            _mapped_ccc(eg, ee, var_g, moments[row][3], mse, add),
+            _mapped_ccc(eg, ee, var_g, covs[row], mse, add),
         ))
-    del a, scratch  # likewise before the assignment's copy
+    del a, scratch  # freed before the assignment's copy: the peak stays at 9 n-length arrays
     asc = errors.values.copy()
     asc.flags.writeable = False
     return OrderingExtremes(**{

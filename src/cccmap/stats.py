@@ -149,25 +149,34 @@ def _row_moments(a: np.ndarray, yv: np.ndarray, b: np.ndarray, c: np.ndarray):
     n = a.size
     if yv.ndim == 1:
         ey, constant = _span(yv)
-        np.ldexp(yv, -np.int32(ey), out=b)  # int32: fast loop
-        mu_y = b[0] if constant else np.add.reduce(b) / n
-    else:
-        top = np.abs(yv, out=c).max(axis=-1)
-        if not np.all(top < math.inf):
-            raise InvalidInput("sequence contains NaN or Inf")
-        ey = np.frexp(top)[1]
-        np.ldexp(yv, -ey[:, None], out=b)
-        mu_y = np.add.reduce(b, axis=-1) / n
-        # a constant row's first value has the largest magnitude: only those rows are read again
-        lead = np.flatnonzero(np.abs(yv[:, 0]) == top)
-        flat = lead[(yv[lead] == yv[lead, :1]).all(axis=-1)]
-        mu_y[flat] = b[flat, 0]
-    b -= mu_y[..., None]
+        mu_y, cov = _row_cov(a, yv, ey, constant, b, c)
+        var_y = np.add.reduce(np.multiply(b, b, out=c)) / n
+        return ey, float(mu_y), float(var_y), float(cov)
+    top = np.abs(yv, out=c).max(axis=-1)
+    if not np.all(top < math.inf):
+        raise InvalidInput("sequence contains NaN or Inf")
+    ey = np.frexp(top)[1]
+    np.ldexp(yv, -ey[:, None], out=b)
+    mu_y = np.add.reduce(b, axis=-1) / n
+    # a constant row's first value has the largest magnitude: only those rows are read again
+    lead = np.flatnonzero(np.abs(yv[:, 0]) == top)
+    flat = lead[(yv[lead] == yv[lead, :1]).all(axis=-1)]
+    mu_y[flat] = b[flat, 0]
+    b -= mu_y[:, None]
     cov = np.add.reduce(np.multiply(b, a, out=c), axis=-1) / n
     var_y = np.add.reduce(np.multiply(b, b, out=c), axis=-1) / n
-    if yv.ndim == 1:
-        return ey, float(mu_y), float(var_y), float(cov)
     return ey, mu_y, var_y, cov
+
+
+def _row_cov(a: np.ndarray, yv: np.ndarray, ey: int, constant: bool, b: np.ndarray, c: np.ndarray):
+    """(mu_y, cov) of one row y against the centred x ``a``, the first half of
+    :func:`_row_moments`' one-row path, for a caller that reads only cov: (ey, constant) is
+    :func:`_span` of y, which a caller may take from fewer values than y, and b is left
+    holding y / 2**ey - mu_y. b and c are scratch as for :func:`_row_moments`."""
+    np.ldexp(yv, -np.int32(ey), out=b)  # int32: fast loop
+    mu_y = b[0] if constant else np.add.reduce(b) / a.size
+    b -= mu_y
+    return mu_y, np.add.reduce(np.multiply(b, a, out=c)) / a.size
 
 
 def _prepared_gold(gold, n: int | None = None):
@@ -248,10 +257,13 @@ def _mean(arr: np.ndarray) -> float:
     return float(arr[0]) if constant else math.ldexp(float(np.ldexp(arr, -e).mean()), e)
 
 
-def _power_mean(arr: np.ndarray, k: float, name: str) -> float:
-    """(1/N) sum |arr_i|**k of a validated array; InvalidInput naming it on overflow."""
-    e = _span(arr)[0]
-    return _error_mean(np.ldexp(arr, -e), e, k, name)
+def _mean_and_mse(arr: np.ndarray, e: int, constant: bool) -> tuple[float, float]:
+    """(mean, mean of squares) of a validated array as :func:`_mean` and :func:`_error_mean`
+    give them, from one scaled copy; (e, constant) is :func:`_span` of arr, which a caller
+    may take from fewer values than arr."""
+    d = np.ldexp(arr, -e)
+    mu = float(arr[0]) if constant else math.ldexp(float(d.mean()), e)
+    return mu, _unscale(float(np.square(d, out=d).mean()), 2 * e, "mse")
 
 
 def mean(s) -> float:

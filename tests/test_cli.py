@@ -552,6 +552,23 @@ class TestParameterAndRangeErrors:
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args, stdin, name",
+        [
+            (["region", "--kind", "lk", "--k", "0.01", "--n", "4", "--x-max", "1e300",
+              "--steps", "3"], "", "x_max"),
+            (["bounds-lk", "--format", "plain", "--k", "4", "--lk", "1.7e308"],
+             "0\n1\n0\n1\n", "x"),
+        ],
+        ids=["region", "bounds-lk"],
+    )
+    def test_theta_family_past_float64_names_x(self, args, stdin, name):
+        # theta_max * x leaves float64: refused before any product is taken
+        proc = run(args, stdin=stdin)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {name} must be at most ")
+        assert len(proc.stderr.splitlines()) == 1 and "Warning" not in proc.stderr
+
     def test_analyze_names_overflowing_moment(self):
         stdin = "".join(f"{g * 1e160:.17g},{p * 1e160:.17g}\n" for g, p in ((1, 2), (2, 1), (3, 4), (4, 3)))
         proc = run(["analyze", "--json"], stdin=stdin)

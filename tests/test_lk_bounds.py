@@ -43,6 +43,18 @@ class TestNormSandwich:
         assert mid == pytest.approx(lo, rel=1e-12)
         assert mid < hi
 
+    @pytest.mark.parametrize(
+        "e, r, p",
+        [([1.0, 0.0], 1e-4, 1.0), ([1.5e308, 1e-300], 1.0, 2.0)],
+        ids=["factor-overflows", "product-overflows"],
+    )
+    def test_upper_bound_past_float64_is_named(self, e, r, p):
+        with pytest.raises(InvalidInput, match="^upper bound .* overflows float64"):
+            norm_sandwich(e, r, p)
+
+    def test_zero_vector_bounds_are_zero_at_any_factor(self):
+        assert norm_sandwich([0.0, 0.0], 1e-4, 1.0) == (0.0, 0.0, 0.0)
+
     def test_bad_order_rejected(self):
         with pytest.raises(InvalidInput):
             norm_sandwich([1, 2], 2, 2)

@@ -322,8 +322,9 @@ class TestTrainingTrace:
         assert trace.rows[0, 3] < 0 < trace.rows[-1, 3]
 
     def test_one_gradient_per_step(self, monkeypatch):
-        # the gradient at p is taken once, not once per halving of the step
-        calls = {"loss": 0, "loss_gradient": 0}
+        # each candidate is evaluated once, and the gradient at p is built once, from the
+        # accepted candidate's evaluation, not once per halving of the step
+        calls = {"_inner_and_grad": 0, "_wrapped_gradient": 0, "loss": 0, "loss_gradient": 0}
 
         def counted(name):
             real = getattr(losses, name)
@@ -341,8 +342,9 @@ class TestTrainingTrace:
         p = g + rng.uniform(-0.5, 0.5, 12)
         params = LossParams(variant="abs_mse_over_cov")
         trace = training_trace(params, g, p, step=50.0, iters=30)
-        assert calls["loss"] > trace.rows.shape[0]  # the step was halved
-        assert calls["loss_gradient"] == trace.rows.shape[0]
+        assert calls["_inner_and_grad"] > trace.rows.shape[0]  # the step was halved
+        assert calls["_wrapped_gradient"] == trace.rows.shape[0]
+        assert calls["loss"] == calls["loss_gradient"] == 0
 
     def test_mse_descent_can_reduce_ccc_while_reducing_mse(self):
         rng = np.random.default_rng(11)

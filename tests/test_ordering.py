@@ -18,7 +18,15 @@ from cccmap import (
     error_set,
     optimal_permutations,
 )
-from cccmap.ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD, ErrorSet, PermutationResult, _mapped_ccc
+from cccmap import ordering
+from cccmap.ordering import (
+    GOLD_MINUS_PRED,
+    PRED_MINUS_GOLD,
+    ErrorSet,
+    PermutationResult,
+    _gold_order,
+    _mapped_ccc,
+)
 from cccmap.stats import _error_mean, _moments
 
 
@@ -351,6 +359,16 @@ def _gold(kind, n, rng):
         return rng.permutation(g)
     if kind == "signed_zeros":  # -0.0 == 0.0: one tie run that mixes the two
         return rng.choice([-0.0, 0.0, 0.0, 1.0, -2.5], n)
+    if kind == "clash_cluster":
+        # values 2**-45 apart near 1, with ties, and a -1 that stretches the key range
+        # to 2**63: the packed sort cuts keys that agree in all but their last bits
+        g = 1.0 + rng.integers(0, n, n) * 2.0**-45
+        g[rng.integers(n)] = -1.0
+        return g
+    if kind == "cluster_outlier":  # a dense cluster far from one outlier at 0
+        g = 1.7e9 + rng.permutation(n) * 2.0**-20  # 4 ulps apart
+        g[rng.integers(n)] = 0.0
+        return g
     return rng.permutation(np.arange(n) + rng.uniform(0, 0.5, n))  # all distinct
 
 
@@ -374,7 +392,7 @@ def _assert_matches_stable_reference(g, errors):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    kind=st.sampled_from(["few_levels", "signed_zeros", "distinct"]),
+    kind=st.sampled_from(["few_levels", "signed_zeros", "clash_cluster", "cluster_outlier", "distinct"]),
     errors_kind=st.sampled_from(["normal", "rounded", "constant_prediction"]),
     n=st.integers(2, 2000),
     seed=st.integers(0, 2**32 - 1),
@@ -390,8 +408,86 @@ def test_extremes_match_the_stable_argsort_reference(kind, errors_kind, n, seed)
     _assert_matches_stable_reference(g, errors)
 
 
-@pytest.mark.parametrize("kind", ["few_levels", "signed_zeros", "distinct"])
+@pytest.mark.parametrize(
+    "kind", ["few_levels", "signed_zeros", "clash_cluster", "cluster_outlier", "distinct"]
+)
 def test_large_gold_matches_the_stable_argsort_reference(kind):
     rng = np.random.default_rng(13)
     n = 200_000
     _assert_matches_stable_reference(_gold(kind, n, rng), rng.standard_normal(n))
+
+
+# ---------------------------------------------------------------------------
+# the packed-key gold order against numpy's stable argsort
+
+
+def _order_gold(kind, n, rng):
+    if kind in ("sorted", "reversed"):
+        g = np.sort(rng.standard_normal(n))
+        return g if kind == "sorted" else g[::-1].copy()
+    if kind == "heavy_ties":
+        return rng.integers(0, 3, n).astype(float)
+    if kind == "extremes":  # subnormals, the ends of the range, both zeros
+        return rng.choice([5e-324, -5e-324, 1e-310, -2.2e-308, 1e308, -1e308, 1.7976931348623157e308,
+                           -1.7976931348623157e308, 0.0, -0.0, 1.0], n)
+    if kind == "signed_zeros":
+        return rng.choice([-0.0, 0.0], n)
+    return _gold(kind, n, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["signed_zeros", "heavy_ties", "clash_cluster", "cluster_outlier",
+                          "sorted", "reversed", "extremes", "distinct"]),
+    n=st.integers(2, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gold_order_is_the_stable_argsort(kind, n, seed):
+    g = _order_gold(kind, n, np.random.default_rng(seed))
+    assert np.array_equal(_gold_order(g, np.empty((2, n))), np.argsort(g, kind="stable"))
+
+
+@pytest.mark.parametrize("kind", ["clash_cluster", "cluster_outlier"])
+def test_clashing_keys_are_repaired(kind, monkeypatch):
+    # these golds do make distinct values share a cut key out of order, so the repair runs
+    repaired = []
+    real = ordering._repair
+
+    def spy(key, order, same, s):
+        before = order.copy()
+        real(key, order, same, s)
+        repaired.append(not np.array_equal(before, order))
+
+    monkeypatch.setattr(ordering, "_repair", spy)
+    n = 5000
+    g = _gold(kind, n, np.random.default_rng(3))
+    assert np.array_equal(_gold_order(g, np.empty((2, n))), np.argsort(g, kind="stable"))
+    assert any(repaired)
+
+
+def test_packed_order_repairs_its_own_repair(monkeypatch):
+    # n = 2**21 + 2 keys: the largest, 2**64 - 1, cuts 22 bits from every key, so each pair
+    # (p << 23 | 3, p << 23 | 2) shares a cut key out of order; the last pair's run holds a
+    # third key. The repair's 2**21 + 1 keys cut 1 more bit, which still joins 3 and 2, so a
+    # third level sorts the 2**21 keys of the pairs.
+    pairs = 1 << 20
+    n = 2 * pairs + 2
+    key = np.empty(n, dtype=np.uint64)
+    high = np.arange(pairs, dtype=np.uint64) << np.uint64(23)
+    key[0:2 * pairs:2] = high | np.uint64(3)
+    key[1:2 * pairs:2] = high | np.uint64(2)
+    key[-2] = high[-1] | np.uint64(1)
+    key[-1] = np.uint64(2**64 - 1)
+    expected = np.arange(n)
+    expected[:2 * pairs] ^= 1  # each pair swapped
+    expected[-4:-1] = [n - 2, n - 3, n - 4]  # the run of three reversed
+    levels = []
+    real = ordering._packed_order
+
+    def counted(k, out):
+        levels.append(k.size)
+        return real(k, out)
+
+    monkeypatch.setattr(ordering, "_packed_order", counted)
+    assert np.array_equal(ordering._packed_order(key, np.empty_like(key)), expected)
+    assert levels == [n, n - 1, n - 2]
