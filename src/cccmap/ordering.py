@@ -180,9 +180,12 @@ def _packed_order(key: np.ndarray, out: np.ndarray) -> np.ndarray:
     s = max(0, int(key.max()).bit_length() + bits - 64)
     np.right_shift(key, np.uint64(s), out=out)
     out <<= np.uint64(bits)
-    out |= np.arange(n, dtype=np.uint64)
+    work = np.arange(n, dtype=np.uint64)
+    out |= work
     out.sort()
-    same = np.bitwise_xor(out[1:], out[:-1]) <= mask if s else None  # neighbours' shifted keys agree
+    if s:  # whether neighbours' shifted keys agree, by way of their xor in the spent positions
+        same = np.bitwise_xor(out[1:], out[:-1], out=work[:-1]) <= mask
+    del work
     out &= mask
     if s and same.any():
         _repair(key, out, same, s)
