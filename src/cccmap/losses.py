@@ -89,7 +89,7 @@ class LossParams:
 def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
     """(inner value, gradient, wrap_abs_power?) for the chosen variant; ``gradient()``
     computes d inner / d p, so a caller that wants only the loss builds no gradient. It may
-    build the gradient in buffers of the inner value's, so call it at most once."""
+    build the gradient in the inner value's buffers, so call it at most once."""
     variant = params.variant
     n = g.size
     if variant == "abs_mse_over_cov":

@@ -15,8 +15,9 @@ is pure.
 The kernel is two halves: :func:`_gold_moments` scales and centres x once, and
 :func:`_row_moments` scores one row or an (R, n) batch of rows against it in
 caller-owned scratch, so that the ordering extremes and the oracles take the gold's
-side once per call and allocate nothing per row or block. :func:`_ccc` serves one row
-and a batch alike; the even-k solver takes only the gold's side from it.
+side once per call and allocate nothing per row or block; :func:`_row_cov`, the first half
+of its one-row path, scores a row for cov alone. :func:`_ccc` serves one row and a batch
+alike; the even-k solver takes only the gold's side from it.
 
 Every module checks its inputs with the helpers here, one per rule: :func:`as_sequence`
 for a sequence, :func:`_real` (and :func:`_reals`, its form for arrays) for a real
