@@ -139,54 +139,61 @@ class OrderingExtremes:
     min_sub: PermutationResult  # P = G - E, errors sorted like gold
 
 
-#: The magnitude bits of a float64 seen as an int64.
-_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+#: Packed keys are sorted as float64: an int64 in [_NORMAL, _FINITE] is the bit pattern of
+#: a normal, finite, positive double, and such patterns order as doubles exactly as they do
+#: as integers, even where subnormals are flushed to zero. The packing takes int64 shifts
+#: and arithmetic, a float64 sort and float64 comparisons, and no integer sort, integer
+#: comparison or bitwise kernel: each of those is more of numpy's code (about 64 KB) that a
+#: process maps into memory on its first use.
+_NORMAL = 1 << 52
+_FINITE = 0x7FEF_FFFF_FFFF_FFFF
 
 
 def _gold_order(g: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Indices that sort g ascending, equal values in index order (a stable sort's order),
-    built in ``scratch``, a (2, n) float64 array, and returned as an int64 view of it.
+    built in ``scratch``, a (2, n) float64 array, and returned as an intp view of it.
 
-    A non-decreasing g is its own order, found in one compare pass. Otherwise each value
-    becomes its order-preserving int64 image (its magnitude bits, negated when the sign
-    bit is set, so -0.0 and 0.0 share the image 0), taken relative to the smallest one,
-    and :func:`_packed_order` sorts those keys with the index as tie-break.
+    Each value becomes its order-preserving int64 image: its magnitude bits, negated when
+    its sign bit is set, so -0.0 and 0.0 share the image 0. :func:`_packed_order` sorts
+    those keys with the index as tie-break.
     """
     key, order = scratch.view(np.int64)
-    if np.all(g[1:] >= g[:-1]):
-        order[:] = np.arange(g.size)
-        return order
-    bits = g.view(np.int64)
-    np.right_shift(bits, 63, out=order)  # -1 where the sign bit is set, else 0
-    np.bitwise_and(bits, _MAGNITUDE, out=key)
-    key ^= order
-    key -= order
-    key -= key.min()
-    return _packed_order(key.view(np.uint64), order.view(np.uint64))
+    np.right_shift(g.view(np.int64), 63, out=order)
+    order += order
+    order += 1  # -1 where the sign bit is set, else 1
+    np.abs(g, out=key.view(np.float64))
+    key *= order
+    return _packed_order(key, order)
 
 
 def _packed_order(key: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Positions that sort the uint64 ``key`` ascending, equal keys in position order, built
-    in ``out`` (uint64, key's length) and returned as an intp view of it; key is read only.
+    """Positions that sort the int64 ``key`` ascending, equal keys in position order, built
+    in ``out`` (int64, key's length) and returned as an intp view of it; key is read only.
 
-    One ``np.sort`` orders packed keys: each key shifted right by s, the fewest bits that
-    leave room for its position in the low bits, then the position. Distinct keys that
-    agree above bit s sort by position, so where s > 0 :func:`_repair` reorders the runs
-    of equal shifted keys that hold such a pair out of order.
+    One float64 sort orders packed keys: each key shifted right by s, taken relative to the
+    smallest, then shifted left past the position, which fills the low bits, and offset by
+    _NORMAL; s is the fewest bits that keep every packed key at most _FINITE. Distinct keys
+    that agree above bit s sort by position, so where s > 0 :func:`_repair` reorders the
+    runs of equal shifted keys that hold such a pair out of order.
     """
     n = key.size
     bits = (n - 1).bit_length()
-    mask = np.uint64((1 << bits) - 1)
-    s = max(0, int(key.max()).bit_length() + bits - 64)
-    np.right_shift(key, np.uint64(s), out=out)
-    out <<= np.uint64(bits)
-    work = np.arange(n, dtype=np.uint64)
-    out |= work
-    out.sort()
-    if s:  # whether neighbours' shifted keys agree, by way of their xor in the spent positions
-        same = np.bitwise_xor(out[1:], out[:-1], out=work[:-1]) <= mask
+    lo, hi = int(key.min()), int(key.max())
+    s = max(0, (hi - lo).bit_length() + bits - 63)
+    while (((hi >> s) - (lo >> s)) << bits) + n - 1 > _FINITE - _NORMAL:
+        s += 1
+    np.right_shift(key, s, out=out)
+    out -= lo >> s
+    out <<= bits
+    work = np.arange(_NORMAL, _NORMAL + n, dtype=np.int64)
+    out += work
+    out.view(np.float64).sort()
+    np.right_shift(out, bits, out=work)
+    work <<= bits  # the sorted packed keys without their positions
+    out -= work
+    if s:  # whether neighbours' shifted keys agree
+        same = work[1:].view(np.float64) == work[:-1].view(np.float64)
     del work
-    out &= mask
     if s and same.any():
         _repair(key, out, same, s)
     return out.view(np.intp)
@@ -198,10 +205,11 @@ def _repair(key: np.ndarray, order: np.ndarray, same: np.ndarray, s: int) -> Non
     unless some run holds two keys out of order (runs of equal keys are already in index
     order).
 
-    The runs' positions are sorted together by :func:`_packed_order` on the key (run number,
-    the key's low s bits), which orders by run and then by key. With b the bits of a
-    position among m, at most m/2 runs keep that key below 2**(b + s), so its own shift, at
-    most 2b + s - 64, is below s for any m up to 2**31 and the recursion ends.
+    Keys of one run differ only in their low s bits. The runs' positions are sorted together
+    by :func:`_packed_order` on the key (run number << s) + those bits, which orders by run
+    and then by key. With b the bits of a position among m, at most m/2 runs keep those keys
+    within 2**(b - 1 + s) of each other, so their own shift, at most 2b + s - 63, is below s
+    for any m up to 2**30 and the recursion ends.
     """
     inrun = np.zeros(order.size, dtype=bool)
     inrun[:-1] = same
@@ -209,14 +217,15 @@ def _repair(key: np.ndarray, order: np.ndarray, same: np.ndarray, s: int) -> Non
     pos = np.flatnonzero(inrun)
     ix = order[pos]
     sub = key[ix]
+    sub -= (sub >> s) << s
     link = same[pos[:-1]]  # pos[i] and pos[i + 1] lie in one run
-    if not (link & (sub[1:] < sub[:-1])).any():
+    falls = np.signbit(np.subtract(sub[1:], sub[:-1]).view(np.float64))  # where a key drops
+    if not (link & falls).any():
         return
     first = np.empty(pos.size, dtype=bool)
     first[0] = True
     np.logical_not(link, out=first[1:])
-    sub &= np.uint64((1 << s) - 1)
-    sub |= np.cumsum(first, dtype=np.uint64) << np.uint64(s)
+    sub += np.cumsum(first, dtype=np.int64) << s
     order[pos] = ix[_packed_order(sub, np.empty_like(sub))]
 
 

@@ -466,18 +466,18 @@ def test_clashing_keys_are_repaired(kind, monkeypatch):
 
 
 def test_packed_order_repairs_its_own_repair(monkeypatch):
-    # n = 2**21 + 2 keys: the largest, 2**64 - 1, cuts 22 bits from every key, so each pair
+    # n = 2**21 + 2 keys: the largest, 2**63 - 1, cuts 23 bits from every key, so each pair
     # (p << 23 | 3, p << 23 | 2) shares a cut key out of order; the last pair's run holds a
-    # third key. The repair's 2**21 + 1 keys cut 1 more bit, which still joins 3 and 2, so a
-    # third level sorts the 2**21 keys of the pairs.
+    # third key. The repair's 2**21 + 1 keys (run number << 23 | low bits) cut 3 bits, which
+    # still joins 3 and 2, so a third level sorts them again.
     pairs = 1 << 20
     n = 2 * pairs + 2
-    key = np.empty(n, dtype=np.uint64)
-    high = np.arange(pairs, dtype=np.uint64) << np.uint64(23)
-    key[0:2 * pairs:2] = high | np.uint64(3)
-    key[1:2 * pairs:2] = high | np.uint64(2)
-    key[-2] = high[-1] | np.uint64(1)
-    key[-1] = np.uint64(2**64 - 1)
+    key = np.empty(n, dtype=np.int64)
+    high = np.arange(pairs, dtype=np.int64) << 23
+    key[0:2 * pairs:2] = high | 3
+    key[1:2 * pairs:2] = high | 2
+    key[-2] = high[-1] | 1
+    key[-1] = 2**63 - 1
     expected = np.arange(n)
     expected[:2 * pairs] ^= 1  # each pair swapped
     expected[-4:-1] = [n - 2, n - 3, n - 4]  # the run of three reversed
@@ -490,4 +490,4 @@ def test_packed_order_repairs_its_own_repair(monkeypatch):
 
     monkeypatch.setattr(ordering, "_packed_order", counted)
     assert np.array_equal(ordering._packed_order(key, np.empty_like(key)), expected)
-    assert levels == [n, n - 1, n - 2]
+    assert levels == [n, n - 1, n - 1]
