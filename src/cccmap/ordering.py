@@ -217,7 +217,7 @@ def _repair(key: np.ndarray, order: np.ndarray, same: np.ndarray, s: int) -> Non
     pos = np.flatnonzero(inrun)
     ix = order[pos]
     sub = key[ix]
-    sub -= (sub >> s) << s
+    sub -= (sub >> s) << s  # the low s bits, which order the keys of a run
     link = same[pos[:-1]]  # pos[i] and pos[i + 1] lie in one run
     falls = np.signbit(np.subtract(sub[1:], sub[:-1]).view(np.float64))  # where a key drops
     if not (link & falls).any():
