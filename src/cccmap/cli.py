@@ -485,12 +485,6 @@ def _permutation_audit(gold, errors, extremes):
     return add.trials, rows, agrees
 
 
-def _within(oracle, lower: float, upper: float) -> bool:
-    """Whether a sphere oracle's extremes stay inside [lower, upper], up to the oracle slack."""
-    slack = TOL.oracle_slack
-    return oracle.best_value <= upper + slack and oracle.worst_value >= lower - slack
-
-
 def cmd_permute(args) -> dict:
     gold, errors, inputs = _load_errors(args)
     extremes = optimal_permutations(gold, errors)
@@ -648,36 +642,26 @@ def cmd_audit(args) -> dict:
         gold = _load_gold(args)
         oracle = mse_sphere_oracle(gold.gold, args.mse, args.trials, args.seed)
         bounds = bounds_given_mse(gold, args.mse)
-        report["inputs"] = {"gold": _digest(gold.n, gold.e, gold.mu, gold.var)}
-        report["results"] = {
-            "oracle": "mse-sphere",
-            "trials": oracle.trials,
-            "x": bounds.x_param,
-            "best": oracle.best_value,
-            "worst": oracle.worst_value,
-            "envelope_upper": bounds.ccc_max,
-            "envelope_lower": bounds.ccc_min,
-            "bounds_respected": _within(oracle, bounds.ccc_min, bounds.ccc_max),
-        }
-        return report
-    # lk-sphere
-    if args.k is None or args.lk is None:
-        raise InvalidInput("audit lk-sphere requires --k and --lk")
-    gold = _load_gold(args)
-    oracle = lk_sphere_oracle(gold.gold, args.k, args.lk, args.trials, args.seed)
-    envelope = envelope_given_lk(args.k, gold.n, args.lk, gold.sigma_g, theta=1.0)
+        params, x, lower, upper = {}, bounds.x_param, bounds.ccc_min, bounds.ccc_max
+    else:  # lk-sphere
+        if args.k is None or args.lk is None:
+            raise InvalidInput("audit lk-sphere requires --k and --lk")
+        gold = _load_gold(args)
+        oracle = lk_sphere_oracle(gold.gold, args.k, args.lk, args.trials, args.seed)
+        env = envelope_given_lk(args.k, gold.n, args.lk, gold.sigma_g, theta=1.0)
+        params, x, lower, upper = {"k": args.k, "lk": args.lk}, env.x, env.ccc_lower, env.ccc_upper
+    best, worst, slack = oracle.best_value, oracle.worst_value, TOL.oracle_slack
     report["inputs"] = {"gold": _digest(gold.n, gold.e, gold.mu, gold.var)}
     report["results"] = {
-        "oracle": "lk-sphere",
+        "oracle": args.oracle,
         "trials": oracle.trials,
-        "k": args.k,
-        "lk": args.lk,
-        "x": envelope.x,
-        "best": oracle.best_value,
-        "worst": oracle.worst_value,
-        "envelope_upper": envelope.ccc_upper,
-        "envelope_lower": envelope.ccc_lower,
-        "bounds_respected": _within(oracle, envelope.ccc_lower, envelope.ccc_upper),
+        **params,
+        "x": x,
+        "best": best,
+        "worst": worst,
+        "envelope_upper": upper,
+        "envelope_lower": lower,
+        "bounds_respected": best <= upper + slack and worst >= lower - slack,
     }
     return report
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InvalidInput, NotConverged, Singularity
 from .mse_bounds import CenteredGold, ccc_from_mse_cov
-from .stats import _count, _lp_norm, _real, as_sequence
+from .stats import _count, _lp_norm, _real, _unscale, as_sequence
 from .tolerances import TOL
 
 @dataclass(frozen=True)
@@ -54,49 +54,38 @@ class StationarityProblem:
             raise InvalidInput(f"objective must be 'max' or 'min', got {self.objective}")
 
 
-def _moments(yz: np.ndarray, k: int, d: np.ndarray) -> tuple[float, float, float]:
-    """(mse, mke, s_gd) of an error iterate; mke aliases mse exactly at k=2."""
-    n = d.size
-    mse = float(d @ d) / n
-    return mse, mse if k == 2 else float(np.sum(d**k)) / n, float(yz @ d) / n
-
-
-def _errors(prob: StationarityProblem, d) -> np.ndarray:
-    """d as a validated, nonzero error vector of ``prob``."""
-    dv = as_sequence(d)
-    if dv.size != prob.gold.n:
-        raise InvalidInput(f"length mismatch: {dv.size} vs {prob.gold.n}")
-    if not dv.any():
-        raise InvalidInput("zero error vector has no defined residual")
-    return dv
-
-
 def _residual(a: np.ndarray, k: int, x: np.ndarray, var: float, m: float):
-    """(residual, scale, s, m2) of d = m x, max |x_i| = 1, against a centred gold ``a``
-    of variance var, in units of w = max(m, 1), so that no term overflows: the residual
-    / w; scale, the largest of its terms' magnitudes 2 var, m |s| and m max |a_i x_i|,
-    over w; s = s_gd / m and m2 = mse / m**2."""
+    """(residual, scale, s, m2, mk) of d = m x, max |x_i| = 1, against a centred gold
+    ``a`` of variance var, in units of w = max(m, 1), so that no term overflows: the
+    residual / w; scale, the largest of its terms' magnitudes 2 var, m |s| and
+    m max |a_i x_i|, over w; s = s_gd / m, m2 = mse / m**2 and mk = mke / m**k."""
     n, w = x.size, max(m, 1.0)
     xk, x2, ax = x**k, x * x, a * x
-    m2 = float(np.add.reduce(x2)) / n
-    rk, r2 = xk / (float(np.add.reduce(xk)) / n), x2 / m2
+    m2, mk = float(np.add.reduce(x2)) / n, float(np.add.reduce(xk)) / n
+    rk, r2 = xk / mk, x2 / m2
     s, vw, mw = float(np.add.reduce(ax)) / n, var / w, min(m, 1.0)
     res = 2.0 * vw * (rk - r2) + mw * (s * (rk - 2.0 * r2) + ax)
-    return res, max(2.0 * vw, mw * abs(s), mw * float(np.max(np.abs(ax)))), s, m2
+    return res, max(2.0 * vw, mw * abs(s), mw * float(np.max(np.abs(ax)))), s, m2, mk
 
 
 def _residual_of(prob: StationarityProblem, d):
-    """:func:`_residual` of an error vector d of ``prob``, in the gold's units."""
-    dv, gold = _errors(prob, d), prob.gold
+    """(:func:`_residual`, x, m, top) of a validated, nonzero error vector d = top x of
+    ``prob``, max |x_i| = 1, in the gold's units: m = top / 2**e."""
+    dv, gold = as_sequence(d), prob.gold
+    if dv.size != gold.n:
+        raise InvalidInput(f"length mismatch: {dv.size} vs {gold.n}")
+    if not dv.any():
+        raise InvalidInput("zero error vector has no defined residual")
     top = float(np.max(np.abs(dv)))
+    x = dv / top
     with np.errstate(over="ignore"):  # an m past float64 weighs as inf does
         m = float(np.ldexp(top, -gold.e))
-    return _residual(gold.a, prob.k, dv / top, gold.var, m), m, top
+    return _residual(gold.a, prob.k, x, gold.var, m), x, m, top
 
 
 def stationarity_residual(prob: StationarityProblem, d) -> np.ndarray:
     """Per-coordinate first-order residual; all zeros at stationary points."""
-    (res, *_), m, top = _residual_of(prob, d)
+    (res, *_), _, m, top = _residual_of(prob, d)
     return np.ldexp(res * top, prob.gold.e) if m >= 1.0 else np.ldexp(res, 2 * prob.gold.e)
 
 
@@ -312,7 +301,7 @@ def solve(prob: StationarityProblem, seed: int, max_iters: int = 400) -> SolverS
     for u, it in roots:
         top = float(u.max())
         m, x = lk * (top / float(_lp_norm(u, k))), signs * (u / top)
-        res, scale, s, m2 = _residual(gold.a, k, x, gold.var, m)
+        res, scale, s, m2, _ = _residual(gold.a, k, x, gold.var, m)
         converged = float(np.max(np.abs(res))) <= TOL.residual_tol * scale
         ranked.append(((converged, sigma * (gold.var / m + s) / (m2 * m)), m, x, s, m2, it))
     state = _state(prob, *max(ranked, key=lambda c: c[0])[1:])
@@ -335,24 +324,26 @@ def quadratic_in_gold(prob: StationarityProblem, d, i: int) -> tuple[float, floa
 
     at any stationary d. A vanishes identically at k = 2 (MkE == MSE), which
     is exactly the denominator degeneracy: Singularity is raised there and
-    for any d_i with A ~ 0.
+    for any d_i with A ~ 0. The coefficients are formed in the solver's units,
+    d = top x and yz = a 2**e, where A and B are top**(k+1) times terms of at most 1:
+    they scale with d and the gold by powers of two bit for bit, and InvalidInput
+    names one that leaves float64.
     """
-    dv = _errors(prob, d)
-    yz = prob.gold.centered
-    mse, mke, _ = _moments(yz, prob.k, dv)
-    n, i = dv.size, _count(i, "i", 0)
+    (*_, m2, mk), x, _, top = _residual_of(prob, d)
+    n, i, k, gold = x.size, _count(i, "i", 0), prob.k, prob.gold
     if i >= n:
         raise InvalidInput(f"index {i} out of range for length {n}")
-    di = float(dv[i])
-    a_den = di ** (prob.k - 1) * mse - di * mke
-    if abs(a_den) <= 1e-14 * (abs(di ** (prob.k - 1) * mse) + abs(di * mke)):
+    xi = float(x[i])
+    head, tail = xi ** (k - 1) * m2, xi * mk
+    a_den = head - tail
+    if abs(a_den) <= 1e-14 * (abs(head) + abs(tail)):
         raise Singularity(
-            f"d_i^(k-1)*MSE - d_i*MkE = {a_den:.3e} is degenerate at i={i}"
-        )
-    b_num = di ** (prob.k - 1) * mse - 2.0 * di * mke
-    b = (di * b_num + n * mse * mke) / (2.0 * a_den)
-    mask = np.arange(n) != i
-    c = float(
-        np.sum(yz[mask] * (yz[mask] + dv[mask] * b_num / (2.0 * a_den)))
-    )
-    return 1.0, float(b), c
+            f"d_i^(k-1)*MSE - d_i*MkE = {a_den:.3e} max|d|^(k+1) is degenerate at i={i}")
+    b_num, (mm, f) = head - 2.0 * tail, math.frexp(top)
+    b = _unscale(mm * (xi * b_num + n * m2 * mk) / (2.0 * a_den), f, "b")
+    # c = 4**e sum a_j**2 + 2**e top sum a_j x_j B/(2A), both terms in units of 2**s
+    rest, s = np.arange(n) != i, max(2 * gold.e, gold.e + f)
+    ar, cross = gold.a[rest], mm * b_num / (2.0 * a_den)
+    c = math.ldexp(float(ar @ ar), 2 * gold.e - s)
+    c += math.ldexp(cross * float(ar @ x[rest]), gold.e + f - s)
+    return 1.0, b, _unscale(c, s, "c")

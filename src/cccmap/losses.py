@@ -34,8 +34,8 @@ from typing import Literal, get_args
 import numpy as np
 
 from .errors import InvalidInput, Singularity
-from .stats import _as_pair, _count, _error_mean, _moments, _real, _scaled_errors, _unscale
-from .stats import as_sequence, ccc as _ccc, mse as _mse
+from .stats import _as_pair, _count, _error_mean, _moments, _real, _reals, _scaled_errors
+from .stats import _unscale, as_sequence, ccc as _ccc, mse as _mse
 
 Variant = Literal[
     "ratio",
@@ -73,12 +73,8 @@ class LossParams:
         _real(self.alpha, "alpha", "nonnegative")
         _count(self.beta, "beta", 0)
         for name in ("per_sample_alpha", "per_sample_eps"):
-            vec = getattr(self, name)
-            if vec is not None:
-                vec = np.asarray(vec, dtype=np.float64)
-                if np.any(vec <= 0) or not np.all(np.isfinite(vec)):
-                    raise InvalidInput(f"{name} entries must be positive and finite")
-                object.__setattr__(self, name, vec)
+            if (vec := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _reals(vec, name, "positive"))
         if self.per_sample_beta is not None:
             vec = np.asarray(self.per_sample_beta)
             if np.any(vec < 0) or not np.issubdtype(vec.dtype, np.integer):
@@ -122,8 +118,8 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
     eps, coef, alpha, beta = 1.0, 1.0, 1.0, 0
     if variant.startswith("general_"):
         vectors = (params.per_sample_eps, params.per_sample_alpha, params.per_sample_beta)
-        if any(v is not None and len(v) != n for v in vectors):
-            raise InvalidInput("per-sample coefficient length does not match N")
+        if any(v is not None and v.shape != (n,) for v in vectors):
+            raise InvalidInput(f"per-sample coefficients must have shape ({n},)")
         eps, alpha, beta = (w if v is None else v for v, w in zip(vectors, (eps, alpha, beta)))
     elif variant.startswith("diff"):
         coef, beta = params.alpha, params.beta if variant == "diff_pow" else 0

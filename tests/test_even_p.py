@@ -18,13 +18,15 @@ from cccmap import (
     center_gold,
     lk_sphere_oracle,
     lp_norm,
+    mke,
+    mse,
     quadratic_in_gold,
     scaled_residual,
     solve,
     stationarity_residual,
     upper_envelope,
 )
-from cccmap.even_p import StationarityProblem, _moments
+from cccmap.even_p import StationarityProblem
 
 
 def make_problem(rng, k=4, n=None, objective="max"):
@@ -161,7 +163,7 @@ class TestSolve:
         for trial in range(10):
             prob = make_problem(rng, k=4)
             state = solve(prob, seed=trial)
-            mse_val, _, _ = _moments(prob.gold.centered, prob.k, state.d)
+            mse_val = mse(state.d, np.zeros_like(state.d))
             x = np.sqrt(mse_val / prob.gold.var_g)
             assert state.ccc_value <= float(upper_envelope(x)) + 1e-9
 
@@ -258,7 +260,8 @@ class TestQuadraticInGold:
             d = rng.standard_normal(prob.gold.n)
             d *= prob.lk / lp_norm(d, prob.k)
             residual = stationarity_residual(prob, d)
-            mse_val, mke_val, _ = _moments(prob.gold.centered, prob.k, d)
+            zeros = np.zeros_like(d)
+            mse_val, mke_val = mse(d, zeros), mke(d, zeros, prob.k)
             yz = prob.gold.centered
             n = prob.gold.n
             for i in range(n):
@@ -277,6 +280,19 @@ class TestQuadraticInGold:
         res = bounds_given_mse(gold, 1.0 / 3.0)
         with pytest.raises(Singularity):
             quadratic_in_gold(prob, res.err_max, 0)
+
+    @pytest.mark.parametrize("s", [-250, -200, 200, 250])
+    def test_solve_solution_at_any_scale(self, s):
+        # the quadratic of the i = 4 coordinate of solve's maximum scales as solve does;
+        # in raw powers of d it was a false Singularity at 2**-250, 0.0 at 2**-200 and
+        # NaN past 2**200
+        gold, lk = np.array([1.0, 2.0, 4.0, 3.0, 7.0]), 1.3
+        prob = StationarityProblem(center_gold(gold), 4, lk, "max")
+        _, b, c = quadratic_in_gold(prob, solve(prob, seed=0).d, 4)
+        assert (b, c) == pytest.approx((1.3018538616066544, -17.64667390178396), rel=1e-13)
+        prob = StationarityProblem(center_gold(np.ldexp(gold, s)), 4, math.ldexp(lk, s), "max")
+        assert quadratic_in_gold(prob, solve(prob, seed=0).d, 4) == (
+            1.0, math.ldexp(b, s), math.ldexp(c, 2 * s))
 
 
 def _leaves_float64(value: float, e: int) -> bool:
@@ -317,6 +333,32 @@ class TestScale:
         assert scaled.residual_norm == state.residual_norm
         assert scaled.multiplier == math.ldexp(state.multiplier, -k * s)
         assert scaled.sigma_gd == math.ldexp(state.sigma_gd, 2 * s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(-(2**20), 2**20), st.integers(-(2**20), 2**20)),
+                       min_size=3, max_size=12),
+        s=st.integers(-400, 400),
+        k=st.sampled_from([4, 6, 8]),
+        i=st.integers(0, 11),
+    )
+    def test_quadratic_scales_with_the_gold_and_d(self, pairs, s, k, i):
+        gold, d = np.ldexp(np.array(pairs, dtype=float).T, -10)
+        if np.ptp(gold) == 0.0 or not d.any():
+            return
+        i %= gold.size
+        base = StationarityProblem(center_gold(gold), k, 1.0, "max")
+        prob = StationarityProblem(center_gold(np.ldexp(gold, s)), k, 1.0, "max")
+        try:
+            _, b, c = quadratic_in_gold(base, d, i)
+        except Singularity:  # the degeneracy test does not move with the scale
+            with pytest.raises(Singularity):
+                quadratic_in_gold(prob, np.ldexp(d, s), i)
+            return
+        # A's degeneracy test bounds B / (2A) by about 1e14, so |b| < 2**500 and
+        # |c| < 2**900: neither leaves float64 at these scales
+        got = quadratic_in_gold(prob, np.ldexp(d, s), i)
+        assert got == (1.0, math.ldexp(b, s), math.ldexp(c, 2 * s))
 
     @pytest.mark.parametrize(
         "gold, k, lk, objective, s",

@@ -17,6 +17,10 @@ own, independent powers of two. Each figure is then checked against its value in
 A call may instead raise ``InvalidInput`` naming a quantity whose exact value leaves
 float64 (``DegenerateVariance`` where var_g rounds to zero), and must raise where it
 does.
+
+``quadratic_in_gold``'s b and c are checked within 1e-12 of the magnitude of their terms
+(that of b is b itself), plus the least subnormal for a value rounded below the normal
+range, on small-integer golds and errors at their own powers of two.
 """
 
 import math
@@ -27,6 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cccmap.errors import DegenerateVariance, InvalidInput
+from cccmap.even_p import StationarityProblem, quadratic_in_gold
 from cccmap.lk_bounds import envelope_given_lk
 from cccmap.mse_bounds import bounds_given_mse, center_gold
 
@@ -136,3 +141,47 @@ def test_gold_figures_match_exact_arithmetic(
         if envelope.x:  # 2 / x of an x within budget ulps, rounded once more
             assert_within("theta_at_min", envelope.theta_at_min, 2 / x_lk, 2 * budget + 2)
 
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=8),
+    gold_scale=st.integers(-1000, 999),
+    d_scale=st.integers(-1000, 999),
+    k=st.sampled_from([4, 6, 8]),
+    i=st.integers(0, 7),
+)
+def test_quadratic_in_gold_matches_exact_arithmetic(pairs, gold_scale, d_scale, k, i):
+    gold = [math.ldexp(g, gold_scale) for g, _ in pairs]
+    d = [math.ldexp(v, d_scale) for _, v in pairs]
+    n, i = len(pairs), i % len(pairs)
+    try:
+        prob = StationarityProblem(center_gold(gold), k, 1.0, "max")
+    except (DegenerateVariance, InvalidInput):  # no gold to reduce at this scale
+        return
+    if not any(d):
+        return
+    exact_d = [Fraction(v) for v in d]
+    mu = sum(Fraction(g) for g in gold) / n
+    yz = [Fraction(g) - mu for g in gold]
+    mse, mke = sum(v**2 for v in exact_d) / n, sum(v**k for v in exact_d) / n
+    head, tail = exact_d[i] ** (k - 1) * mse, exact_d[i] * mke
+    a_den = head - tail
+    if abs(a_den) < Fraction(1, 1000) * (abs(head) + abs(tail)) or not a_den:
+        return  # near the degeneracy that raises Singularity
+    b_num, rest = head - 2 * tail, [j for j in range(n) if j != i]
+    b = (exact_d[i] * b_num + n * mse * mke) / (2 * a_den)
+    c = sum(yz[j] * (yz[j] + exact_d[j] * b_num / (2 * a_den)) for j in rest)
+    size = {"b": abs(b), "c": sum(yz[j] ** 2 + abs(yz[j] * exact_d[j] * b_num / (2 * a_den))
+                                   for j in rest)}
+    try:
+        _, got_b, got_c = quadratic_in_gold(prob, d, i)
+    except InvalidInput as exc:
+        name = str(exc).split()[0]
+        value = {"b": b, "c": c}[name]
+        # refused only where the value, within its budget, may leave float64
+        assert abs(value) + Fraction(1, 10**12) * size[name] > MAX, f"{name} refused: {exc}"
+        return
+    for name, got, want in (("b", got_b, b), ("c", got_c, c)):
+        budget = Fraction(1, 10**12) * size[name]
+        assert abs(want) - budget <= MAX, f"{name} past float64 was not refused"
+        assert abs(Fraction(got) - want) <= budget + TINY, f"{name} = {got!r} vs {float(want)!r}"

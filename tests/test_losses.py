@@ -87,6 +87,13 @@ class TestLossValues:
                 LossParams(variant="diff", alpha=alpha)
         with pytest.raises(InvalidInput):
             LossParams(variant="general_diff", per_sample_eps=[1.0, -2.0])
+        with pytest.raises(InvalidInput, match="^per_sample_alpha must be real numbers"):
+            LossParams(variant="general_ratio", per_sample_alpha=["a", "b", "c"])
+        # a column of the right length is not a per-sample vector
+        for name in ("per_sample_alpha", "per_sample_beta", "per_sample_eps"):
+            params = LossParams(variant="general_ratio", **{name: np.ones((3, 1), dtype=int)})
+            with pytest.raises(InvalidInput, match=r"must have shape \(3,\)"):
+                loss(params, [1.0, 2.0, 3.0], [1.5, 2.5, 2.0])
         for step in (0.0, float("nan"), float("inf")):
             with pytest.raises(InvalidInput, match="step"):
                 training_trace(LossParams(variant="diff"), [1.0, 2.0], [1.5, 2.5], step, 5)

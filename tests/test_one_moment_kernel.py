@@ -1,5 +1,6 @@
 """Guards: no module but ``stats`` calls a numpy mean, variance, deviation or covariance,
-and a gold standard deviation comes only from ``CenteredGold.sigma_g``."""
+a gold standard deviation comes only from ``CenteredGold.sigma_g``, and no module works
+on the unscaled centred gold ``CenteredGold.centered``."""
 
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ PACKAGE = Path(cccmap.__file__).parent
 MOMENT_CALL = re.compile(r"\.mean\(|\bnp\.(mean|var|std|cov)\b")
 # the root of a var_g taken outside the kernel's units: sqrt(gold.var_g), var_g ** 0.5
 GOLD_STD = re.compile(r"sqrt\(\s*[\w.]*\bvar_g\s*\)|\bvar_g\s*\*\*\s*0?\.5\b")
+CENTERED = re.compile(r"\.centered\b")
 
 
 def _offenders(pattern, skip=()):
@@ -30,3 +32,8 @@ def test_no_module_but_stats_computes_moments():
 def test_gold_std_comes_from_sigma_g():
     offenders = _offenders(GOLD_STD)
     assert offenders == [], "a gold std not from CenteredGold.sigma_g:\n" + "\n".join(offenders)
+
+
+def test_no_module_reads_the_unscaled_centred_gold():
+    offenders = _offenders(CENTERED, skip=("mse_bounds.py",))
+    assert offenders == [], "CenteredGold.centered read in place of a, e:\n" + "\n".join(offenders)
