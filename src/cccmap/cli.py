@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import math
 import re
@@ -67,12 +68,7 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # input handling
 
-# Bytes a body row may hold for the screened route: plain-decimal characters and the
-# whitespace that separates cells and lines (the format's delimiter is added per call).
-_SCREENED = b"0123456789eE.+- \t\r\n"
-# Bytes a header line may hold for the screened route: printable ASCII but the quote, and tab.
-_HEADER_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t"
-_DELIMITERS = {"csv": b",", "tsv": b"\t", "plain": b" "}
+_DELIMITERS = {"csv": ",", "tsv": "\t", "plain": None}  # None: runs of whitespace
 
 
 def _read_bytes(path: str) -> bytes:
@@ -93,7 +89,7 @@ def _split_rows(text: str, fmt: str) -> list[list[str]]:
         raise InvalidInput(f"unknown format {fmt!r}")
     # The empty sentinel line is swallowed by a quoted cell left open on the last line,
     # so every row that spans lines shows as a line count running ahead of the rows.
-    reader = csv.reader(itertools.chain(lines, [""]), delimiter=_DELIMITERS[fmt].decode())
+    reader = csv.reader(itertools.chain(lines, [""]), delimiter=_DELIMITERS[fmt])
     rows: list[list[str]] = []
     try:
         for row in reader:
@@ -132,97 +128,52 @@ def _resolve_column(selector: str, header: list[str] | None, width: int, what: s
     return header.index(selector)
 
 
-def _screened_table(
-    data: bytes, fmt: str, has_header: bool
-) -> tuple[list[str] | None, int, list[bytes]] | None:
-    """(header, width, cells) of a table that is provably simple, else None.
+def _read_table(data: bytes, fmt: str, has_header: bool, selectors) -> dict[str, np.ndarray]:
+    """The selected columns as numpy's C reader parses them, or ValueError or InvalidInput.
 
-    Simple means: no line is blank, the header line is printable ASCII with no quote,
-    and the body holds only plain-decimal characters, the delimiter, spaces, tabs and
-    LF or CRLF line ends, with the same number of cells on every line. There the
-    csv/tsv reader is a split on the delimiter and the plain reader a split on
-    whitespace, so ``cells`` (row-major, unstripped bytes) is what
-    :func:`_split_rows` would give. Anything else goes to the per-line route.
+    The reader is handed only tables that it splits into the rows and cells of
+    :func:`_split_rows`: the header (if any) and the first data row are the table's
+    first lines and nonblank, no line is past the csv field size limit, and a csv or tsv
+    table holds no quote. It raises on a bare CR, on bytes that are not UTF-8, on a
+    row without a selected cell and on a malformed number; it skips empty lines,
+    strips what ``str.strip`` strips and parses a number as ``float`` does, and
+    :func:`as_sequence` refuses the nan and inf that it accepts.
     """
-    delim = _DELIMITERS[fmt]
-    header, body = None, data
-    if has_header:
-        end = data.find(b"\n") + 1 or len(data)
-        line, body = data[:end].rstrip(b"\r\n"), data[end:]
-        if (
-            not line.strip()
-            or len(line) > csv.field_size_limit()
-            or line.translate(None, _HEADER_BYTES)
-        ):
-            return None
-        header = [c.strip() for c in _split_rows(line.decode("ascii"), fmt)[0]]
-    if body.translate(None, _SCREENED + delim):
-        return None
-    if b"\r" in body:
-        body = body.replace(b"\r\n", b"\n")
-        if b"\r" in body:
-            return None
-    if not body.endswith(b"\n"):
-        body += b"\n"
-    width = _row_width(body, fmt)
-    if width is None:
-        return None
-    if fmt == "plain":
-        cells = body.split()
-    else:
-        cells = body.replace(b"\n", delim).split(delim)
-        cells.pop()  # after the last line end
-    return header, width, cells
-
-
-def _row_width(body: bytes, fmt: str) -> int | None:
-    """Cells per line of a screened body that ends in LF and holds no CR; None when a
-    line is blank, when the cell counts differ, or when a line is past the csv field
-    size limit (the per-line route says so)."""
-    a = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(a == ord("\n"))
-    starts = np.r_[0, ends[:-1] + 1]
-    if (ends - starts).max() > csv.field_size_limit():
-        return None
-    solid = a > ord(" ")  # after the screen: cell bytes are above the space, blanks are not
-    if not np.logical_or.reduceat(solid, starts).all():
-        return None
-    if fmt == "plain":  # one mark on the last byte of each cell
-        marks = np.flatnonzero(solid[:-1] > solid[1:])
-    else:  # one mark on each delimiter, one cell more than marks
-        marks = np.flatnonzero(a == _DELIMITERS[fmt][0])
-    counts = np.diff(np.searchsorted(marks, ends), prepend=0)
-    if np.any(counts != counts[0]):
-        return None
-    return int(counts[0]) + (fmt != "plain")
+    end = 0
+    for _ in range(1 + has_header):
+        end = data.find(b"\n", end) + 1 or len(data)
+    rows = _split_rows(data[:end].decode("utf-8"), fmt)
+    if len(rows) <= has_header or (fmt != "plain" and b'"' in data):
+        raise ValueError("a blank first line, no data row or a quote")
+    limit, start = csv.field_size_limit(), 0
+    while len(data) - start > limit:  # each step passes the lines that end in a window
+        start = data.rfind(b"\n", start, start + limit + 1) + 1
+        if not start:
+            raise ValueError("a line past the csv field size limit")
+    header = [c.strip() for c in rows[0]] if has_header else None
+    width = len(rows[-1])
+    usecols = [_resolve_column(selector, header, width, what) for what, selector in selectors]
+    values = np.loadtxt(
+        io.BytesIO(data), delimiter=_DELIMITERS[fmt], comments=None, quotechar=None,
+        skiprows=int(has_header), usecols=usecols, ndmin=2, encoding="utf-8",
+    )
+    return {what: as_sequence(values[:, j].copy()) for j, (what, _) in enumerate(selectors)}
 
 
 def _load_columns(args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarray]:
     """Parse the requested (name, column-selector) pairs from the input table.
 
     Values must be plain decimal floats; anything else (NaN, Inf, locale
-    separators, underscores) is rejected with its line number. A table that
-    :func:`_screened_table` proves simple is cast a whole column at a time, with
-    the values and errors of the per-line route, :func:`_parse_rows`, which reads
-    every other table and builds every error that names a line.
+    separators, underscores) is rejected with its line number. The input is read
+    once, as bytes, and :func:`_read_table` hands it to numpy's C reader. Where
+    that raises, the per-line route, :func:`_parse_rows`, reads the table instead
+    and builds every error; on a table that both read, their values are the same.
     """
     data = _read_bytes(args.input)
-    table = _screened_table(data, args.format, args.header)
-    if table is not None:
-        header, width, cells = table
-        out: dict[str, np.ndarray] = {}
-        for what, selector in selectors:
-            idx = _resolve_column(selector, header, width, what)
-            if idx >= width:  # a header name past the data width
-                break
-            try:  # inside the screened characters the cast accepts exactly _FLOAT_RE
-                values = np.array(cells[idx::width], dtype=np.float64)
-            except ValueError:
-                break
-            out[what] = as_sequence(values)
-        else:
-            return out
-    return _parse_rows(data.decode("utf-8", "surrogateescape"), args, selectors)
+    try:
+        return _read_table(data, args.format, args.header, selectors)
+    except (ValueError, InvalidInput):
+        return _parse_rows(data.decode("utf-8", "surrogateescape"), args, selectors)
 
 
 def _parse_rows(text: str, args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarray]:

@@ -334,6 +334,8 @@ def quadratic_in_gold(prob: StationarityProblem, d, i: int) -> tuple[float, floa
     if i >= n:
         raise InvalidInput(f"index {i} out of range for length {n}")
     xi = float(x[i])
+    if xi == 0.0 and float(d[i]) != 0.0:  # |b| ~ N MSE / 2|d_i| >= 2**1074 max|d|
+        raise InvalidInput("b overflows float64")
     head, tail = xi ** (k - 1) * m2, xi * mk
     a_den = head - tail
     if abs(a_den) <= 1e-14 * (abs(head) + abs(tail)):

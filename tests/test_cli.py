@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -680,24 +681,43 @@ def _load(data: bytes, fmt: str, header: bool, selectors):
         return cli._load_columns(args, selectors)
 
 
-_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g"))
+def _halfway(x: float) -> str:
+    """The exact decimal midway between x and the next float64 up, which float() rounds to
+    even."""
+    mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    ctx = decimal.Context(prec=400)
+    return format(ctx.divide(decimal.Decimal(mid.numerator), mid.denominator), "f")
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g")),
+    st.tuples(  # a 20- to 60-digit mantissa
+        st.sampled_from(["", "-", "+"]),
+        st.integers(10**19, 10**60 - 1).map(str),
+        st.integers(0, 60),
+        st.integers(-330, 330),
+    ).map(lambda t: f"{t[0]}{t[1][:t[2]]}.{t[1][t[2]:]}e{t[3]}"),
+    st.floats(1e-30, 1e30).map(_halfway),
+)
+# whitespace that str.strip strips, and characters that it does not
+_PADS = [" ", "  ", "\t", " \t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\x00", "\ufeff", "#"]
 _TOKENS = st.one_of(
     _NUMBERS,
     _NUMBERS,
     st.integers(-10**20, 10**20).map(str),
     st.text(alphabet="0123456789eE.+-", max_size=6),
     st.sampled_from(["1e", ".", "+-1", "", "1.", ".5", "-0", "1E+05", "1e999", "nan", "inf",
-                     "-Infinity", "1_0", "\u0661\u0662", "\uff15", "0x1p3", "1,5"]),
+                     "-Infinity", "1_0", "\u0661\u0662", "\uff15", "0x1p3", "1,5", '1"5', "#1"]),
 )
+_TEXT = st.sampled_from(["id7", "x", "a b", "#c", 'q"t', "\ufeffid", "\x00", "\xa0", "1e999", ""])
 
 
 @st.composite
 def _cells(draw, fmt, clean):
     cell = draw(_NUMBERS if clean else _TOKENS)
     if draw(st.integers(0, 5)) == 0:
-        pad = draw(st.sampled_from([" ", "  ", "\t", " \t"]))
-        cell = pad + cell + draw(st.sampled_from(["", " "]))
-    if fmt != "plain" and draw(st.integers(0, 5)) == 0:
+        cell = draw(st.sampled_from(_PADS)) + cell + draw(st.sampled_from(["", " ", *_PADS]))
+    if fmt != "plain" and not clean and draw(st.integers(0, 5)) == 0:
         cell = '"' + cell.replace('"', "") + '"'
     return cell
 
@@ -708,19 +728,23 @@ def _tables(draw):
     header = draw(st.booleans())
     delim = {"csv": ",", "tsv": "\t", "plain": " "}[fmt]
     width = draw(st.integers(1, 3))
-    clean = draw(st.booleans())  # numbers only, so that most such tables take the screened route
+    clean = draw(st.booleans())  # numbers only, so that most such tables take the fast route
+    id_column = draw(st.booleans())  # a last column of text, unselected unless rows are narrow
     names = ["gold", "pred", "c2"][: draw(st.integers(1, 3))]
     lines = [delim.join(names)] if header else []
     for _ in range(draw(st.integers(0, 6))):
         shape = draw(st.integers(0, 9))
-        if shape == 0:
-            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+        if shape == 0:  # blank to str.strip, or not
+            lines.append(draw(st.sampled_from(["", "", " ", "\t", " \t ", "\x0c", "\x85", "\xa0",
+                                               "\x1c", "\x00", "\ufeff", "#"])))
         else:
             cells = width + (draw(st.integers(-1, 1)) if shape == 1 else 0)
-            lines.append(delim.join(draw(_cells(fmt, clean)) for _ in range(max(cells, 1))))
+            row = [draw(_cells(fmt, clean)) for _ in range(max(cells, 1))]
+            lines.append(delim.join(row + ([draw(_TEXT)] if id_column else [])))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     text = end.join(lines) + draw(st.sampled_from([end, ""]))
-    pick = st.sampled_from(["0", "1", "2", "5", *(names + ["missing"] if header else [])])
+    pick = st.sampled_from(  # the first two indices twice as often
+        ["0", "1", "0", "1", "2", "5", *(names + ["missing"] if header else [])])
     selectors = [("gold", draw(pick)), ("pred", draw(pick))]
     return text.encode("utf-8"), fmt, header, selectors
 
@@ -735,23 +759,66 @@ def test_loader_matches_the_per_line_reference(table):
     )
 
 
-@pytest.mark.parametrize(
-    "fmt, header", [("csv", False), ("tsv", False), ("plain", False), ("csv", True)]
-)
-@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
-def test_bench_shaped_tables_take_the_screened_route(fmt, header, end, monkeypatch):
-    def per_line_route(*args):
-        raise AssertionError("a simple table fell back to the per-line route")
+@pytest.mark.parametrize("data, selectors, message", [
+    (b'1,2,3,4\n"x,y",1,2\n', ["2", "3"], "line 2: expected column 3, row has 3 cells"),
+    (b'1,2,"x\n3,4,5\n', ["0", "1"], "line 1: unterminated quoted cell"),
+    (b"1,2\n" + b"0" * 200_000 + b"1,2\n", ["0", "1"], "line 2: field larger than field limit"),
+    (b"1,2,3\n4,5," + b"x" * 200_000 + b"\n", ["0", "1"], "line 2: field larger than field limit"),
+], ids=["quoted-delimiter", "open-quote", "long-number", "long-text"])
+def test_what_numpys_reader_would_read_otherwise_is_an_error(data, selectors, message):
+    # numpy's reader splits at every delimiter and has no field size limit
+    with pytest.raises(InvalidInput, match=f"^{message}"):
+        _load(data, "csv", False, list(zip(["gold", "pred"], selectors)))
 
-    monkeypatch.setattr(cli, "_parse_rows", per_line_route)
+
+def _bench_table(fmt, header, end, text_column=False, blank_every=0):
+    """A 2,000-row table shaped like the benchmark's, and its gold and pred columns."""
     rng = np.random.default_rng(5)
     gold = rng.normal(rng.uniform(-5, 5), 2.0, 2000)
     pred = 0.8 * gold + rng.normal(0.5, 1.0, 2000)
     delim = {"csv": ",", "tsv": "\t", "plain": " "}[fmt]
     lines = [f"{format(g, '.17g')}{delim}{format(p, '.17g')}" for g, p in zip(gold, pred)]
+    if text_column:
+        lines = [f"{line}{delim}id{i}" for i, line in enumerate(lines)]
+    if blank_every:  # an empty line after every blank_every-th row
+        blocks = (lines[i:i + blank_every] for i in range(0, len(lines), blank_every))
+        lines = [x for block in blocks for x in (*block, "")]
     if header:
-        lines.insert(0, delim.join(["gold", "pred"]))
-    data = "".join(line + end for line in lines).encode("utf-8")
+        lines.insert(0, delim.join(["gold", "pred", "id"][: 2 + text_column]))
+    return "".join(line + end for line in lines).encode("utf-8"), gold, pred
+
+
+@pytest.mark.parametrize("fmt, header, layout", [
+    pytest.param("csv", False, {}, id="csv-False"),
+    pytest.param("tsv", False, {}, id="tsv-False"),
+    pytest.param("plain", False, {}, id="plain-False"),
+    pytest.param("csv", True, {}, id="csv-True"),
+    pytest.param("csv", True, {"text_column": True}, id="csv-True-text-column"),
+    pytest.param("csv", False, {"blank_every": 50}, id="csv-False-blank-lines"),
+])
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_bench_shaped_tables_take_the_screened_route(fmt, header, layout, end, monkeypatch):
+    def per_line_route(*args):
+        raise AssertionError("a plain table fell back to the per-line route")
+
+    monkeypatch.setattr(cli, "_parse_rows", per_line_route)
+    data, gold, pred = _bench_table(fmt, header, end, **layout)
     selectors = [("gold", "gold" if header else "0"), ("pred", "pred" if header else "1")]
     cols = _load(data, fmt, header, selectors)
     assert cols["gold"].tobytes() == gold.tobytes() and cols["pred"].tobytes() == pred.tobytes()
+
+
+def test_ingest_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    # the C reader holds the bytes and the parsed columns, not a list of every cell
+    data, gold, _ = _bench_table("csv", False, "\n")
+    path = tmp_path / "table.csv"
+    path.write_bytes(data * 25)  # 5x10^4 rows
+    args = types.SimpleNamespace(input=str(path), format="csv", header=False)
+    tracemalloc.start()
+    try:
+        cols = cli._load_columns(args, [("gold", "0"), ("pred", "1")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cols["gold"].size == 25 * gold.size
+    assert peak < 3 * path.stat().st_size

@@ -281,6 +281,12 @@ class TestQuadraticInGold:
         with pytest.raises(Singularity):
             quadratic_in_gold(prob, res.err_max, 0)
 
+    def test_an_underflowing_coordinate_names_b(self):
+        # d_1 / max|d| rounds to 0 though d_1 != 0: A is nonzero and |b| lies past float64
+        prob = StationarityProblem(center_gold([1.0, 2.0, 4.0]), 4, 1.0, "max")
+        with pytest.raises(InvalidInput, match="^b overflows float64$"):
+            quadratic_in_gold(prob, np.array([1e300, 1e-300, 3.0]), 1)
+
     @pytest.mark.parametrize("s", [-250, -200, 200, 250])
     def test_solve_solution_at_any_scale(self, s):
         # the quadratic of the i = 4 coordinate of solve's maximum scales as solve does;
