@@ -134,16 +134,16 @@ def _read_table(data: bytes, fmt: str, has_header: bool, selectors) -> dict[str,
     The reader is handed only tables that it splits into the rows and cells of
     :func:`_split_rows`: the header (if any) and the first data row are the table's
     first lines and nonblank, no line is past the csv field size limit, and a csv or tsv
-    table holds no quote. It raises on a bare CR, on bytes that are not UTF-8, on a
-    row without a selected cell and on a malformed number; it skips empty lines,
-    strips what ``str.strip`` strips and parses a number as ``float`` does, and
+    table holds no quote past its header. It raises on a bare CR, on bytes that are not
+    UTF-8, on a row without a selected cell and on a malformed number; it skips empty
+    lines, strips what ``str.strip`` strips and parses a number as ``float`` does, and
     :func:`as_sequence` refuses the nan and inf that it accepts.
     """
-    end = 0
+    body = end = 0  # body: where the first data line starts
     for _ in range(1 + has_header):
-        end = data.find(b"\n", end) + 1 or len(data)
+        body, end = end, data.find(b"\n", end) + 1 or len(data)
     rows = _split_rows(data[:end].decode("utf-8"), fmt)
-    if len(rows) <= has_header or (fmt != "plain" and b'"' in data):
+    if len(rows) <= has_header or (fmt != "plain" and data.find(b'"', body) >= 0):
         raise ValueError("a blank first line, no data row or a quote")
     limit, start = csv.field_size_limit(), 0
     while len(data) - start > limit:  # each step passes the lines that end in a window

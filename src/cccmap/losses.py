@@ -137,7 +137,7 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
 
     def gradient():
         dnum, dreward = 2.0 * eps * err, coef * (2 * beta + 1) * powers * g
-        return dnum / reward - num * dreward / (reward * reward) if ratio else dnum - dreward
+        return (dnum - inner * dreward) / reward if ratio else dnum - dreward
 
     return inner, gradient, variant not in ("ratio", "diff")
 

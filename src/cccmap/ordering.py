@@ -154,8 +154,13 @@ def _gold_order(g: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     built in ``scratch``, a (2, n) float64 array, and returned as an intp view of it.
 
     Each value becomes its order-preserving int64 image: its magnitude bits, negated when
-    its sign bit is set, so -0.0 and 0.0 share the image 0. :func:`_packed_order` sorts
-    those keys with the index as tie-break.
+    its sign bit is set, so -0.0 and 0.0 share the image 0. One float64 sort orders packed
+    keys: each image shifted right by s, taken relative to the smallest, then shifted left
+    past the index, which fills the low bits, and offset by _NORMAL; s is the fewest bits
+    that keep every packed key at most _FINITE. Equal values share a key, so they stay in
+    index order. Distinct values that agree above bit s sort by index too, so where s > 0
+    the runs of equal shifted images are sorted again by value, all in one stable argsort:
+    shifted images rise strictly from one run to the next, so every run keeps its place.
     """
     key, order = scratch.view(np.int64)
     np.right_shift(g.view(np.int64), 63, out=order)
@@ -163,70 +168,34 @@ def _gold_order(g: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     order += 1  # -1 where the sign bit is set, else 1
     np.abs(g, out=key.view(np.float64))
     key *= order
-    return _packed_order(key, order)
-
-
-def _packed_order(key: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Positions that sort the int64 ``key`` ascending, equal keys in position order, built
-    in ``out`` (int64, key's length) and returned as an intp view of it; key is read only.
-
-    One float64 sort orders packed keys: each key shifted right by s, taken relative to the
-    smallest, then shifted left past the position, which fills the low bits, and offset by
-    _NORMAL; s is the fewest bits that keep every packed key at most _FINITE. Distinct keys
-    that agree above bit s sort by position, so where s > 0 :func:`_repair` reorders the
-    runs of equal shifted keys that hold such a pair out of order.
-    """
-    n = key.size
+    n = g.size
     bits = (n - 1).bit_length()
     lo, hi = int(key.min()), int(key.max())
     s = max(0, (hi - lo).bit_length() + bits - 63)
     while (((hi >> s) - (lo >> s)) << bits) + n - 1 > _FINITE - _NORMAL:
         s += 1
-    np.right_shift(key, s, out=out)
-    out -= lo >> s
-    out <<= bits
+    np.right_shift(key, s, out=order)
+    order -= lo >> s
+    order <<= bits
     work = np.arange(_NORMAL, _NORMAL + n, dtype=np.int64)
-    out += work
-    out.view(np.float64).sort()
-    np.right_shift(out, bits, out=work)
-    work <<= bits  # the sorted packed keys without their positions
-    out -= work
-    if s:  # whether neighbours' shifted keys agree
+    order += work
+    order.view(np.float64).sort()
+    np.right_shift(order, bits, out=work)
+    work <<= bits  # the sorted packed keys without their indices
+    order -= work
+    if s:  # whether neighbours' shifted images agree
         same = work[1:].view(np.float64) == work[:-1].view(np.float64)
     del work
     if s and same.any():
-        _repair(key, out, same, s)
-    return out.view(np.intp)
-
-
-def _repair(key: np.ndarray, order: np.ndarray, same: np.ndarray, s: int) -> None:
-    """Sort each run of ``order`` whose keys agree above bit s by (key, position), in place;
-    ``same[j]`` says whether positions j and j + 1 of ``order`` share a run. Nothing moves
-    unless some run holds two keys out of order (runs of equal keys are already in index
-    order).
-
-    Keys of one run differ only in their low s bits. The runs' positions are sorted together
-    by :func:`_packed_order` on the key (run number << s) + those bits, which orders by run
-    and then by key. With b the bits of a position among m, at most m/2 runs keep those keys
-    within 2**(b - 1 + s) of each other, so their own shift, at most 2b + s - 63, is below s
-    for any m up to 2**30 and the recursion ends.
-    """
-    inrun = np.zeros(order.size, dtype=bool)
-    inrun[:-1] = same
-    inrun[1:] |= same
-    pos = np.flatnonzero(inrun)
-    ix = order[pos]
-    sub = key[ix]
-    sub -= (sub >> s) << s  # the low s bits, which order the keys of a run
-    link = same[pos[:-1]]  # pos[i] and pos[i + 1] lie in one run
-    falls = np.signbit(np.subtract(sub[1:], sub[:-1]).view(np.float64))  # where a key drops
-    if not (link & falls).any():
-        return
-    first = np.empty(pos.size, dtype=bool)
-    first[0] = True
-    np.logical_not(link, out=first[1:])
-    sub += np.cumsum(first, dtype=np.int64) << s
-    order[pos] = ix[_packed_order(sub, np.empty_like(sub))]
+        inrun = np.zeros(n, dtype=bool)
+        inrun[:-1] = same
+        inrun[1:] |= same
+        pos = np.flatnonzero(inrun)
+        ix = order[pos]
+        value = g[ix]
+        if (value[1:] < value[:-1]).any():
+            order[pos] = ix[np.argsort(value, kind="stable")]
+    return order.view(np.intp)
 
 
 #: (field, convention, objective, row) of each extreme; row 0 of the error rows holds the

@@ -808,6 +808,46 @@ def test_bench_shaped_tables_take_the_screened_route(fmt, header, layout, end, m
     assert cols["gold"].tobytes() == gold.tobytes() and cols["pred"].tobytes() == pred.tobytes()
 
 
+@pytest.mark.parametrize("fmt, delim", [("csv", ","), ("tsv", "\t")])
+def test_a_quoted_header_keeps_numpys_reader(fmt, delim, monkeypatch):
+    # exporters often quote every name; a quoted name may hold the delimiter
+    names = ["gold", f"pred{delim}v2", "id"]
+    rows = ["1.5", "2", "a"], ["-3", "4e-3", "b"], [" 7", "0.25 ", "c"]
+    text = "\n".join(delim.join(row) for row in [[f'"{n}"' for n in names], *rows]) + "\n"
+    selectors = [("gold", "gold"), ("pred", names[1])]
+    expected = _outcome(lambda: _oracle_load(text, fmt, True, selectors))
+
+    def per_line_route(*args):
+        raise AssertionError("a table quoted only in its header fell back to the per-line route")
+
+    monkeypatch.setattr(cli, "_parse_rows", per_line_route)
+    assert _outcome(lambda: _load(text.encode(), fmt, True, selectors)) == expected
+    assert np.frombuffer(expected["pred"]).tolist() == [2.0, 4e-3, 0.25]
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'"gold","pred"\n1,"2"\n3,4\n', None),
+    (b'"gold,pred\n1,2\n3,4\n', "line 1: unterminated quoted cell"),
+], ids=["quoted-data-cell", "open-header-quote"])
+def test_other_quotes_take_the_per_line_route(data, message, monkeypatch):
+    calls = []
+    real = cli._parse_rows
+
+    def per_line_route(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_parse_rows", per_line_route)
+    selectors = [("gold", "0"), ("pred", "1")]
+    outcome = _outcome(lambda: _load(data, "csv", True, selectors))
+    assert len(calls) == 1
+    if message is None:
+        assert outcome == _outcome(lambda: _oracle_load(data.decode(), "csv", True, selectors))
+        assert np.frombuffer(outcome["pred"]).tolist() == [2.0, 4.0]
+    else:
+        assert outcome.startswith(message)
+
+
 def test_ingest_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
     # the C reader holds the bytes and the parsed columns, not a list of every cell
     data, gold, _ = _bench_table("csv", False, "\n")

@@ -209,6 +209,17 @@ class TestGradients:
         params = LossParams(variant="ratio")
         np.testing.assert_allclose(loss_gradient(params, g, g), np.zeros(3), atol=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e-80, 1e-82, 1e80])
+    def test_ratio_gradient_scales_with_the_rows(self, scale):
+        # the gradient divides by R once: R * R is subnormal at 1e-80, zero at 1e-82 and
+        # past float64 at 1e80
+        g, p = np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 4.0])
+        params = LossParams(variant="ratio")
+        np.testing.assert_allclose(
+            loss_gradient(params, g * scale, p * scale) * scale, loss_gradient(params, g, p),
+            rtol=1e-15,
+        )
+
     def test_all_variants_match_finite_differences(self):
         rng = np.random.default_rng(4)
         for variant in VARIANTS:

@@ -18,7 +18,6 @@ from cccmap import (
     error_set,
     optimal_permutations,
 )
-from cccmap import ordering
 from cccmap.ordering import (
     GOLD_MINUS_PRED,
     PRED_MINUS_GOLD,
@@ -447,29 +446,36 @@ def test_gold_order_is_the_stable_argsort(kind, n, seed):
     assert np.array_equal(_gold_order(g, np.empty((2, n))), np.argsort(g, kind="stable"))
 
 
+def _spy_on_argsort(monkeypatch):
+    """The orders np.argsort returns from now on, one list entry per call."""
+    calls = []
+    real = np.argsort
+
+    def spy(a, *args, **kwargs):
+        calls.append(real(a, *args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["clash_cluster", "cluster_outlier"])
 def test_clashing_keys_are_repaired(kind, monkeypatch):
-    # these golds do make distinct values share a cut key out of order, so the repair runs
-    repaired = []
-    real = ordering._repair
-
-    def spy(key, order, same, s):
-        before = order.copy()
-        real(key, order, same, s)
-        repaired.append(not np.array_equal(before, order))
-
-    monkeypatch.setattr(ordering, "_repair", spy)
+    # these golds do make distinct values share a cut key out of order, so the runs of
+    # equal cut keys are sorted again by value, and that moves some of them
     n = 5000
     g = _gold(kind, n, np.random.default_rng(3))
-    assert np.array_equal(_gold_order(g, np.empty((2, n))), np.argsort(g, kind="stable"))
-    assert any(repaired)
+    expected = np.argsort(g, kind="stable")
+    resorts = _spy_on_argsort(monkeypatch)
+    assert np.array_equal(_gold_order(g, np.empty((2, n))), expected)
+    assert len(resorts) == 1
+    assert not np.array_equal(resorts[0], np.arange(resorts[0].size))
 
 
-def test_packed_order_repairs_its_own_repair(monkeypatch):
-    # n = 2**21 + 2 keys: the largest, 2**63 - 1, cuts 23 bits from every key, so each pair
-    # (p << 23 | 3, p << 23 | 2) shares a cut key out of order; the last pair's run holds a
-    # third key. The repair's 2**21 + 1 keys (run number << 23 | low bits) cut 3 bits, which
-    # still joins 3 and 2, so a third level sorts them again.
+def test_runs_of_cut_keys_are_sorted_by_value():
+    # n = 2**21 + 2 values whose images are the keys below: the largest finite double cuts
+    # 23 bits from every image, so each pair (p << 23 | 3, p << 23 | 2), subnormal as
+    # doubles, shares a cut key out of order; the last pair's run holds a third value
     pairs = 1 << 20
     n = 2 * pairs + 2
     key = np.empty(n, dtype=np.int64)
@@ -477,17 +483,24 @@ def test_packed_order_repairs_its_own_repair(monkeypatch):
     key[0:2 * pairs:2] = high | 3
     key[1:2 * pairs:2] = high | 2
     key[-2] = high[-1] | 1
-    key[-1] = 2**63 - 1
+    key[-1] = np.float64(np.finfo(np.float64).max).view(np.int64)
+    g = key.view(np.float64)
     expected = np.arange(n)
     expected[:2 * pairs] ^= 1  # each pair swapped
     expected[-4:-1] = [n - 2, n - 3, n - 4]  # the run of three reversed
-    levels = []
-    real = ordering._packed_order
+    order = _gold_order(g, np.empty((2, n)))
+    assert np.array_equal(order, expected)
+    assert np.array_equal(order, np.argsort(g, kind="stable"))
 
-    def counted(k, out):
-        levels.append(k.size)
-        return real(k, out)
 
-    monkeypatch.setattr(ordering, "_packed_order", counted)
-    assert np.array_equal(ordering._packed_order(key, np.empty_like(key)), expected)
-    assert levels == [n, n - 1, n - 1]
+def test_signed_zeros_in_a_run_keep_index_order(monkeypatch):
+    # +-1e308 cut every image near zero to one key per sign: -0.0 and 0.0 share a run with
+    # positive subnormals placed out of order, so the run is sorted again by value, and the
+    # zeros, equal as values, stay in index order
+    g = np.array([1e308, 5e-324, 0.0, -0.0, -5e-324, 1e-320, -0.0, -1e-320, 0.0, -1e308])
+    resorts = _spy_on_argsort(monkeypatch)
+    order = _gold_order(g, np.empty((2, g.size)))
+    assert len(resorts) == 1
+    monkeypatch.undo()
+    assert order.tolist() == [9, 7, 4, 2, 3, 6, 8, 1, 5, 0]
+    assert np.array_equal(order, np.argsort(g, kind="stable"))
