@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import itertools
+import json
 import math
 import re
 import sys
@@ -53,7 +54,7 @@ from .ordering import (
     error_set,
     optimal_permutations,
 )
-from .stats import _gold_moments, _identity_residual, _unscale, as_sequence, pair_stats
+from .stats import _gold_moments, _unscale, as_sequence, pair_stats, variance_identity_residual
 from .tolerances import TOL
 
 _FLOAT_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$", re.ASCII)
@@ -85,8 +86,6 @@ def _split_rows(text: str, fmt: str) -> list[list[str]]:
     lines = [ln.rstrip("\r") for ln in text.split("\n") if ln.strip() != ""]
     if fmt == "plain":
         return [ln.split() for ln in lines]
-    if fmt not in ("csv", "tsv"):
-        raise InvalidInput(f"unknown format {fmt!r}")
     # The empty sentinel line is swallowed by a quoted cell left open on the last line,
     # so every row that spans lines shows as a line count running ahead of the rows.
     reader = csv.reader(itertools.chain(lines, [""]), delimiter=_DELIMITERS[fmt])
@@ -207,17 +206,16 @@ def _parse_rows(text: str, args, selectors: list[tuple[str, str]]) -> dict[str, 
     return out
 
 
-def _digest(n: int, e: int, mu: float, var: float) -> dict:
-    _unscale(var, 2 * e, "variance")  # mu, var in the kernel's units: refuse a var past float64
-    return {"n": int(n), "mean": math.ldexp(mu, e), "std": math.ldexp(math.sqrt(var), e)}
-
-
 def _digest_of(arr: np.ndarray) -> dict:
-    return _digest(arr.size, *_gold_moments(arr)[:3])
+    e, mu, var, _ = _gold_moments(arr)
+    _unscale(var, 2 * e, "variance")  # mu, var in the kernel's units: refuse a var past float64
+    return {"n": arr.size, "mean": math.ldexp(mu, e), "std": math.ldexp(math.sqrt(var), e)}
 
 
-def _load_gold(args) -> CenteredGold:
-    return center_gold(_load_columns(args, [("gold", args.gold_col)])["gold"])
+def _load_gold(args) -> tuple[CenteredGold, dict]:
+    """Prepared gold column and its input digest, read from the prepared units."""
+    gold = center_gold(_load_columns(args, [("gold", args.gold_col)])["gold"])
+    return gold, {"gold": {"n": gold.n, "mean": gold.mu_g, "std": gold.sigma_g}}
 
 
 def _load_errors(args) -> tuple[np.ndarray, ErrorSet, dict]:
@@ -259,10 +257,8 @@ def _render_json(obj, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         # strict JSON has no Infinity/NaN tokens
         out.append(_fmt(obj) if np.isfinite(obj) else "null")
-    elif obj is None:
-        out.append("null")
     else:
-        out.append('"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(str(obj), ensure_ascii=False))
 
 
 def _render_text(obj, out: list[str], indent: int = 0) -> None:
@@ -324,13 +320,6 @@ def _write_csv(path: str | None, columns, rows: np.ndarray) -> None:
             raise InvalidInput(f"cannot write output {path!r}: {exc}") from exc
 
 
-def _report_skeleton(args, command: str) -> dict:
-    report = {"command": command, "version": __version__}
-    if getattr(args, "seed", None) is not None:
-        report["seed"] = args.seed
-    return report
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -339,9 +328,8 @@ def cmd_analyze(args) -> dict:
     cols = _load_columns(args, [("gold", args.gold_col), ("pred", args.pred_col)])
     gold, pred = cols["gold"], cols["pred"]
     stats = pair_stats(gold, pred)
-    report = _report_skeleton(args, "analyze")
-    report["inputs"] = {"gold": _digest_of(gold), "pred": _digest_of(pred)}
-    report["results"] = {
+    inputs = {"gold": _digest_of(gold), "pred": _digest_of(pred)}
+    results = {
         "n": stats.n,
         "mu_gold": stats.mu_x,
         "mu_pred": stats.mu_y,
@@ -356,25 +344,24 @@ def cmd_analyze(args) -> dict:
         "mae": stats.mae,
         "ccc": stats.ccc,
         "ccc_via_mse_map": ccc_from_mse_cov(stats.mse, stats.cov_xy),
-        "variance_identity_residual": _identity_residual(gold, pred),
+        "variance_identity_residual": variance_identity_residual(gold, pred),
     }
-    return report
+    return {"inputs": inputs, "results": results}
 
 
 def cmd_bounds_mse(args) -> dict:
     if args.mse is None:
         raise InvalidInput("bounds-mse requires --mse")
-    gold = _load_gold(args)
+    gold, inputs = _load_gold(args)
     result = bounds_given_mse(gold, args.mse)
-    report = _report_skeleton(args, "bounds-mse")
-    report["inputs"] = {"gold": _digest(gold.n, gold.e, gold.mu, gold.var)}
-    report["results"] = {
+    results = {
         "mse": args.mse,
         "sigma_g": gold.sigma_g,
         "x": result.x_param,
         "ccc_max": result.ccc_max,
         "ccc_min": result.ccc_min,
     }
+    report = {"inputs": inputs, "results": results}
     if args.out is not None:
         _write_csv(
             args.out,
@@ -394,13 +381,11 @@ def cmd_bounds_mse(args) -> dict:
 def cmd_bounds_lk(args) -> dict:
     if args.k is None or args.lk is None:
         raise InvalidInput("bounds-lk requires --k and --lk")
-    gold = _load_gold(args)
+    gold, inputs = _load_gold(args)
     band = theta_band(args.k, gold.n, args.lk)
     thetas = theta_grid(band.theta_max, args.theta_steps)
     envelope = envelope_given_lk(args.k, gold.n, args.lk, gold.sigma_g, theta=1.0)
-    report = _report_skeleton(args, "bounds-lk")
-    report["inputs"] = {"gold": _digest(gold.n, gold.e, gold.mu, gold.var)}
-    report["results"] = {
+    results = {
         "k": args.k,
         "n": gold.n,
         "lk": args.lk,
@@ -418,7 +403,7 @@ def cmd_bounds_lk(args) -> dict:
             for t, v in zip(thetas, _lower_family(envelope.x, thetas, "x"))
         ],
     }
-    return report
+    return {"inputs": inputs, "results": results}
 
 
 def _permutation_audit(gold, errors, extremes):
@@ -439,8 +424,6 @@ def _permutation_audit(gold, errors, extremes):
 def cmd_permute(args) -> dict:
     gold, errors, inputs = _load_errors(args)
     extremes = optimal_permutations(gold, errors)
-    report = _report_skeleton(args, "permute")
-    report["inputs"] = inputs
 
     def block(result):
         return {
@@ -450,7 +433,7 @@ def cmd_permute(args) -> dict:
             "ccc_closed_form": result.formula_value,
         }
 
-    report["results"] = {
+    results = {
         "max_add": block(extremes.max_add),
         "max_sub": block(extremes.max_sub),
         "min_add": block(extremes.min_add),
@@ -458,11 +441,12 @@ def cmd_permute(args) -> dict:
     }
     if args.audit:
         orderings, rows, agrees = _permutation_audit(gold, errors, extremes)
-        report["results"]["audit"] = {
+        results["audit"] = {
             "orderings": orderings,
             **{f"oracle_{name}": oracle for name, oracle, _ in rows},
             "agrees": agrees,
         }
+    report = {"inputs": inputs, "results": results}
     if args.out is not None:
         _write_csv(
             args.out,
@@ -492,13 +476,11 @@ def cmd_solve_even_p(args) -> dict:
         raise InvalidInput("solve-even-p requires --k and --lk")
     if not args.k.is_integer():
         raise InvalidInput(f"solve-even-p needs an even integer k, got {args.k}")
-    gold = _load_gold(args)
+    gold, inputs = _load_gold(args)
     prob = StationarityProblem(
         gold=gold, k=int(args.k), lk=args.lk, objective=args.objective
     )
     state = solve(prob, seed=args.seed, max_iters=args.max_iters)
-    report = _report_skeleton(args, "solve-even-p")
-    report["inputs"] = {"gold": _digest(gold.n, gold.e, gold.mu, gold.var)}
     results = {
         "k": int(args.k),
         "lk": args.lk,
@@ -522,18 +504,16 @@ def cmd_solve_even_p(args) -> dict:
             "cosine_similarity": cos,
             "ccc_abs_error": abs(state.ccc_value - envelope),
         }
-    report["results"] = results
-    return report
+    return {"inputs": inputs, "results": results}
 
 
 def cmd_loss(args) -> dict:
     cols = _load_columns(args, [("gold", args.gold_col), ("pred", args.pred_col)])
     gold, pred = cols["gold"], cols["pred"]
     params = LossParams(variant=args.variant, gamma=args.gamma, alpha=args.alpha, beta=args.beta)
-    report = _report_skeleton(args, "loss")
-    report["inputs"] = {"gold": _digest_of(gold), "pred": _digest_of(pred)}
+    inputs = {"gold": _digest_of(gold), "pred": _digest_of(pred)}
     grad = loss_gradient(params, gold, pred)
-    report["results"] = {
+    results = {
         "variant": args.variant,
         "gamma": args.gamma,
         "alpha": args.alpha,
@@ -542,12 +522,13 @@ def cmd_loss(args) -> dict:
         "gradient_max_abs": float(np.max(np.abs(grad))),
         "gradient": grad,
     }
+    report = {"inputs": inputs, "results": results}
     if args.trace_iters is not None:
         if args.trace_step is None:
             raise InvalidInput("--trace-iters requires --trace-step")
         trace = training_trace(params, gold, pred, args.trace_step, args.trace_iters)
         last = trace.rows[-1]
-        report["results"]["trace"] = {
+        results["trace"] = {
             "rows": int(trace.rows.shape[0]),
             "diverged": trace.diverged,
             "final_loss": float(last[1]),
@@ -575,9 +556,8 @@ def cmd_region(args) -> dict | None:
 
 
 def cmd_audit(args) -> dict:
-    report = _report_skeleton(args, "audit")
     if args.oracle == "permutation":
-        gold, errors, report["inputs"] = _load_errors(args)
+        gold, errors, inputs = _load_errors(args)
         orderings, rows, agrees = _permutation_audit(
             gold, errors, optimal_permutations(gold, errors)
         )
@@ -585,25 +565,23 @@ def cmd_audit(args) -> dict:
         for name, oracle, closed in rows:
             results[f"oracle_{name}"] = oracle
             results[f"closed_form_{name}"] = closed
-        report["results"] = {**results, "agrees": agrees}
-        return report
+        return {"inputs": inputs, "results": {**results, "agrees": agrees}}
     if args.oracle == "mse-sphere":
         if args.mse is None:
             raise InvalidInput("audit mse-sphere requires --mse")
-        gold = _load_gold(args)
+        gold, inputs = _load_gold(args)
         oracle = mse_sphere_oracle(gold.gold, args.mse, args.trials, args.seed)
         bounds = bounds_given_mse(gold, args.mse)
         params, x, lower, upper = {}, bounds.x_param, bounds.ccc_min, bounds.ccc_max
     else:  # lk-sphere
         if args.k is None or args.lk is None:
             raise InvalidInput("audit lk-sphere requires --k and --lk")
-        gold = _load_gold(args)
+        gold, inputs = _load_gold(args)
         oracle = lk_sphere_oracle(gold.gold, args.k, args.lk, args.trials, args.seed)
         env = envelope_given_lk(args.k, gold.n, args.lk, gold.sigma_g, theta=1.0)
         params, x, lower, upper = {"k": args.k, "lk": args.lk}, env.x, env.ccc_lower, env.ccc_upper
     best, worst, slack = oracle.best_value, oracle.worst_value, TOL.oracle_slack
-    report["inputs"] = {"gold": _digest(gold.n, gold.e, gold.mu, gold.var)}
-    report["results"] = {
+    results = {
         "oracle": args.oracle,
         "trials": oracle.trials,
         **params,
@@ -614,7 +592,7 @@ def cmd_audit(args) -> dict:
         "envelope_lower": lower,
         "bounds_respected": best <= upper + slack and worst >= lower - slack,
     }
-    return report
+    return {"inputs": inputs, "results": results}
 
 
 # ---------------------------------------------------------------------------
@@ -710,15 +688,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        body = args.func(args)
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except NUMERIC_ERRORS as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERIC
-    if report is not None:
-        _emit_report(report, args.json)
+    if body is not None:  # every verb that returns a report takes --seed
+        header = {"command": args.command, "version": __version__, "seed": args.seed}
+        _emit_report({**header, **body}, args.json)
     return EXIT_OK
 
 

@@ -206,7 +206,7 @@ def _plan_roots(a: np.ndarray, var: float, k: int, lk: float, sigma: float, max_
     samples = {  # plan (shape, whether the first largest |yz| takes the outer hump root):
         # (tau, Phi / tau^b) in increasing tau, with the limits at 0 and inf
         ("hump", False): [(0.0, near), (1.0, one["hump"])],
-        ("hump", True): [(0.0, sigma * (k - 1.0) ** ((k - 1.0) / (k - 2)) / ((k - 2) * n))]
+        ("hump", True): [(0.0, sigma * (k - 1.0) ** ((k - 1.0) / (k - 2)) / ((k - 2.0) * n))]
         + list(zip(scan.tolist(), value(("hump", True), scan))) + [(1.0, one["hump"])],
         ("mono", False): [(0.0, near), (1.0, one["mono"]), (math.inf, far)],
         ("dip", False): [(0.0, -sigma * n ** (-1.0 / k)), (1.0, one["dip"]), (math.inf, far)],

@@ -77,7 +77,7 @@ class LossParams:
                 object.__setattr__(self, name, _reals(vec, name, "positive"))
         if self.per_sample_beta is not None:
             vec = np.asarray(self.per_sample_beta)
-            if np.any(vec < 0) or not np.issubdtype(vec.dtype, np.integer):
+            if vec.dtype.kind not in "iu" or np.any(vec < 0):
                 raise InvalidInput("per_sample_beta entries must be nonnegative integers")
             object.__setattr__(self, "per_sample_beta", vec.astype(np.int64))
 
@@ -217,7 +217,8 @@ def training_trace(
     for it in range(1, iters + 1):
         moved = False
         for _ in range(60):
-            candidate = p - current_step * grad
+            with np.errstate(over="ignore"):  # as_sequence refuses an inf candidate
+                candidate = p - current_step * grad
             try:
                 cand_loss, gradient = _evaluate(params, g, as_sequence(candidate))
                 if cand_loss <= current:

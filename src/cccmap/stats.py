@@ -300,10 +300,7 @@ def variance_identity_residual(x, y) -> float:
 
     Zero in exact arithmetic; the float residual stays below 1e-12 relative.
     """
-    return _identity_residual(*_as_pair(x, y))
-
-
-def _identity_residual(xv: np.ndarray, yv: np.ndarray) -> float:
+    xv, yv = _as_pair(x, y)
     ex, ey, mu_x, mu_y, var_x, var_y, cov = _moments(xv, yv)
     e, _, left = _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y)
     d, u = _scaled_errors(xv, yv)

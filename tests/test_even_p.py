@@ -26,6 +26,7 @@ from cccmap import (
     stationarity_residual,
     upper_envelope,
 )
+from cccmap import even_p
 from cccmap.even_p import StationarityProblem
 
 
@@ -175,8 +176,41 @@ class TestSolve:
         assert state.ccc_value == pytest.approx(direct, rel=1e-12)
 
     def test_not_converged_carries_state(self):
-        exc = NotConverged("budget exhausted", state="sentinel")
-        assert exc.state == "sentinel"
+        prob = StationarityProblem(gold=center_gold([1, 2, 4, 3, 7]), k=4, lk=1.3, objective="max")
+        with pytest.raises(NotConverged, match="best residual 1.804e-03") as info:
+            solve(prob, seed=0, max_iters=1)
+        state = info.value.state
+        assert state.residual_norm == pytest.approx(1.8039e-3, rel=1e-4)
+        assert state.residual_norm == scaled_residual(prob, state.d)
+
+    @pytest.mark.parametrize("k", [4e307, 1e308, 1.7e308])
+    def test_k_past_float64_times_n_converges(self, k):
+        # the outer hump's limit at tau -> 0 divides by (k - 2) n, past float64 here
+        gold = center_gold([1, 2, 4, 3, 7])
+        prob = StationarityProblem(gold=gold, k=int(k), lk=1.0, objective="max")
+        state = solve(prob, seed=0)
+        assert state.residual_norm <= 1e-8
+        assert np.all(np.isfinite(state.d)) and math.isfinite(state.ccc_value)
+
+    @pytest.mark.parametrize("lk", [3.0, 5.0])
+    def test_the_fold_gold_resamples_and_beats_the_sphere(self, lk, monkeypatch):
+        # three tied largest |g - mu_g| turn the outer hump's curve back near tau = 1,
+        # where _plan_roots samples it again, more finely
+        gold = [-1, -1, 1, -2, 2, -1, 2]
+        shape_roots, resamples = even_p._shape_roots, []
+
+        def counted(shape, k, t, outer):
+            resamples.append(np.shape(t)[0] == 8)  # a resample evaluates 8 new taus
+            return shape_roots(shape, k, t, outer)
+
+        monkeypatch.setattr(even_p, "_shape_roots", counted)
+        prob = StationarityProblem(gold=center_gold(gold), k=6, lk=lk, objective="min")
+        state = solve(prob, seed=0)
+        assert any(resamples)
+        assert state.residual_norm <= 1e-8
+        sphere = lk_sphere_oracle(gold, 6, lk, 20_000, 0)
+        assert state.ccc_value < sphere.worst_value
+        assert state.ccc_value == pytest.approx(ccc(gold, gold + state.d), rel=1e-12)
 
 
 class TestPresampleBlocks:

@@ -98,6 +98,11 @@ class TestLossValues:
             with pytest.raises(InvalidInput, match="step"):
                 training_trace(LossParams(variant="diff"), [1.0, 2.0], [1.5, 2.5], step, 5)
 
+    @pytest.mark.parametrize("beta", [["a", "b"], [None, 1], [1.5, 2.0], [True, False]])
+    def test_per_sample_beta_that_is_no_integer_names_it(self, beta):
+        with pytest.raises(InvalidInput, match="^per_sample_beta"):
+            LossParams(variant="general_ratio", per_sample_beta=beta)
+
 
 class TestOverflow:
     # |inner| = 2994 / 212 for these rows, and its 300th power is past float64
@@ -312,6 +317,16 @@ class TestSpecializationChain:
 
 
 class TestTrainingTrace:
+    def test_a_step_past_float64_is_halved_without_a_warning(self):
+        # step * grad overflows; the inf candidate is refused and the step halved, 60
+        # times, which leaves it far too large, so the trace ends at its start
+        g, p = [1.0, 2.0, 4.0, 3.0, 7.0], [1.5, 1.7, 3.9, 3.2, 6.1]
+        params = LossParams(variant="diff")
+        trace = training_trace(params, g, p, step=1e308, iters=5)
+        assert trace.rows.shape == (1, 4)
+        assert trace.rows[0, 1] == loss(params, g, p)
+        np.testing.assert_array_equal(trace.final_pred, p)
+
     def test_fixed_point_at_identity(self):
         g = np.array([1.0, 2.0, 3.0])
         params = LossParams(variant="diff", alpha=0.0)  # plain sum of squares
