@@ -19,9 +19,11 @@ sum in two forms, the ratio N / R and the difference N - R, of
 A variant ignores the parameters it does not read. The signed ratio is
 unbounded below when the dot product can go negative; abs_mse_over_cov is the
 safe variant (bounded below on the negative-cov side, so driving the
-covariance more negative cannot pay off indefinitely), and the only one
-evaluated in the moment kernel's scaled units. A sum, loss or gradient past
-float64 raises InvalidInput naming it. Gradients are with respect to the
+covariance more negative cannot pay off indefinitely); it is evaluated in the
+moment kernel's scaled units, and ratio and ratio_pow, whose N / R is
+scale-free, at the power of two that brings max |g_i|, |p_i| into [0.5, 1), so
+their sums overflow at no scale. A sum, loss or gradient past float64 raises
+InvalidInput naming it. Gradients are with respect to the
 prediction. At a non-differentiable point of |.|^gamma (inner value exactly
 zero) the subgradient 0 is returned.
 """
@@ -34,7 +36,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .errors import InvalidInput, Singularity
-from .stats import _as_pair, _count, _error_mean, _moments, _real, _reals, _scaled_errors
+from .stats import _as_pair, _count, _error_mean, _moments, _real, _reals, _scaled_errors, _span
 from .stats import _unscale, as_sequence, ccc as _ccc, mse as _mse
 
 Variant = Literal[
@@ -124,6 +126,12 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
     elif variant.startswith("diff"):
         coef, beta = params.alpha, params.beta if variant == "diff_pow" else 0
     ratio = "ratio" in variant
+    # N / R with unit weights is scale-free: evaluated on g and p at the power of two that
+    # brings their largest magnitude into [0.5, 1), with its gradient unscaled by that power
+    shift = 0
+    if variant in ("ratio", "ratio_pow"):
+        shift = np.int32(max(_span(g)[0], _span(p)[0]))  # int32: fast loop
+        g, p = np.ldexp(g, -shift), np.ldexp(p, -shift)
     with np.errstate(all="ignore"):  # a sum past float64 is reported below
         err = p - g
         powers = alpha * (g * p) ** (2 * beta)  # even exponent, safe for negative products
@@ -137,7 +145,10 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
 
     def gradient():
         dnum, dreward = 2.0 * eps * err, coef * (2 * beta + 1) * powers * g
-        return (dnum - inner * dreward) / reward if ratio else dnum - dreward
+        if not ratio:
+            return dnum - dreward
+        grad = (dnum - inner * dreward) / reward
+        return np.ldexp(grad, -shift, out=grad)
 
     return inner, gradient, variant not in ("ratio", "diff")
 

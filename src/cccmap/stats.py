@@ -382,11 +382,17 @@ def _sphere_rows(
         raise InvalidInput(f"the L_{p:g} norm of a sampled row overflows float64")
     with np.errstate(over="ignore", divide="ignore"):
         scale = radius / norm
+    # a huge radius over a norm below 1: no entry of the scaled row exceeds the radius, so
+    # those rows alone are divided by their norm first
+    wide = np.flatnonzero((scale == math.inf) & (norm > 0.0))
+    out[wide] /= norm[wide, None]
+    scale[wide] = radius
     if np.all(scale < math.inf):
-        out *= scale[:, None]
+        with np.errstate(over="ignore"):  # an entry passes the radius only by rounding
+            out *= scale[:, None]
         # a scaled row's largest entry is at least radius / n**(1/p): only below the normal
         # range can a row have underflowed to zero
-        if (
+        if (radius < 2.0**1020 or np.all(np.abs(out) < math.inf)) and (
             radius == 0.0
             or radius * out.shape[-1] ** (-1.0 / p) >= 2.0**-1021
             or np.all(np.any(out, axis=-1))

@@ -392,7 +392,31 @@ class TestRegion:
         assert proc.returncode == 2
 
 
+    @pytest.mark.parametrize("variant", ["ratio", "ratio_pow"])
+    def test_ratio_losses_are_scale_free_near_1e154(self, variant):
+        # N / R is 2.25 / 30.5 at any scale, though N and R leave float64 here
+        stdin = "".join(f"{g}e154,{p}e154\n" for g, p in ((1, 2), (2, 1), (3, 3.5), (4, 4)))
+        proc = run(["loss", "--variant", variant, "--json"], stdin=stdin)
+        assert proc.returncode == 0 and proc.stderr == ""
+        results = json.loads(proc.stdout)["results"]
+        assert results["loss"] == pytest.approx(2.25 / 30.5, rel=1e-15)
+        assert np.all(np.isfinite(results["gradient"]))
+
+
 class TestAudit:
+    @pytest.mark.parametrize(
+        "args",
+        [["mse-sphere", "--mse", "1e308"], ["lk-sphere", "--k", "2", "--lk", "1e308", "--seed", "1"]],
+        ids=["mse-1e308", "lk-1e308"],
+    )
+    def test_sphere_audits_at_a_radius_near_the_top_of_float64(self, args):
+        proc = run(["audit", *args, "--format", "plain", "--trials", "50", "--json"],
+                   stdin="1\n2\n4\n3\n")
+        assert proc.returncode == 0 and proc.stderr == "" and "null" not in proc.stdout
+        results = json.loads(proc.stdout)["results"]
+        assert results["envelope_lower"] <= results["worst"] <= results["best"] <= results["envelope_upper"]
+        assert results["bounds_respected"] is True
+
     def test_permutation_oracle_summary(self):
         proc = run(
             ["audit", "permutation", "--json"], stdin="1,0.5\n2,-1\n4,2\n0,0.1\n"
@@ -522,7 +546,7 @@ class TestParameterAndRangeErrors:
             (["permute", "--json"], "1.7e308,0.1\n1.6e308,0.2\n1.5e308,0.3\n"),
             (["loss", "--variant", "diff", "--json"], "1.7e308,1\n1.6e308,2\n1.5e308,3\n"),
             (["loss", "--variant", "ratio_pow", "--gamma", "300", "--json"], "1,2\n2,30\n3,50\n"),
-            (["loss", "--variant", "ratio", "--json"], "1e154,2e154\n2e154,1e154\n3e154,4e154\n"),
+            (["loss", "--variant", "diff", "--json"], "1e154,2e154\n2e154,1e154\n3e154,4e154\n"),
             (["loss", "--variant", "ratio", "--json"], "1e-300,1e-300\n-1e-300,1e-300\n1,1e-300\n"),
             (["audit", "mse-sphere", "--format", "plain", "--mse", "1", "--seed", "-1"],
              "1\n2\n4\n3\n"),

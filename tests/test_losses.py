@@ -135,7 +135,8 @@ class TestOverflow:
         with pytest.raises(InvalidInput, match="gradient"):
             loss_gradient(params, g, p)
 
-    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "abs_mse_over_cov"])
+    # ratio and ratio_pow are evaluated at a power of two: see TestLossCccLink
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v not in ("abs_mse_over_cov", "ratio", "ratio_pow")])
     def test_raw_sums_past_float64_name_the_loss(self, variant):
         g, p = [1e154, 2e154, 3e154], [2e154, 1e154, 4e154]
         for fn in (loss, loss_gradient):
@@ -183,6 +184,23 @@ class TestLossCccLink:
             assert ccc_from_mse_cov(mse(g, p), cov) == pytest.approx(
                 ccc(g, p), rel=1e-12
             )
+
+    @pytest.mark.parametrize("variant", ["ratio", "ratio_pow"])
+    @pytest.mark.parametrize("exponent", [-400, 0, 510])
+    def test_unit_weight_ratios_exact_under_power_of_two_scaling(self, variant, exponent):
+        # N and R are past float64 at 2**510; 1e154 is the CLI's case
+        rng = np.random.default_rng(4)
+        params = LossParams(variant=variant, gamma=1.5)
+        for _ in range(20):
+            g = rng.uniform(0.5, 3, 6)
+            p = g + rng.uniform(-0.5, 0.5, 6)
+            gs, ps = np.ldexp(g, exponent), np.ldexp(p, exponent)
+            assert loss(params, gs, ps) == loss(params, g, p)
+            np.testing.assert_array_equal(
+                np.ldexp(loss_gradient(params, gs, ps), exponent), loss_gradient(params, g, p)
+            )
+        g, p = np.array([1.0, 2.0, 3.0, 4.0]), np.array([2.0, 1.0, 3.5, 4.0])
+        assert loss(LossParams(variant=variant), g * 1e154, p * 1e154) == pytest.approx(2.25 / 30.5, rel=1e-15)
 
     @pytest.mark.parametrize("exponent", [-500, 500])
     def test_abs_mse_over_cov_exact_under_power_of_two_scaling(self, exponent):

@@ -1,7 +1,8 @@
 """Guards: no module but ``stats`` calls a numpy mean, variance, deviation or covariance,
-a gold standard deviation comes only from ``CenteredGold.sigma_g``, and no module works
-on the unscaled centred gold ``CenteredGold.centered``."""
+a gold standard deviation comes only from ``CenteredGold.sigma_g``, no module works on the
+unscaled centred gold ``CenteredGold.centered``, and the oracles import no closed form."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -37,3 +38,20 @@ def test_gold_std_comes_from_sigma_g():
 def test_no_module_reads_the_unscaled_centred_gold():
     offenders = _offenders(CENTERED, skip=("mse_bounds.py",))
     assert offenders == [], "CenteredGold.centered read in place of a, e:\n" + "\n".join(offenders)
+
+
+def test_the_oracles_import_no_closed_form():
+    """The oracles audit the closed forms, so they take nothing from the modules that hold
+    them, and from ``ordering`` only the error-set types and the sign convention."""
+    tree = ast.parse((PACKAGE / "oracles.py").read_text(encoding="utf-8"))
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    modules = {module for module, _ in imported} | {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    }
+    assert not modules & {"mse_bounds", "lk_bounds", "even_p", "cccmap.mse_bounds", "cccmap.lk_bounds",
+                          "cccmap.even_p"}
+    assert {name for module, name in imported if module == "ordering"} <= {"Convention", "ErrorSet", "_adds"}

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cccmap import (
     DegenerateVariance,
@@ -27,9 +29,9 @@ from cccmap import (
     theta_band,
     upper_envelope,
 )
-from cccmap import stats
-from cccmap.oracles import _permutation_table
-from cccmap.ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD
+from cccmap import oracles, stats
+from cccmap.oracles import OracleReport, _permutation_table
+from cccmap.ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD, _adds
 
 
 class TestPermutationOracle:
@@ -320,6 +322,40 @@ class TestExtremeP:
         with pytest.raises(InvalidInput, match="L_0.01 norm"):
             lk_sphere_oracle([1.0, 2.0, 4.0, 3.0], 0.01, 1e-300, 10, 0)
 
+    def test_a_radius_past_float64_over_a_norm_below_one_is_sampled(self):
+        # radius / norm overflows for seed 1's rows of L_2 norm below 1, though no scaled
+        # entry exceeds the radius; those rows are divided by their norm first
+        g, radius = [1.0, 2.0, 4.0, 3.0], 1e308
+        report = lk_sphere_oracle(g, 2.0, radius, 50, 1)
+        assert -1.0 <= report.worst_value <= report.best_value <= 1.0
+        for witness in (report.witness_best, report.witness_worst):
+            assert lp_norm(witness, 2.0) == pytest.approx(radius, rel=1e-15)
+        rows = np.random.default_rng(1).standard_normal((50, 4))
+        norm = np.sum(rows * rows, axis=-1) ** 0.5
+        with np.errstate(over="ignore"):
+            scale = radius / norm
+            expected = rows * scale[:, None]  # the other rows keep these bits
+        wide = scale == np.inf
+        assert 0 < wide.sum() < 50
+        expected[wide] = rows[wide] / norm[wide, None] * radius
+        out, scratch = np.empty((2, 50, 4))
+        np.testing.assert_array_equal(
+            stats._sphere_rows(np.random.default_rng(1), out, 2.0, radius, scratch), expected)
+
+    def test_an_mse_whose_n_fold_overflows_has_a_finite_radius(self):
+        # 4 * 1e308 leaves float64, the radius 2e154 does not
+        report = mse_sphere_oracle([1.0, 2.0, 4.0, 3.0], 1e308, 50, 0)
+        assert -1.0 <= report.worst_value <= report.best_value <= 1.0
+        assert lp_norm(report.witness_best, 2.0) == pytest.approx(2e154, rel=1e-15)
+
+    @pytest.mark.parametrize("mse_", [0.0, 1e-300, 0.3, 7.0, 1e300, 4e307])
+    def test_the_mse_radius_keeps_the_plain_formulas_bits(self, mse_):
+        g = [1.0, 2.0, 4.0, 3.0]
+        report = mse_sphere_oracle(g, mse_, 20, 2)
+        out, scratch = np.empty((2, 20, 4))
+        expected = stats._sphere_rows(np.random.default_rng(2), out, 2.0, np.sqrt(4 * mse_), scratch)
+        np.testing.assert_array_equal(report.witness_best, expected[report.best_index])
+
     @pytest.mark.parametrize("k", [300.0, 2000.0])
     def test_large_k_samples_are_finite_and_inside_the_envelope(self, k):
         g = [1.0, 2.0, 4.0, 3.0]
@@ -328,6 +364,151 @@ class TestExtremeP:
         env = envelope_given_lk(k, gold.n, 1.0, math.sqrt(gold.var_g), theta=1.0)
         assert env.ccc_lower <= report.worst_value <= report.best_value <= env.ccc_upper
         assert lp_norm(report.witness_best, k) == pytest.approx(1.0, rel=1e-12)
+
+
+def _frozen_extremes(moments, blocks, seed: int) -> OracleReport:
+    """The search loop before the screen, kept as the reference: every row of every block
+    of (predictions, witnesses) is scored by the kernel, and ties keep the first row."""
+    ex, mu_x, var_x, a = moments
+    scratch = None
+    best_val, worst_val = -np.inf, np.inf
+    best_wit = worst_wit = None
+    best_idx = worst_idx = -1
+    trials = 0
+    for preds, witnesses in blocks:
+        if scratch is None:
+            scratch = np.empty((2, *preds.shape))
+        ey, mu_y, var_y, cov = stats._row_moments(a, preds, *scratch[:, :len(preds)])
+        vals = stats._ccc(ex, ey, mu_x, mu_y, var_x, var_y, cov)
+        i_max = int(np.argmax(vals))
+        i_min = int(np.argmin(vals))
+        if vals[i_max] > best_val:
+            best_val, best_wit, best_idx = float(vals[i_max]), witnesses[i_max].copy(), trials + i_max
+        if vals[i_min] < worst_val:
+            worst_val, worst_wit, worst_idx = float(vals[i_min]), witnesses[i_min].copy(), trials + i_min
+        trials += len(vals)
+    return OracleReport(trials, best_val, worst_val, best_wit, worst_wit, seed, best_idx, worst_idx)
+
+
+def _frozen_permutation(gold, errors, convention) -> OracleReport:
+    g, _, moments = stats._prepared_gold(gold, errors.n)
+    combine = np.add if _adds(convention) else np.subtract
+    table = _permutation_table(g.size)
+    preds = np.empty((min(stats._block_rows(g.size), len(table)), g.size))
+
+    def blocks():
+        for lo in range(0, len(table), len(preds)):
+            block = preds[:len(table) - lo]
+            np.take(errors.values, table[lo:lo + len(block)], out=block, mode="clip")
+            yield combine(g, block, out=block), block
+
+    return _frozen_extremes(moments, blocks(), seed=0)
+
+
+def _frozen_sphere(gold, p: float, radius: float, trials: int, seed: int) -> OracleReport:
+    g, _, moments = stats._prepared_gold(gold)
+    rng = np.random.default_rng(seed)
+    buf, preds = np.empty((2, min(stats._block_rows(g.size), trials), g.size))
+
+    def blocks():
+        for done in range(0, trials, len(buf)):
+            d = stats._sphere_rows(rng, buf[:trials - done], p, radius, preds[:trials - done])
+            yield np.add(g, d, out=preds[:trials - done]), d
+
+    return _frozen_extremes(moments, blocks(), seed)
+
+
+def _oracle_and_frozen(oracle: str, gold, *args):
+    """(the oracle's call, the frozen reference's call) on one case: args are (error values,
+    convention), (mse, trials, seed) or (p, lk, trials, seed)."""
+    g = np.asarray(gold)
+    if oracle == "permutation":
+        errors, convention = error_set(args[0]), args[1]
+        return (lambda: permutation_oracle(g, errors, convention),
+                lambda: _frozen_permutation(g, errors, convention))
+    if oracle == "mse":
+        mse_, trials, seed = args
+        return (lambda: mse_sphere_oracle(g, mse_, trials, seed),
+                lambda: _frozen_sphere(g, 2.0, float(np.sqrt(g.size * mse_)), trials, seed))
+    p, lk, trials, seed = args
+    return lambda: lk_sphere_oracle(g, p, lk, trials, seed), lambda: _frozen_sphere(g, p, lk, trials, seed)
+
+
+@st.composite
+def _frozen_cases(draw):
+    """(oracle, gold, its arguments, rows per block or None for the default)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 7 if draw(st.booleans()) else 30))
+    g = rng.standard_normal(n)
+    kind = draw(st.sampled_from(["normal", "near-constant", "levels"]))
+    if kind == "near-constant":  # the screen's bound is set up up to about 2**-30
+        g = 1.0 + g * 2.0 ** -draw(st.integers(10, 45))
+    elif kind == "levels":
+        g = np.round(2 * g)
+    assume(np.ptp(g) > 0)
+    s = draw(st.sampled_from([-500, 0, 500]))
+    g = np.ldexp(g, s)
+    oracle = draw(st.sampled_from(["mse", "lk", "permutation"] if n <= 7 else ["mse", "lk"]))
+    rows = draw(st.sampled_from([None, 7, 64, 512]))
+    if oracle == "permutation":
+        values = rng.standard_normal(n)
+        if draw(st.booleans()):  # repeated values: orderings that tie
+            values = rng.choice(values[:draw(st.integers(1, n))], n)
+        values = np.ldexp(values * draw(st.sampled_from([1e-6, 1.0, 30.0])), s)
+        args = (values.tolist(), draw(st.sampled_from([PRED_MINUS_GOLD, GOLD_MINUS_PRED])))
+    else:
+        trials, seed = draw(st.integers(1, 2500)), draw(st.integers(0, 2**31))
+        if oracle == "mse":
+            mse_ = draw(st.sampled_from([0.0, 1e-9, 0.01, 1.0, 40.0])) * draw(st.floats(0.5, 2.0))
+            args = (math.ldexp(mse_ * float(np.var(np.ldexp(g, -s))), 2 * s), trials, seed)
+        else:
+            p = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0, 6.0]))
+            args = (p, math.ldexp(draw(st.floats(1e-3, 30.0)), s), trials, seed)
+    return oracle, g.tolist(), args, rows
+
+
+class TestScreenAgainstTheFrozenLoop:
+    """The screened search reports every field as the loop that scored every row did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_frozen_cases())
+    def test_reports_equal_the_score_every_row_loop(self, case):
+        oracle, gold, args, rows = case
+        run, frozen = _oracle_and_frozen(oracle, gold, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(stats, "_BLOCK", rows * len(gold))
+            assert _fields(run()) == _fields(frozen())
+
+    @pytest.mark.parametrize("oracle, args", [
+        ("mse", (0.4, 40, 3)),
+        ("lk", (3.0, 1.1, 40, 3)),
+        ("permutation", ([0.5, -0.5, 0.5, 2.0, -1.0], GOLD_MINUS_PRED)),
+    ])
+    def test_one_row_blocks(self, monkeypatch, oracle, args):
+        gold = [0.3, -1.2, 2.0, 0.7, 1.1]
+        run, frozen = _oracle_and_frozen(oracle, gold, *args)
+        monkeypatch.setattr(stats, "_BLOCK", len(gold))
+        assert _fields(run()) == _fields(frozen())
+
+    def test_the_screen_rescores_few_rows(self, monkeypatch):
+        # the shape of the benchmark's sphere searches: 20 values, 2e5 trials
+        g = np.random.default_rng(6).standard_normal(20)
+        scored = []
+
+        def counting(*args):
+            hit = candidates(*args)
+            scored.append(len(args[0]) if hit is None else len(hit))
+            return hit
+
+        candidates = oracles._candidates
+        monkeypatch.setattr(oracles, "_candidates", counting)
+        for run, frozen in (_oracle_and_frozen("mse", g, 0.7, 200_000, 11),
+                            _oracle_and_frozen("lk", g, 4.0, 1.3, 200_000, 12)):
+            scored.clear()
+            assert _fields(run()) == _fields(frozen())
+            assert len(scored) == math.ceil(200_000 / stats._block_rows(20))
+            assert sum(scored) < 0.01 * 200_000
 
 
 class TestFiniteDifference:
