@@ -175,8 +175,8 @@ def _plan_roots(a: np.ndarray, var: float, k: int, lk: float, sigma: float, max_
     otherwise), whose limits at tau -> 0 and, for mono and dip, tau -> inf are known, and
     every plan's ends bracket its roots but one: where 3 or more |yz| (nearly) tie at the
     top, the outer root turns the hump's curve back near tau = 1. So that plan is also
-    sampled evenly in (1 - tau)^(1/2), and where a sample is nearer 0 than both its
-    neighbours, the curve between them is sampled again, more finely.
+    sampled evenly in (1 - tau)^(1/2). That these fixed points bracket every root that
+    can win is observed, not proven.
     """
     n = a.size
     ay = np.abs(a)
@@ -213,15 +213,6 @@ def _plan_roots(a: np.ndarray, var: float, k: int, lk: float, sigma: float, max_
     }
     roots = []
     for plan, points in samples.items():
-        for _ in range(24):  # resample the turn of the samples nearest 0 until it crosses 0
-            turns = [i for i in range(1, len(points) - 1) if points[i + 1][0] < math.inf
-                     and points[i - 1][1] * points[i][1] > 0.0 < points[i][1] * points[i + 1][1]
-                     and abs(points[i][1]) < min(abs(points[i - 1][1]), abs(points[i + 1][1]))]
-            if not turns:
-                break
-            i = min(turns, key=lambda i: abs(points[i][1]))
-            sub = np.linspace(points[i - 1][0], points[i + 1][0], 10)[1:-1]
-            points[i:i + 1] = sorted([points[i], *zip(sub.tolist(), value(plan, sub))])
         on = functools.partial(value, plan)
         for (ta, fa), (tb, fb) in zip(points, points[1:]):
             if fa * fb > 0.0:

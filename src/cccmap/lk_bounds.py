@@ -16,7 +16,7 @@ standard is strictly smaller in general.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import frexp, inf
+from math import frexp, inf, sqrt
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def theta_band(k: float, n: int, lk: float) -> RmseBand:
     lk = _real(lk, "lk", "nonnegative")
     try:
         theta_max = float(n) ** (abs(k - 2.0) / (2.0 * k))
-        rmse_min = lk / (np.sqrt(n) if k >= 2 else float(n) ** (1.0 / k))
+        rmse_min = lk / (sqrt(n) if k >= 2 else float(n) ** (1.0 / k))
     except OverflowError:
         raise InvalidInput(f"band at k={k}, n={n} overflows float64") from None
     return RmseBand(
@@ -154,12 +154,16 @@ def conjugate_theta(theta1: float, x: float) -> float:
     branch); elsewhere the partner does not exist and NoConjugate is raised.
     """
     theta1, x = _real(theta1, "theta1", "positive"), _real(x, "x", "positive")
-    if x * theta1 <= 1.0:
+    product = x * theta1
+    if product <= 1.0:
         raise NoConjugate(
-            f"x*theta1 = {x * theta1} <= 1: envelope value is nonnegative, "
+            f"x*theta1 = {product} <= 1: envelope value is nonnegative, "
             "no conjugate exists"
         )
-    return float(theta1 / (x * theta1 - 1.0))
+    if product < inf:
+        return float(theta1 / (product - 1.0))
+    m, e = frexp(theta1)  # x*theta1 overflows: theta2 = m / (x*m - 2**-e), theta1 = m 2**e
+    return float(m / (x * m - 2.0**-e))
 
 
 def theta_grid(theta_max: float, theta_steps: int) -> np.ndarray:

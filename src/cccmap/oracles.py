@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import InvalidInput, TooLarge
 from .ordering import Convention, ErrorSet, _adds
 from .stats import (
     _block_rows, _ccc, _count, _prepared_gold, _real, _row_moments, _sphere_rows, as_sequence,
@@ -240,13 +240,20 @@ def finite_difference(f, at, h: float) -> np.ndarray:
     """Central-difference gradient estimate of a scalar function of a sequence."""
     x = as_sequence(at).copy()
     h = _real(h, "h", "positive")
-    grad = np.empty_like(x)
+    up, down = np.empty_like(x), np.empty_like(x)
     for i in range(x.size):
         orig = x[i]
         x[i] = orig + h
-        up = f(x)
+        up[i] = f(x)
         x[i] = orig - h
-        down = f(x)
+        down[i] = f(x)
         x[i] = orig
-        grad[i] = (up - down) / (2.0 * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = up - down
+        grad = diff / (2.0 * h)
+        # where 2 h or up - down overflows, the halves do not
+        halves = ~np.isfinite(diff) | (2.0 * h == math.inf)
+        np.divide(0.5 * up - 0.5 * down, h, out=grad, where=halves)
+    if not np.all(np.isfinite(grad)):
+        raise InvalidInput("finite difference is not finite at this h")
     return grad

@@ -248,7 +248,13 @@ def _error_mean(d: np.ndarray, u: float, k: float, name: str) -> float:
     with |d| unless k is 2, whose square needs no sign."""
     if k != 2:
         np.abs(d, out=d)
-    return _unscale(float((d**k).mean()), k * u, name)
+    mean = float((d**k).mean())
+    if mean < 2.0**-1022 and d.any():  # k past about 1074: the largest term underflowed
+        top = float(d.max())  # as _max_scaled_norm does: the largest term is exactly 1
+        mean = float(((d / top) ** k).mean())
+        # past 2**-4096 the mean is 0 at any N; k * log2 may be -inf
+        return _unscale(mean, max(k * (u + math.log2(top)), -4096.0), name)
+    return _unscale(mean, k * u, name)
 
 
 def _mean(arr: np.ndarray) -> float:

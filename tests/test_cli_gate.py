@@ -1,11 +1,11 @@
 """An in-process gate of the command-line surface over extreme flag values.
 
 Every verb runs through ``cli.main`` with each of its numeric flags set in turn to
-nan, +-inf, 0, -1, a subnormal, 1e-300, 1e300 and 1e308 (and k to 4e307), the other
-flags at ordinary values, and every warning raised as an error. Each run must end in
-exit 0, 2 or 3 with no exception; a ``--json`` report must parse with ``json.loads``
-and hold no null, save ``theta_at_min`` at lk 0, where it is infinite. The error
-messages that no other test pins are checked here byte for byte.
+nan, +-inf, 0, -1, a subnormal, 1e-300, 1e300 and 1e308 (and k to 4e307, n to 2**64),
+the other flags at ordinary values, and every warning raised as an error. Each run must
+end in exit 0, 2 or 3 with no exception; a ``--json`` report must parse with
+``json.loads`` and hold no null, save ``theta_at_min`` at lk 0, where it is infinite.
+The error messages that no other test pins are checked here byte for byte.
 """
 
 import csv
@@ -49,7 +49,7 @@ VERBS = [
 def _grid():
     for argv, flags in VERBS:
         for flag in flags:
-            for value in VALUES + (("4e307",) if flag == "--k" else ()):
+            for value in VALUES + {"--k": ("4e307",), "--n": (str(2**64),)}.get(flag, ()):
                 name = f"{flag}={value}"
                 yield pytest.param(argv, name, id=f"{' '.join(argv[:3])} {name}")
 

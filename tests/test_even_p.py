@@ -1,8 +1,11 @@
 """Tests for the even-exponent fixed-norm extremizer and its stationarity system."""
 
+import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,25 +195,126 @@ class TestSolve:
         assert state.residual_norm <= 1e-8
         assert np.all(np.isfinite(state.d)) and math.isfinite(state.ccc_value)
 
-    @pytest.mark.parametrize("lk", [3.0, 5.0])
-    def test_the_fold_gold_resamples_and_beats_the_sphere(self, lk, monkeypatch):
-        # three tied largest |g - mu_g| turn the outer hump's curve back near tau = 1,
-        # where _plan_roots samples it again, more finely
+    @pytest.mark.parametrize(
+        "lk, ccc_value",
+        [(3.0, -0.5970886350465889), (5.0, -0.9979599232505552), (6.2967, -0.9113892101223061)],
+        ids=["3.0", "5.0", "6.2967"],
+    )
+    def test_the_fold_gold_beats_the_sphere(self, lk, ccc_value):
+        # three tied largest |g - mu_g| turn the outer hump's curve back near tau = 1; at
+        # lk = 6.2967 the minimum's root is bracketed by the scan alone (without it the solve
+        # ends at ccc -0.91128)
         gold = [-1, -1, 1, -2, 2, -1, 2]
-        shape_roots, resamples = even_p._shape_roots, []
-
-        def counted(shape, k, t, outer):
-            resamples.append(np.shape(t)[0] == 8)  # a resample evaluates 8 new taus
-            return shape_roots(shape, k, t, outer)
-
-        monkeypatch.setattr(even_p, "_shape_roots", counted)
         prob = StationarityProblem(gold=center_gold(gold), k=6, lk=lk, objective="min")
         state = solve(prob, seed=0)
-        assert any(resamples)
+        assert state.ccc_value == ccc_value
         assert state.residual_norm <= 1e-8
         sphere = lk_sphere_oracle(gold, 6, lk, 20_000, 0)
         assert state.ccc_value < sphere.worst_value
         assert state.ccc_value == pytest.approx(ccc(gold, gold + state.d), rel=1e-12)
+
+
+def _frozen_plan_roots(a, var, k, lk, sigma, max_iters):
+    """``even_p._plan_roots`` before its resample loop was deleted, loop included: the
+    reference that the bracketing from fixed samples alone is held to."""
+    n = a.size
+    ay = np.abs(a)
+    outer = int(np.argmax(ay))
+    y = ay / ay[outer]
+    rho = 2.0 * var / (lk * float(ay[outer]))
+
+    def value(plan, tau):
+        tau = np.asarray(tau, dtype=float)
+        u = even_p._shape_roots(plan[0], k, tau[..., None] * y, outer if plan[1] else None)
+        norm = even_p._lp_norm(u, k)
+        b = np.where((tau < 1.0) & (plan in (("hump", True), ("dip", False))), 0.0, 1.0)
+        s, w = (sigma, k - 2.0) if plan[0] == "hump" else (-sigma, 1.0)
+        head = s * (norm * tau ** (-b / (k - 1))) ** (k - 1) / (w * n)
+        return (head - tau ** (1.0 - b) * (sigma * (u @ y) / (n * norm) + rho)).tolist()
+
+    near = -sigma * float(y @ y) / (n * float(even_p._lp_norm(y, k))) - rho
+    y1 = y ** (1.0 / (k - 1))
+    far = -2.0 * sigma * float(y @ y1) / (n * float(even_p._lp_norm(y1, k))) - rho
+    one = {shape: value((shape, False), 1.0) for shape in ("hump", "mono", "dip")}
+    scan = 1.0 - np.linspace(1.0, 0.0, 17)[1:-1] ** 2
+    samples = {
+        ("hump", False): [(0.0, near), (1.0, one["hump"])],
+        ("hump", True): [(0.0, sigma * (k - 1.0) ** ((k - 1.0) / (k - 2)) / ((k - 2.0) * n))]
+        + list(zip(scan.tolist(), value(("hump", True), scan))) + [(1.0, one["hump"])],
+        ("mono", False): [(0.0, near), (1.0, one["mono"]), (math.inf, far)],
+        ("dip", False): [(0.0, -sigma * n ** (-1.0 / k)), (1.0, one["dip"]), (math.inf, far)],
+    }
+    roots = []
+    for plan, points in samples.items():
+        for _ in range(24):  # resample the turn of the samples nearest 0 until it crosses 0
+            turns = [i for i in range(1, len(points) - 1) if points[i + 1][0] < math.inf
+                     and points[i - 1][1] * points[i][1] > 0.0 < points[i][1] * points[i + 1][1]
+                     and abs(points[i][1]) < min(abs(points[i - 1][1]), abs(points[i + 1][1]))]
+            if not turns:
+                break
+            i = min(turns, key=lambda i: abs(points[i][1]))
+            sub = np.linspace(points[i - 1][0], points[i + 1][0], 10)[1:-1]
+            points[i:i + 1] = sorted([points[i], *zip(sub.tolist(), value(plan, sub))])
+        on = functools.partial(value, plan)
+        for (ta, fa), (tb, fb) in zip(points, points[1:]):
+            if fa * fb > 0.0:
+                continue
+            if tb <= 1.0:
+                tau, it = even_p._bracketed_root(on, tb, fb, ta, fa, max_iters)
+            else:
+                x, it = even_p._bracketed_root(
+                    lambda x: on(1 / x), 1 / ta, fa, 1 / tb, fb, max_iters)
+                tau = 1.0 / x
+            roots.append((even_p._shape_roots(plan[0], k, tau * y, outer if plan[1] else None), it))
+    return roots
+
+
+def _outcome(prob):
+    """Every field of ``solve``'s state as bytes, or the error's type, message and state."""
+    def fields(state):
+        return state and tuple(np.asarray(getattr(state, f.name)).tobytes()
+                               for f in dataclasses.fields(state))
+
+    try:
+        return fields(solve(prob, seed=0))
+    except (InvalidInput, NotConverged) as exc:
+        return type(exc), str(exc), fields(getattr(exc, "state", None))
+
+
+@st.composite
+def _fold_golds(draw):
+    """Integer golds of mean exactly 0 whose 3 to 5 largest |g - mu_g| tie, each then
+    moved by a relative 1e-14 to 1e-1 or left tied."""
+    top = draw(st.integers(2, 60))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=5))
+    rest = draw(st.lists(st.integers(1 - top, top - 1), max_size=8))
+    values = [sign * top for sign in signs] + rest
+    while total := sum(values):  # balance the sum with values below the tie
+        values.append(-int(math.copysign(min(abs(total), top - 1), total)))
+    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(-14.0, -1.0).map(lambda e: 10.0**e)),
+                         min_size=len(signs), max_size=len(signs)))
+    gold = np.array(values, dtype=float)
+    gold[: len(signs)] *= 1.0 + np.array(gaps)
+    return draw(st.permutations(gold.tolist()))
+
+
+class TestFrozenResampleLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gold=_fold_golds(),
+        k=st.sampled_from([4, 6, 8, 10, 14, 20]),
+        objective=st.sampled_from(["max", "min"]),
+        factor=st.floats(-1.5, 2.5),
+    )
+    def test_fixed_samples_give_the_loops_solution(self, gold, k, objective, factor):
+        # golds of tied largest |yz| are where the deleted loop ran: its extra samples found
+        # no root that changes any field of the solution or the error raised
+        base = center_gold(gold)
+        lk = math.exp(factor) * base.n ** (1.0 / k) * base.sigma_g
+        prob = StationarityProblem(base, k, lk, objective)
+        with mock.patch.object(even_p, "_plan_roots", _frozen_plan_roots):
+            frozen = _outcome(prob)
+        assert _outcome(prob) == frozen
 
 
 class TestPresampleBlocks:

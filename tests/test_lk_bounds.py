@@ -127,6 +127,11 @@ class TestConjugateTheta:
                 lower_envelope(theta2 * x), rel=1e-12, abs=1e-12
             )
 
+    def test_a_product_past_float64_keeps_the_partner(self):
+        # x * theta1 overflows; theta1 / (x * theta1 - 1) is about 1 / x
+        assert conjugate_theta(1e308, 1e308) == pytest.approx(1e-308, rel=1e-12)
+        assert conjugate_theta(1e300, 1e10) == pytest.approx(1e-10, rel=1e-15)
+
     def test_no_conjugate_on_nonnegative_branch(self):
         with pytest.raises(NoConjugate):
             conjugate_theta(1.0, 0.5)

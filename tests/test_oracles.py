@@ -527,6 +527,14 @@ class TestFiniteDifference:
             with pytest.raises(InvalidInput, match="h must"):
                 finite_difference(lambda v: float(np.sum(v * v)), [1.0, 2.0], h)
 
+    def test_an_h_past_half_of_float64(self):
+        # 2 h and up - down overflow, their halves do not
+        assert finite_difference(sum, [1, 2], 1e308).tolist() == [1.0, 1.0]
+        grad = finite_difference(lambda v: float(v[0]) * 1e-10, [0.0], 1e308)
+        assert grad[0] == pytest.approx(1e-10, rel=1e-15)
+        with pytest.raises(InvalidInput, match="^finite difference is not finite"):
+            finite_difference(lambda v: float(v[0]) * 1e300 * 1e300, [0.0], 1e-300)  # slope 1e600
+
     def test_h_sweep_plateau(self):
         f = lambda v: float(np.sum(v**3))
         at = np.array([0.7, -1.3, 2.1])

@@ -193,6 +193,18 @@ class TestNormsAndErrors:
         # errors [1, 2], k=4 -> (1 + 16)/2
         assert mke([1, 2], [0, 0], 4) == pytest.approx(8.5, rel=1e-12)
 
+    def test_mke_past_k_1074(self):
+        # errors scaled into [0.5, 1) lose their largest term to underflow past k ~ 1074
+        with pytest.raises(InvalidInput, match="^mke overflows float64$"):
+            mke([0, 0], [1, 3], 1e4)  # (1 + 3**10000) / 2
+        errors = [1.0001, 1.0, 0.5]
+        exact = sum(decimal.Decimal(e) ** 5000 for e in errors) / 3
+        assert mke([0, 0, 0], errors, 5000) == pytest.approx(float(exact), rel=1e-11)
+        assert mke([0, 0], [1, 0.5], 1e4) == 0.5
+        # a true mean below float64's range is 0, also where k log2 max|d| is -inf
+        assert mke([0, 0], [0.1, 0.3], 1e4) == 0.0
+        assert mke([0, 0], [0.1, 0.3], 1.7e308) == 0.0
+
     def test_mismatch(self):
         with pytest.raises(InvalidInput):
             mse([1], [1, 2])
