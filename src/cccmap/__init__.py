@@ -26,6 +26,7 @@ from .stats import (
     pair_stats,
     pearson,
     population_variance,
+    variance_identity_residual,
 )
 from .mse_bounds import (
     CenteredGold,
@@ -37,7 +38,6 @@ from .mse_bounds import (
     lower_envelope,
     mse_region_table,
     upper_envelope,
-    variance_identity_residual,
 )
 from .lk_bounds import (
     LkEnvelope,
@@ -52,9 +52,6 @@ from .ordering import (
     ErrorSet,
     OrderingExtremes,
     PermutationResult,
-    ccc_error_form,
-    chebyshev_check,
-    compare_max_conventions,
     error_set,
     optimal_permutations,
 )
@@ -64,7 +61,6 @@ from .even_p import (
     quadratic_in_gold,
     scaled_residual,
     solve,
-    stationarity_residual,
 )
 from .losses import LossParams, TrainingTrace, loss, loss_gradient, training_trace
 from .oracles import (

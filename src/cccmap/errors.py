@@ -25,7 +25,8 @@ class NoConjugate(CccmapError):
 
 
 class TooLarge(CccmapError):
-    """Exhaustive enumeration was requested for an instance beyond the factorial guard."""
+    """A requested size is past its guard: an exhaustive enumeration past the factorial
+    guard, or a region table or theta grid past the cap on its cells."""
 
 
 class NotConverged(CccmapError):

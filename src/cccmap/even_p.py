@@ -83,12 +83,6 @@ def _residual_of(prob: StationarityProblem, d):
     return _residual(gold.a, prob.k, x, gold.var, m), x, m, top
 
 
-def stationarity_residual(prob: StationarityProblem, d) -> np.ndarray:
-    """Per-coordinate first-order residual; all zeros at stationary points."""
-    (res, *_), _, m, top = _residual_of(prob, d)
-    return np.ldexp(res * top, prob.gold.e) if m >= 1.0 else np.ldexp(res, 2 * prob.gold.e)
-
-
 def scaled_residual(prob: StationarityProblem, d) -> float:
     """Max |residual| over the largest magnitude of its terms (2 var_g, |s_gd| and
     max |yz_i d_i|), which does not move with the units of the gold."""

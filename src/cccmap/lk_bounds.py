@@ -21,7 +21,7 @@ from math import frexp, inf, sqrt
 import numpy as np
 
 from .errors import InvalidInput, NoConjugate
-from .mse_bounds import lower_envelope, mse_region_table, upper_envelope
+from .mse_bounds import _check_grid, lower_envelope, mse_region_table, upper_envelope
 from .stats import _count, _real, _unscale, as_sequence, lp_norm
 
 
@@ -170,6 +170,7 @@ def theta_grid(theta_max: float, theta_steps: int) -> np.ndarray:
     """Geometric grid from 1 to theta_max inclusive (collapses when theta_max=1)."""
     theta_max = _real(theta_max, "theta_max", "positive")
     theta_steps = _count(theta_steps, "theta_steps", 1)
+    _check_grid(theta_steps, "theta_steps")
     if theta_max == 1.0 or theta_steps == 1:
         return np.ones(theta_steps, dtype=np.float64)
     return np.geomspace(1.0, theta_max, theta_steps)
@@ -184,6 +185,8 @@ def lk_region_table(
     lower_envelope(theta_j * x) for each theta_j on a geometric grid between
     1 and theta_max. At k = 2 the family collapses onto the single mse curve.
     """
+    cells = _count(steps, "steps", 2) * (3 + _count(theta_steps, "theta_steps", 1))
+    _check_grid(cells, "steps * (3 + theta_steps)")
     mse_rows = mse_region_table(x_max, steps)
     xs = mse_rows[:, 0]
     band = theta_band(k, n, lk=1.0)

@@ -23,25 +23,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, Singularity
+from .errors import DegenerateVariance, Singularity, TooLarge
 from .stats import _count, _gold_moments, _real, _reals, _unscale, as_sequence
-from .stats import variance_identity_residual  # re-exported
 
 #: Column names of the region table rows produced by :func:`mse_region_table`.
 MSE_REGION_COLUMNS = ("x", "psi_upper", "psi_lower")
+
+#: The most cells (rows times columns) that one region table or theta grid may hold.
+MAX_GRID_CELLS = 10**6
 
 
 def ccc_from_mse_cov(mse_value: float, cov: float) -> float:
     """ccc reconstructed from (mse, covariance) alone: 2*cov / (mse + 2*cov)."""
     mse_value = _real(mse_value, "mse", "nonnegative")  # a Python float: overflows silently
     cov = _real(cov, "cov")
-    half_denom = 0.5 * mse_value + cov  # halved, so 2*cov cannot overflow
-    if half_denom == np.inf:  # both terms near the top of the range: halve them once more
-        cov *= 0.5
-        half_denom = 0.25 * mse_value + cov
-    if half_denom == 0.0:
+    num = 2.0 * cov  # unhalved, so a subnormal mse keeps its last bit
+    denom = mse_value + num
+    if abs(denom) == math.inf:  # 2*cov or the sum overflows; a quarter of each term cannot
+        num = 0.5 * cov
+        denom = 0.25 * mse_value + num
+    if denom == 0.0:
         raise Singularity("mse + 2*cov is exactly zero; ccc undefined")
-    return cov / half_denom
+    return num / denom
 
 
 def envelope_kernel(t):
@@ -152,5 +155,14 @@ def mse_region_table(x_max: float, steps: int) -> np.ndarray:
     Deterministic row order; x runs linearly from 0 to x_max inclusive.
     """
     x_max = _real(x_max, "x_max", "nonnegative")
-    xs = np.linspace(0.0, x_max, _count(steps, "steps", 2))
+    steps = _count(steps, "steps", 2)
+    _check_grid(3 * steps, "3 * steps")
+    xs = np.linspace(0.0, x_max, steps)
     return np.column_stack([xs, upper_envelope(xs), lower_envelope(xs)])
+
+
+def _check_grid(cells: int, what: str) -> None:
+    """TooLarge naming ``what``, the grid's cell count, where it is past MAX_GRID_CELLS;
+    called before the grid is allocated."""
+    if cells > MAX_GRID_CELLS:
+        raise TooLarge(f"{what} = {cells} grid cells, past the cap of {MAX_GRID_CELLS}")

@@ -26,17 +26,14 @@ import numpy as np
 from .errors import InvalidInput
 from .mse_bounds import ccc_from_mse_cov
 from .stats import (
-    _as_pair,
     _ccc,
     _error_mean,
     _mean_and_mse,
-    _moments,
     _prepared_gold,
     _row_cov,
     _row_moments,
     _span,
     as_sequence,
-    covariance,
 )
 
 Convention = Literal["pred_minus_gold", "gold_minus_pred"]
@@ -83,26 +80,6 @@ def _mapped_ccc(eg: int, ee: int, var_g: float, cov: float, mse: float, add: boo
     s = max(eg, ee)
     cross = math.ldexp(cov if add else -cov, eg + ee - 2 * s)
     return ccc_from_mse_cov(math.ldexp(mse, 2 * (ee - s)), math.ldexp(var_g, 2 * (eg - s)) + cross)
-
-
-def ccc_error_form(gold, errors_ordered, convention: Convention) -> float:
-    """ccc of (gold, gold + errors) under pred_minus_gold, or of (gold, gold - errors)
-    under gold_minus_pred, computed from the error ordering directly: the prediction's
-    covariance with the gold is var_g +- cov(g, e) and its mse is mean(e**2)."""
-    add = _adds(convention)
-    g, e = _as_pair(gold, errors_ordered)
-    eg, ee, _, _, var_g, _, cov = _moments(g, e)
-    mse = _error_mean(np.ldexp(e, -ee), 0, 2, "mse")
-    return _mapped_ccc(eg, ee, var_g, cov, mse, add)
-
-
-def chebyshev_check(a, b) -> float:
-    """(1/n) sum a_k b_k - mean(a) mean(b).
-
-    Nonnegative when a and b are sorted in the same direction, nonpositive
-    when sorted opposite (Chebyshev's sum inequality).
-    """
-    return covariance(a, b)
 
 
 @dataclass(frozen=True)
@@ -248,18 +225,3 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
         for (name, convention, objective, row), score in zip(_EXTREMES, scored)
     })
 
-
-ComparisonOutcome = Literal["add_better", "sub_better", "tie"]
-
-
-def compare_max_conventions(gold, errors: ErrorSet) -> ComparisonOutcome:
-    """Which convention attains the higher maximum ccc for this instance.
-
-    Decided by evaluating both closed forms; no shortcut inequality exists
-    (instances with either outcome occur). Ties within 1e-12 relative.
-    """
-    ext = optimal_permutations(gold, errors)
-    v1, v2 = ext.max_add.formula_value, ext.max_sub.formula_value
-    if abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1), abs(v2)):
-        return "tie"
-    return "add_better" if v1 > v2 else "sub_better"

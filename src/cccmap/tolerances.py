@@ -18,8 +18,6 @@ class Tolerances:
     constraint_rtol: float = 1e-8    # norm-constraint satisfaction of solver iterates
     residual_tol: float = 1e-8       # scaled stationarity residual at convergence
     oracle_slack: float = 1e-9       # slack granted to sampling oracles at the boundary
-    gradient_rtol: float = 1e-5      # analytic vs. finite-difference gradients
-    anchor_atol: float = 1e-15       # hard-coded envelope anchor points
 
 
 TOL = Tolerances()

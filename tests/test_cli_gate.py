@@ -1,7 +1,8 @@
 """An in-process gate of the command-line surface over extreme flag values.
 
 Every verb runs through ``cli.main`` with each of its numeric flags set in turn to
-nan, +-inf, 0, -1, a subnormal, 1e-300, 1e300 and 1e308 (and k to 4e307, n to 2**64),
+nan, +-inf, 0, -1, a subnormal, 1e-300, 1e300 and 1e308 (and k to 4e307, n to 2**64, and
+the grid sizes to 10**30 and 2**63),
 the other flags at ordinary values, and every warning raised as an error. Each run must
 end in exit 0, 2 or 3 with no exception; a ``--json`` report must parse with
 ``json.loads`` and hold no null, save ``theta_at_min`` at lk 0, where it is infinite.
@@ -21,6 +22,8 @@ from cccmap import cli
 
 TABLE = "1,1.5\n2,1.7\n4,3.9\n3,3.2\n7,6.1\n"  # gold, and predictions or errors
 VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1e-300", "1e300", "1e308")
+SIZES = (str(10**30), str(2**63))
+EXTRA = {"--k": ("4e307",), "--n": (str(2**64),), "--steps": SIZES, "--theta-steps": SIZES}
 
 # (verb and its ordinary flags, the numeric flags varied); the table is read from stdin
 VERBS = [
@@ -49,7 +52,7 @@ VERBS = [
 def _grid():
     for argv, flags in VERBS:
         for flag in flags:
-            for value in VALUES + {"--k": ("4e307",), "--n": (str(2**64),)}.get(flag, ()):
+            for value in VALUES + EXTRA.get(flag, ()):
                 name = f"{flag}={value}"
                 yield pytest.param(argv, name, id=f"{' '.join(argv[:3])} {name}")
 
@@ -130,6 +133,22 @@ def test_non_ascii_text_is_written_raw(tmp_path, capsys):
 )
 def test_missing_flag_messages(argv, message, capsys):
     assert run_main(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["region", "--kind", "mse", "--steps", str(10**30)], "3 * steps"),
+        (["region", "--kind", "mse", "--steps", str(2**63)], "3 * steps"),
+        (["region", "--kind", "lk", "--k", "4", "--n", "5", "--theta-steps", str(10**30)],
+         "steps * (3 + theta_steps)"),
+        (["bounds-lk", "--k", "4", "--lk", "1", "--theta-steps", str(10**30)], "theta_steps"),
+    ],
+)
+def test_a_grid_past_the_cap_names_its_size(argv, what, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {what} = ") and err.endswith(" past the cap of 1000000\n")
 
 
 def test_unreadable_input_message(tmp_path, capsys):

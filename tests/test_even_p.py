@@ -26,7 +26,6 @@ from cccmap import (
     quadratic_in_gold,
     scaled_residual,
     solve,
-    stationarity_residual,
     upper_envelope,
 )
 from cccmap import even_p
@@ -41,6 +40,15 @@ def make_problem(rng, k=4, n=None, objective="max"):
     gold = center_gold(g)
     lk = float(rng.uniform(0.3, 3.0)) * np.sqrt(gold.var_g)
     return StationarityProblem(gold=gold, k=k, lk=lk, objective=objective)
+
+
+def residual(prob, d):
+    """r_i = d_i (P d_i^(k-1) - Q d_i + yz_i), P = (2 var_g + s_gd)/MkE, Q = 2 (var_g + s_gd)/MSE,
+    in plain float64: the first-order residual, zero at every stationary point."""
+    d, yz, var_g = np.asarray(d, float), prob.gold.centered, prob.gold.var_g
+    s_gd, mse_d, mke_d = np.mean(yz * d), np.mean(d * d), np.mean(d**prob.k)
+    p, q = (2 * var_g + s_gd) / mke_d, 2 * (var_g + s_gd) / mse_d
+    return d * (p * d ** (prob.k - 1) - q * d + yz)
 
 
 class TestProblemValidation:
@@ -68,20 +76,18 @@ class TestStationarityResidual:
                 gold=gold, k=2, lk=lp_norm(res.err_max, 2), objective="max"
             )
             for d in (res.err_max, res.err_min):
-                residual = stationarity_residual(prob, d)
-                assert np.max(np.abs(residual)) <= 1e-10 * max(1.0, 2 * gold.var_g)
+                assert np.max(np.abs(residual(prob, d))) <= 1e-10 * max(1.0, 2 * gold.var_g)
 
     def test_generic_point_nonzero(self):
         gold = center_gold([1.0, 2.0, 4.0, 0.5])
         prob = StationarityProblem(gold=gold, k=4, lk=1.0, objective="max")
-        residual = stationarity_residual(prob, [0.9, -0.2, 0.3, 0.1])
-        assert np.max(np.abs(residual)) > 1e-4
+        assert np.max(np.abs(residual(prob, [0.9, -0.2, 0.3, 0.1]))) > 1e-4
 
     def test_zero_vector_rejected(self):
         gold = center_gold([1.0, 2.0, 3.0])
         prob = StationarityProblem(gold=gold, k=4, lk=1.0, objective="max")
-        with pytest.raises(InvalidInput):
-            stationarity_residual(prob, [0.0, 0.0, 0.0])
+        with pytest.raises(InvalidInput, match="zero error vector"):
+            scaled_residual(prob, [0.0, 0.0, 0.0])
 
 
 class TestSolve:
@@ -397,7 +403,7 @@ class TestQuadraticInGold:
             prob = make_problem(rng, k=4)
             d = rng.standard_normal(prob.gold.n)
             d *= prob.lk / lp_norm(d, prob.k)
-            residual = stationarity_residual(prob, d)
+            r = residual(prob, d)
             zeros = np.zeros_like(d)
             mse_val, mke_val = mse(d, zeros), mke(d, zeros, prob.k)
             yz = prob.gold.centered
@@ -408,7 +414,7 @@ class TestQuadraticInGold:
                     continue
                 a, b, c = quadratic_in_gold(prob, d, i)
                 q_value = a * yz[i] ** 2 + b * yz[i] + c
-                expected = residual[i] * n * mse_val * mke_val / (2 * a_den * d[i])
+                expected = r[i] * n * mse_val * mke_val / (2 * a_den * d[i])
                 assert q_value == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_k2_is_the_degenerate_case(self):

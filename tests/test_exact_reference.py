@@ -18,6 +18,11 @@ A call may instead raise ``InvalidInput`` naming a quantity whose exact value le
 float64 (``DegenerateVariance`` where var_g rounds to zero), and must raise where it
 does.
 
+``ccc_from_mse_cov`` and ``envelope_kernel`` take any finite float64 arguments and are
+checked within 2 ulps. The mapping 2c / (m + 2c) rounds twice, the sum and the quotient,
+and raises ``Singularity`` exactly where m + 2c is 0; the kernel 2t / (1 + t^2) rounds
+three times, and random draws over the whole range found it within 1.46 ulps.
+
 ``quadratic_in_gold``'s b and c are checked within 1e-12 of the magnitude of their terms
 (that of b is b itself), plus the least subnormal for a value rounded below the normal
 range, on small-integer golds and errors at their own powers of two.
@@ -30,13 +35,14 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cccmap.errors import DegenerateVariance, InvalidInput
+from cccmap.errors import DegenerateVariance, InvalidInput, Singularity
 from cccmap.even_p import StationarityProblem, quadratic_in_gold
 from cccmap.lk_bounds import envelope_given_lk
-from cccmap.mse_bounds import bounds_given_mse, center_gold
+from cccmap.mse_bounds import bounds_given_mse, ccc_from_mse_cov, center_gold, envelope_kernel
 
 MAX = Fraction(sys.float_info.max)
 TINY = Fraction(math.ulp(0.0))  # the smallest subnormal, 2**-1074
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def fsqrt(q: Fraction) -> Fraction:
@@ -185,3 +191,31 @@ def test_quadratic_in_gold_matches_exact_arithmetic(pairs, gold_scale, d_scale, 
         budget = Fraction(1, 10**12) * size[name]
         assert abs(want) - budget <= MAX, f"{name} past float64 was not refused"
         assert abs(Fraction(got) - want) <= budget + TINY, f"{name} = {got!r} vs {float(want)!r}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mse=st.floats(0.0, allow_infinity=False), cov=FINITE, pole=st.none() | st.integers(-3, 3))
+# subnormal mse: halving it lost its last bit
+@example(mse=5e-324, cov=5e-324, pole=None)
+@example(mse=6.4e-323, cov=-2.5e-323, pole=None)
+@example(mse=5e-324, cov=0.0, pole=None)
+def test_ccc_from_mse_cov_matches_exact_arithmetic(mse, cov, pole):
+    if pole is not None:  # cov within a few ulps of -mse/2, where mse + 2 cov cancels
+        cov = -mse / 2
+        for _ in range(abs(pole)):
+            cov = math.nextafter(cov, math.copysign(math.inf, pole))
+    denom = Fraction(mse) + 2 * Fraction(cov)
+    try:
+        got = ccc_from_mse_cov(mse, cov)
+    except Singularity:
+        assert denom == 0, f"ccc_from_mse_cov({mse!r}, {cov!r}) refused a nonzero mse + 2 cov"
+        return
+    assert denom != 0, f"ccc_from_mse_cov({mse!r}, {cov!r}) = {got!r} at mse + 2 cov = 0"
+    assert_within("ccc", got, 2 * Fraction(cov) / denom, 2)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(t=FINITE)
+def test_envelope_kernel_matches_exact_arithmetic(t):
+    exact = 2 * Fraction(t) / (1 + Fraction(t) ** 2)
+    assert_within("envelope_kernel", envelope_kernel(t), exact, 2)

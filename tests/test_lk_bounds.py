@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cccmap import (
     InvalidInput,
     NoConjugate,
+    TooLarge,
     ccc,
     center_gold,
     conjugate_theta,
@@ -22,7 +23,7 @@ from cccmap import (
     upper_envelope,
 )
 from cccmap.lk_bounds import lk_region_columns, theta_grid
-from cccmap.mse_bounds import mse_region_table
+from cccmap.mse_bounds import MAX_GRID_CELLS, mse_region_table
 
 
 class TestNormSandwich:
@@ -247,6 +248,17 @@ class TestRegionTable:
         names = lk_region_columns(thetas)
         assert len(names) == rows.shape[1]
         assert names[:3] == ("x", "psi_upper", "psi_lower")
+
+    def test_the_cell_cap(self):
+        rows, thetas = lk_region_table(4, 5, x_max=1.0, steps=MAX_GRID_CELLS // 10, theta_steps=7)
+        assert rows.size == MAX_GRID_CELLS and thetas.size == 7
+        for steps, theta_steps in ((MAX_GRID_CELLS // 10 + 1, 7), (2, 10**30), (2**63, 1)):
+            cells = steps * (3 + theta_steps)
+            with pytest.raises(TooLarge, match=rf"^steps \* \(3 \+ theta_steps\) = {cells} "):
+                lk_region_table(4, 5, x_max=1.0, steps=steps, theta_steps=theta_steps)
+        assert theta_grid(2.0, MAX_GRID_CELLS).size == MAX_GRID_CELLS
+        with pytest.raises(TooLarge, match=rf"^theta_steps = {MAX_GRID_CELLS + 1} grid cells"):
+            theta_grid(2.0, MAX_GRID_CELLS + 1)
 
 
 @given(st.integers(2, 500), st.floats(0.2, 6.0))

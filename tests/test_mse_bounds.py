@@ -9,6 +9,7 @@ from cccmap import (
     DegenerateVariance,
     InvalidInput,
     Singularity,
+    TooLarge,
     bounds_given_mse,
     ccc,
     ccc_from_mse_cov,
@@ -21,6 +22,7 @@ from cccmap import (
     upper_envelope,
     variance_identity_residual,
 )
+from cccmap.mse_bounds import MAX_GRID_CELLS
 
 
 def random_pair(rng, n_max=60):
@@ -242,3 +244,10 @@ class TestRegionTable:
         for x_max in (-1.0, float("nan"), float("inf")):
             with pytest.raises(InvalidInput, match="x_max"):
                 mse_region_table(x_max, 3)
+
+    def test_the_cell_cap(self):
+        # the cap is checked before numpy allocates: 2**63 rows would be an IndexError there
+        assert mse_region_table(1.0, MAX_GRID_CELLS // 3).shape == (MAX_GRID_CELLS // 3, 3)
+        for steps in (MAX_GRID_CELLS // 3 + 1, 2**63, 10**30):
+            with pytest.raises(TooLarge, match=rf"^3 \* steps = {3 * steps} grid cells"):
+                mse_region_table(1.0, steps)
