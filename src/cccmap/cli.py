@@ -4,6 +4,10 @@ Verbs: analyze, bounds-mse, bounds-lk, permute, solve-even-p, loss, region, audi
 Output is a human-readable report by default, a stable JSON schema with --json,
 and CSV for tabular data. Identical invocations (flags + input bytes + seed)
 produce byte-identical output. Exit codes: 0 ok, 2 input validation, 3 numerical.
+
+The parser loads no numpy. Each verb imports, in its body, the library names it
+calls, and each ingest and render helper imports numpy where it uses it, so a
+process loads only what its verb runs.
 """
 
 from __future__ import annotations
@@ -16,10 +20,9 @@ import json
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__
+from . import TOL, __version__
 from .errors import (
     EXIT_INPUT,
     EXIT_NUMERIC,
@@ -28,34 +31,12 @@ from .errors import (
     NUMERIC_ERRORS,
     InvalidInput,
 )
-from .even_p import StationarityProblem, solve
-from .lk_bounds import (
-    _lower_family,
-    envelope_given_lk,
-    lk_region_columns,
-    lk_region_table,
-    theta_band,
-    theta_grid,
-)
-from .losses import TRACE_COLUMNS, VARIANTS, LossParams, loss, loss_gradient, training_trace
-from .mse_bounds import (
-    MSE_REGION_COLUMNS,
-    CenteredGold,
-    bounds_given_mse,
-    ccc_from_mse_cov,
-    center_gold,
-    mse_region_table,
-)
-from .oracles import lk_sphere_oracle, mse_sphere_oracle, permutation_oracle
-from .ordering import (
-    GOLD_MINUS_PRED,
-    PRED_MINUS_GOLD,
-    ErrorSet,
-    error_set,
-    optimal_permutations,
-)
-from .stats import _gold_moments, _unscale, as_sequence, pair_stats, variance_identity_residual
-from .tolerances import TOL
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .mse_bounds import CenteredGold
+    from .ordering import ErrorSet
 
 _FLOAT_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$", re.ASCII)
 # 17 significant digits: guarantees float64 round-trip fidelity.
@@ -138,6 +119,10 @@ def _read_table(data: bytes, fmt: str, has_header: bool, selectors) -> dict[str,
     lines, strips what ``str.strip`` strips and parses a number as ``float`` does, and
     :func:`as_sequence` refuses the nan and inf that it accepts.
     """
+    import numpy as np
+
+    from .stats import as_sequence
+
     body = end = 0  # body: where the first data line starts
     for _ in range(1 + has_header):
         body, end = end, data.find(b"\n", end) + 1 or len(data)
@@ -177,6 +162,10 @@ def _load_columns(args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarra
 
 def _parse_rows(text: str, args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarray]:
     """The per-line route of :func:`_load_columns`."""
+    import numpy as np
+
+    from .stats import as_sequence
+
     rows = _split_rows(text, args.format)
     if not rows:
         raise InvalidInput("input contains no data rows")
@@ -207,6 +196,8 @@ def _parse_rows(text: str, args, selectors: list[tuple[str, str]]) -> dict[str, 
 
 
 def _digest_of(arr: np.ndarray) -> dict:
+    from .stats import _gold_moments, _unscale
+
     e, mu, var, _ = _gold_moments(arr)
     _unscale(var, 2 * e, "variance")  # mu, var in the kernel's units: refuse a var past float64
     return {"n": arr.size, "mean": math.ldexp(mu, e), "std": math.ldexp(math.sqrt(var), e)}
@@ -214,12 +205,16 @@ def _digest_of(arr: np.ndarray) -> dict:
 
 def _load_gold(args) -> tuple[CenteredGold, dict]:
     """Prepared gold column and its input digest, read from the prepared units."""
+    from .mse_bounds import center_gold
+
     gold = center_gold(_load_columns(args, [("gold", args.gold_col)])["gold"])
     return gold, {"gold": {"n": gold.n, "mean": gold.mu_g, "std": gold.sigma_g}}
 
 
 def _load_errors(args) -> tuple[np.ndarray, ErrorSet, dict]:
     """Gold column, error multiset and their input digests."""
+    from .ordering import error_set
+
     cols = _load_columns(args, [("gold", args.gold_col), ("errors", args.error_col)])
     errors = error_set(cols["errors"])
     digests = {"gold": _digest_of(cols["gold"]), "errors": _digest_of(errors.values)}
@@ -231,6 +226,8 @@ def _load_errors(args) -> tuple[np.ndarray, ErrorSet, dict]:
 
 
 def _render_json(obj, out: list[str]) -> None:
+    import numpy as np
+
     if isinstance(obj, dict):
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
@@ -262,6 +259,8 @@ def _render_json(obj, out: list[str]) -> None:
 
 
 def _render_text(obj, out: list[str], indent: int = 0) -> None:
+    import numpy as np
+
     pad = "  " * indent
     if isinstance(obj, dict):
         for key, value in obj.items():
@@ -282,6 +281,8 @@ def _render_text(obj, out: list[str], indent: int = 0) -> None:
 
 
 def _scalar_text(value) -> str:
+    import numpy as np
+
     if isinstance(value, (list, tuple, np.ndarray)):
         return ", ".join(_scalar_text(v) for v in value)
     if isinstance(value, bool):
@@ -325,6 +326,9 @@ def _write_csv(path: str | None, columns, rows: np.ndarray) -> None:
 
 
 def cmd_analyze(args) -> dict:
+    from .mse_bounds import ccc_from_mse_cov
+    from .stats import pair_stats, variance_identity_residual
+
     cols = _load_columns(args, [("gold", args.gold_col), ("pred", args.pred_col)])
     gold, pred = cols["gold"], cols["pred"]
     stats = pair_stats(gold, pred)
@@ -350,6 +354,10 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_bounds_mse(args) -> dict:
+    import numpy as np
+
+    from .mse_bounds import bounds_given_mse
+
     if args.mse is None:
         raise InvalidInput("bounds-mse requires --mse")
     gold, inputs = _load_gold(args)
@@ -379,6 +387,8 @@ def cmd_bounds_mse(args) -> dict:
 
 
 def cmd_bounds_lk(args) -> dict:
+    from .lk_bounds import _lower_family, envelope_given_lk, theta_band, theta_grid
+
     if args.k is None or args.lk is None:
         raise InvalidInput("bounds-lk requires --k and --lk")
     gold, inputs = _load_gold(args)
@@ -409,6 +419,9 @@ def cmd_bounds_lk(args) -> dict:
 def _permutation_audit(gold, errors, extremes):
     """(orderings, rows of (name, N! oracle value, closed-form value), agreement); the
     closed-form value is each extreme's ``formula_value``, the exact mapping at its ordering."""
+    from .oracles import permutation_oracle
+    from .ordering import GOLD_MINUS_PRED, PRED_MINUS_GOLD
+
     add = permutation_oracle(gold, errors, PRED_MINUS_GOLD)
     sub = permutation_oracle(gold, errors, GOLD_MINUS_PRED)
     rows = [
@@ -422,6 +435,10 @@ def _permutation_audit(gold, errors, extremes):
 
 
 def cmd_permute(args) -> dict:
+    import numpy as np
+
+    from .ordering import optimal_permutations
+
     gold, errors, inputs = _load_errors(args)
     extremes = optimal_permutations(gold, errors)
 
@@ -472,6 +489,11 @@ def cmd_permute(args) -> dict:
 
 
 def cmd_solve_even_p(args) -> dict:
+    import numpy as np
+
+    from .even_p import StationarityProblem, solve
+    from .mse_bounds import bounds_given_mse
+
     if args.k is None or args.lk is None:
         raise InvalidInput("solve-even-p requires --k and --lk")
     if not args.k.is_integer():
@@ -508,6 +530,10 @@ def cmd_solve_even_p(args) -> dict:
 
 
 def cmd_loss(args) -> dict:
+    import numpy as np
+
+    from .losses import TRACE_COLUMNS, LossParams, loss, loss_gradient, training_trace
+
     cols = _load_columns(args, [("gold", args.gold_col), ("pred", args.pred_col)])
     gold, pred = cols["gold"], cols["pred"]
     params = LossParams(variant=args.variant, gamma=args.gamma, alpha=args.alpha, beta=args.beta)
@@ -543,9 +569,13 @@ def cmd_loss(args) -> dict:
 
 def cmd_region(args) -> dict | None:
     if args.kind == "mse":
+        from .mse_bounds import MSE_REGION_COLUMNS, mse_region_table
+
         rows = mse_region_table(args.x_max, args.steps)
         _write_csv(args.out, MSE_REGION_COLUMNS, rows)
     else:
+        from .lk_bounds import lk_region_columns, lk_region_table
+
         if args.k is None or args.n is None:
             raise InvalidInput("region --kind lk requires --k and --n")
         rows, thetas = lk_region_table(
@@ -557,6 +587,8 @@ def cmd_region(args) -> dict | None:
 
 def cmd_audit(args) -> dict:
     if args.oracle == "permutation":
+        from .ordering import optimal_permutations
+
         gold, errors, inputs = _load_errors(args)
         orderings, rows, agrees = _permutation_audit(
             gold, errors, optimal_permutations(gold, errors)
@@ -567,6 +599,9 @@ def cmd_audit(args) -> dict:
             results[f"closed_form_{name}"] = closed
         return {"inputs": inputs, "results": {**results, "agrees": agrees}}
     if args.oracle == "mse-sphere":
+        from .mse_bounds import bounds_given_mse
+        from .oracles import mse_sphere_oracle
+
         if args.mse is None:
             raise InvalidInput("audit mse-sphere requires --mse")
         gold, inputs = _load_gold(args)
@@ -574,6 +609,9 @@ def cmd_audit(args) -> dict:
         bounds = bounds_given_mse(gold, args.mse)
         params, x, lower, upper = {}, bounds.x_param, bounds.ccc_min, bounds.ccc_max
     else:  # lk-sphere
+        from .lk_bounds import envelope_given_lk
+        from .oracles import lk_sphere_oracle
+
         if args.k is None or args.lk is None:
             raise InvalidInput("audit lk-sphere requires --k and --lk")
         gold, inputs = _load_gold(args)
@@ -600,6 +638,8 @@ def cmd_audit(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .variants import VARIANTS
+
     parser = argparse.ArgumentParser(
         prog="cccmap",
         description="Concordance correlation vs. error-norm analysis toolkit",

@@ -31,25 +31,13 @@ zero) the subgradient 0 is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, get_args
 
 import numpy as np
 
 from .errors import InvalidInput, Singularity
 from .stats import _as_pair, _count, _error_mean, _moments, _real, _reals, _scaled_errors, _span
 from .stats import _unscale, as_sequence, ccc as _ccc, mse as _mse
-
-Variant = Literal[
-    "ratio",
-    "ratio_pow",
-    "general_ratio",
-    "diff",
-    "diff_pow",
-    "general_diff",
-    "abs_mse_over_cov",
-]
-
-VARIANTS: tuple[Variant, ...] = get_args(Variant)
+from .variants import VARIANTS, Variant
 
 
 @dataclass(frozen=True)

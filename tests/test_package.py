@@ -1,0 +1,90 @@
+"""Contract of the package namespace: its public names, and that it caches none.
+
+``import cccmap`` binds the errors and the tolerance table and resolves every
+other public name in its submodule on each access. The names are pinned to the
+list that the package exported when it imported every submodule eagerly.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cccmap
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PUBLIC = [
+    "CccmapError", "CenteredGold", "DegenerateVariance", "ErrorSet", "InvalidInput",
+    "LkEnvelope", "LossParams", "MseBoundsResult", "NoConjugate", "NotConverged",
+    "OracleReport", "OrderingExtremes", "PairStats", "PermutationResult", "RmseBand",
+    "Singularity", "SolverState", "StationarityProblem", "TOL", "Tolerances", "TooLarge",
+    "TrainingTrace", "bounds_given_mse", "ccc", "ccc_from_mse_cov", "center_gold",
+    "conjugate_theta", "covariance", "envelope_given_lk", "envelope_kernel", "error_set",
+    "errors", "even_p", "finite_difference", "lk_bounds", "lk_region_table",
+    "lk_sphere_oracle", "loss", "loss_gradient", "losses", "lower_envelope", "lp_norm",
+    "mae", "mean", "mke", "mse", "mse_bounds", "mse_region_table", "mse_sphere_oracle",
+    "norm_sandwich", "optimal_permutations", "oracles", "ordering", "pair_stats", "pearson",
+    "permutation_oracle", "population_variance", "quadratic_in_gold", "scaled_residual",
+    "solve", "stats", "theta_band", "tolerances", "training_trace", "upper_envelope",
+    "variance_identity_residual",
+]
+
+PROBE = r"""
+import json, sys
+import cccmap
+after_import = sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "cccmap")
+public = [n for n in dir(cccmap) if not n.startswith("_")]
+star = {}
+exec("from cccmap import *", star)
+print(json.dumps([after_import, public, sorted(n for n in star if n != "__builtins__")]))
+"""
+
+
+def test_fresh_import_loads_no_numpy_and_lists_the_public_names():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, public, star = json.loads(proc.stdout)
+    assert after_import == ["cccmap", "cccmap.errors", "cccmap.tolerances"]
+    assert public == PUBLIC
+    assert star == PUBLIC
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        cccmap.nope  # noqa: B018
+
+
+# bound at import; every other public name but the submodules resolves lazily
+EAGER = {
+    "CccmapError", "DegenerateVariance", "InvalidInput", "NoConjugate", "NotConverged",
+    "Singularity", "TooLarge", "TOL", "Tolerances",
+}
+SUBMODULES = {
+    "errors", "even_p", "lk_bounds", "losses", "mse_bounds", "oracles", "ordering", "stats",
+    "tolerances",
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(PUBLIC) - EAGER - SUBMODULES))
+def test_a_name_rebound_in_its_submodule_is_seen_through_the_package(name, monkeypatch):
+    """The tracer rebinds a function in its defining module and toggles it back and
+    forth; the package must return whichever binding is live, so it caches nothing."""
+    original = getattr(cccmap, name)
+    home = sys.modules[original.__module__]
+    assert getattr(home, name) is original
+
+    def f():
+        pass
+
+    monkeypatch.setattr(home, name, f)
+    assert getattr(cccmap, name) is f
+    monkeypatch.undo()
+    assert getattr(cccmap, name) is original
