@@ -8,6 +8,15 @@ produce byte-identical output. Exit codes: 0 ok, 2 input validation, 3 numerical
 The parser loads no numpy. Each verb imports, in its body, the library names it
 calls, and each ingest and render helper imports numpy where it uses it, so a
 process loads only what its verb runs.
+
+``main`` runs numpy's BLAS on one thread: before any verb imports numpy it sets
+``OPENBLAS_NUM_THREADS=1``, unless the caller has set ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` (the variables OpenBLAS reads), or
+numpy is already loaded, as in a test or a notebook that calls ``main``. OpenBLAS
+otherwise starts a worker per CPU at import, which no verb gives enough work to
+pay for and which busy-waits after each product, and it splits a large ``@``
+across threads in a way that changes the rounding. With one thread the bytes a
+verb prints do not depend on how many CPUs the machine has.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -724,7 +734,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The variables OpenBLAS reads for its thread count, in its order of precedence.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -76,8 +76,9 @@ def _mapped_ccc(eg: int, ee: int, var_g: float, cov: float, mse: float, add: boo
     The arguments are in the :func:`stats._moments` units of (g, e), mse in 4**ee.
     All three terms are taken in units of 4**s, s = max(eg, ee), so neither their sum
     nor the mapping can overflow; the scaling is exact, so the bits are those of the
-    unscaled formula wherever that is finite and no term is subnormal."""
-    s = max(eg, ee)
+    unscaled formula wherever that is finite and no term is subnormal. All-zero errors
+    (mse 0) have no power of two of their own, so they leave var_g in its units."""
+    s = max(eg, ee) if mse else eg
     cross = math.ldexp(cov if add else -cov, eg + ee - 2 * s)
     return ccc_from_mse_cov(math.ldexp(mse, 2 * (ee - s)), math.ldexp(var_g, 2 * (eg - s)) + cross)
 

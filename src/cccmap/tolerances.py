@@ -5,13 +5,10 @@ reached iteratively or by sampling, with the tighter/looser special cases
 named explicitly below.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     algebraic_rtol: float = 1e-12    # exact closed-form identities
     iterative_rtol: float = 1e-9     # results of iteration / sampling
     attainment_rtol: float = 1e-10   # constructive extremes vs. envelope values

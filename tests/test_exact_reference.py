@@ -23,6 +23,14 @@ checked within 2 ulps. The mapping 2c / (m + 2c) rounds twice, the sum and the q
 and raises ``Singularity`` exactly where m + 2c is 0; the kernel 2t / (1 + t^2) rounds
 three times, and random draws over the whole range found it within 1.46 ulps.
 
+``error_set``'s mse is checked within 2n + 4 ulps, like var_g, or refused as ``InvalidInput``
+naming mse where it leaves float64. Each ``formula_value`` of ``optimal_permutations`` is
+f = 2P / (mse + 2P) at P = var_g +- cov(g, e) of its ordering, checked within 2n + 4 ulps
+of f plus (2n + 4) S / (mse + 2P) halves of an ulp of 1, where S = var_g + sqrt(var_g mse)
+bounds the terms of P, which cancel as f nears 0; plus 16n of the least subnormal where a
+term of P or of mse + 2P, taken in units of the larger of the two powers of two, falls
+below the normal range. mse + 2P = var_g + var_p + (mu_p - mu_g)^2 is never 0.
+
 ``quadratic_in_gold``'s b and c are checked within 1e-12 of the magnitude of their terms
 (that of b is b itself), plus the least subnormal for a value rounded below the normal
 range, on small-integer golds and errors at their own powers of two.
@@ -39,6 +47,7 @@ from cccmap.errors import DegenerateVariance, InvalidInput, Singularity
 from cccmap.even_p import StationarityProblem, quadratic_in_gold
 from cccmap.lk_bounds import envelope_given_lk
 from cccmap.mse_bounds import bounds_given_mse, ccc_from_mse_cov, center_gold, envelope_kernel
+from cccmap.ordering import error_set, optimal_permutations
 
 MAX = Fraction(sys.float_info.max)
 TINY = Fraction(math.ulp(0.0))  # the smallest subnormal, 2**-1074
@@ -146,6 +155,58 @@ def test_gold_figures_match_exact_arithmetic(
         assert_within("envelope x", envelope.x, x_lk, budget)
         if envelope.x:  # 2 / x of an x within budget ulps, rounded once more
             assert_within("theta_at_min", envelope.theta_at_min, 2 / x_lk, 2 * budget + 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)), min_size=2, max_size=8
+    ).filter(lambda p: len({g for g, _ in p}) > 1),
+    gold_scale=st.integers(-1074, 1013),  # 1000 * 2**1013 + 1000 * 2**1013 is finite
+    err_scale=st.integers(-1074, 1013),
+)
+# errors equal to the gold: P = 0 exactly at min_sub, so f = 0
+@example(pairs=[(1, 1), (2, 2), (4, 4)], gold_scale=0, err_scale=0)
+# errors one step off the gold: P cancels to 1/3 of its terms' 10^6
+@example(pairs=[(0, 1), (1000, 1000), (-1000, -1000)], gold_scale=-3, err_scale=-3)
+# var_g's term of P is subnormal in the errors' units
+@example(pairs=[(-913, -133), (987, -516)], gold_scale=-595, err_scale=476)
+# all-zero errors at a small gold: f = 1, not a Singularity from an underflowed var_g
+@example(pairs=[(0, 0), (1, 0)], gold_scale=-537, err_scale=0)
+def test_ordering_extremes_match_exact_arithmetic(pairs, gold_scale, err_scale):
+    gold = [math.ldexp(g, gold_scale) for g, _ in pairs]
+    err = [math.ldexp(e, err_scale) for _, e in pairs]
+    n = len(pairs)
+    budget = 2 * n + 4
+    exact_e = [Fraction(e) for e in err]
+    mse = sum(e * e for e in exact_e) / n
+    errors = outcome(lambda: error_set(err), budget, mse=mse)
+    if errors is None:
+        return
+    assert_within("mse", errors.mse, mse, budget)
+
+    exact_g = [Fraction(g) for g in gold]
+    mu = sum(exact_g) / n
+    var = sum((g - mu) ** 2 for g in exact_g) / n
+    try:
+        extremes = optimal_permutations(gold, errors)
+    except DegenerateVariance:
+        assert var <= budget * TINY, f"var_g = {float(var)!r} refused as zero"
+        return
+    ascending = sorted(exact_e)
+    rank = sorted(range(n), key=exact_g.__getitem__)
+    cov = {}  # cov(g, e) of the errors sorted like the gold (0) and opposite to it (1)
+    for row, values in enumerate((ascending, ascending[::-1])):
+        cov[row] = sum((exact_g[i] - mu) * v for i, v in zip(rank, values)) / n
+    size = var + fsqrt(var * mse)
+    for name, p in (
+        ("max_add", var + cov[0]), ("max_sub", var - cov[1]),
+        ("min_add", var + cov[1]), ("min_sub", var - cov[0]),
+    ):
+        denom = mse + 2 * p
+        f = 2 * p / denom
+        slack = (budget * size / denom / 2**53 + 16 * n * TINY) / ulp(f)
+        assert_within(name, getattr(extremes, name).formula_value, f, budget + math.ceil(slack))
 
 
 @settings(max_examples=300, deadline=None)

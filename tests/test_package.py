@@ -88,3 +88,13 @@ def test_a_name_rebound_in_its_submodule_is_seen_through_the_package(name, monke
     assert getattr(cccmap, name) is f
     monkeypatch.undo()
     assert getattr(cccmap, name) is original
+
+
+def test_the_tolerance_table_keeps_its_fields_and_refuses_assignment():
+    assert cccmap.TOL._asdict() == {
+        "algebraic_rtol": 1e-12, "iterative_rtol": 1e-9, "attainment_rtol": 1e-10,
+        "constraint_rtol": 1e-8, "residual_tol": 1e-8, "oracle_slack": 1e-9,
+    }
+    assert cccmap.Tolerances(residual_tol=1e-6) == cccmap.TOL._replace(residual_tol=1e-6)
+    with pytest.raises(AttributeError):
+        cccmap.TOL.residual_tol = 1.0
