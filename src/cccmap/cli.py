@@ -127,7 +127,7 @@ def _read_table(data: bytes, fmt: str, has_header: bool, selectors) -> dict[str,
     table holds no quote past its header. It raises on a bare CR, on bytes that are not
     UTF-8, on a row without a selected cell and on a malformed number; it skips empty
     lines, strips what ``str.strip`` strips and parses a number as ``float`` does, and
-    :func:`as_sequence` refuses the nan and inf that it accepts.
+    :func:`as_sequence` refuses the nan and inf (a number past float64 too) that it gives.
     """
     import numpy as np
 
@@ -151,14 +151,14 @@ def _read_table(data: bytes, fmt: str, has_header: bool, selectors) -> dict[str,
         io.BytesIO(data), delimiter=_DELIMITERS[fmt], comments=None, quotechar=None,
         skiprows=int(has_header), usecols=usecols, ndmin=2, encoding="utf-8",
     )
-    return {what: as_sequence(values[:, j].copy()) for j, (what, _) in enumerate(selectors)}
+    return {what: as_sequence(values[:, j].copy(), what) for j, (what, _) in enumerate(selectors)}
 
 
 def _load_columns(args, selectors: list[tuple[str, str]]) -> dict[str, np.ndarray]:
     """Parse the requested (name, column-selector) pairs from the input table.
 
-    Values must be plain decimal floats; anything else (NaN, Inf, locale
-    separators, underscores) is rejected with its line number. The input is read
+    Values must be plain decimal floats within float64; anything else (NaN, Inf, 1e400,
+    locale separators, underscores) is rejected with its line number. The input is read
     once, as bytes, and :func:`_read_table` hands it to numpy's C reader. Where
     that raises, the per-line route, :func:`_parse_rows`, reads the table instead
     and builds every error; on a table that both read, their values are the same.
@@ -179,14 +179,11 @@ def _parse_rows(text: str, args, selectors: list[tuple[str, str]]) -> dict[str, 
     rows = _split_rows(text, args.format)
     if not rows:
         raise InvalidInput("input contains no data rows")
-    header = None
-    offset = 0  # rows before the first data row
-    if args.header:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        offset = 1
-        if not rows:
-            raise InvalidInput("input contains a header but no data rows")
+    header = [c.strip() for c in rows[0]] if args.header else None
+    offset = int(args.header)  # rows before the first data row
+    rows = rows[offset:]
+    if not rows:
+        raise InvalidInput("input contains a header but no data rows")
     width = len(rows[0])
     out: dict[str, np.ndarray] = {}
     for what, selector in selectors:
@@ -197,11 +194,11 @@ def _parse_rows(text: str, args, selectors: list[tuple[str, str]]) -> dict[str, 
                 line = _line_number(text, offset + i)
                 raise InvalidInput(f"line {line}: expected column {idx}, row has {len(row)} cells")
             cell = row[idx].strip()
-            if not _FLOAT_RE.match(cell):
-                line = _line_number(text, offset + i)
-                raise InvalidInput(f"line {line}: {cell!r} is not a plain decimal number")
-            values[i] = float(cell)
-        out[what] = as_sequence(values)
+            values[i] = float(cell) if _FLOAT_RE.match(cell) else math.nan
+            if not abs(values[i]) < math.inf:  # not a plain decimal number, or one past float64
+                why = "not a plain decimal number" if math.isnan(values[i]) else "beyond float64"
+                raise InvalidInput(f"line {_line_number(text, offset + i)}: {cell!r} is {why}")
+        out[what] = as_sequence(values, what)
     return out
 
 
@@ -506,15 +503,12 @@ def cmd_solve_even_p(args) -> dict:
 
     if args.k is None or args.lk is None:
         raise InvalidInput("solve-even-p requires --k and --lk")
-    if not args.k.is_integer():
-        raise InvalidInput(f"solve-even-p needs an even integer k, got {args.k}")
     gold, inputs = _load_gold(args)
-    prob = StationarityProblem(
-        gold=gold, k=int(args.k), lk=args.lk, objective=args.objective
-    )
+    k = int(args.k) if args.k.is_integer() else args.k  # StationarityProblem refuses the rest
+    prob = StationarityProblem(gold=gold, k=k, lk=args.lk, objective=args.objective)
     state = solve(prob, seed=args.seed, max_iters=args.max_iters)
     results = {
-        "k": int(args.k),
+        "k": k,
         "lk": args.lk,
         "objective": args.objective,
         "ccc": state.ccc_value,
@@ -525,7 +519,7 @@ def cmd_solve_even_p(args) -> dict:
         "iterations": state.iterations,
         "errors": state.d,
     }
-    if int(args.k) == 2:
+    if k == 2:
         closed = bounds_given_mse(gold, args.lk**2 / gold.n)
         target = closed.err_max if args.objective == "max" else closed.err_min
         cos = float(
@@ -744,6 +738,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        from .stats import _count  # every verb loads stats
+
+        _count(getattr(args, "seed", 0), "seed", 0)  # one check for every verb that takes --seed
         body = args.func(args)
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

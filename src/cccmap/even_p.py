@@ -71,11 +71,11 @@ def _residual(a: np.ndarray, k: int, x: np.ndarray, var: float, m: float):
 def _residual_of(prob: StationarityProblem, d):
     """(:func:`_residual`, x, m, top) of a validated, nonzero error vector d = top x of
     ``prob``, max |x_i| = 1, in the gold's units: m = top / 2**e."""
-    dv, gold = as_sequence(d), prob.gold
+    dv, gold = as_sequence(d, "d"), prob.gold
     if dv.size != gold.n:
-        raise InvalidInput(f"length mismatch: {dv.size} vs {gold.n}")
+        raise InvalidInput(f"length mismatch: d {dv.size} vs gold {gold.n}")
     if not dv.any():
-        raise InvalidInput("zero error vector has no defined residual")
+        raise InvalidInput("d is a zero error vector, which has no defined residual")
     top = float(np.max(np.abs(dv)))
     x = dv / top
     with np.errstate(over="ignore"):  # an m past float64 weighs as inf does

@@ -31,7 +31,7 @@ def norm_sandwich(e, r: float, p: float) -> tuple[float, float, float]:
     The middle value always lies between the outer two. The upper bound is
     tight for constant-magnitude vectors, the lower for single-spike vectors.
     """
-    arr = as_sequence(e)
+    arr = as_sequence(e, "e")
     r, p = _real(r, "r", "positive"), _real(p, "p", "positive")
     if not r < p:
         raise InvalidInput(f"need 0 < r < p, got r={r}, p={p}")
@@ -137,7 +137,6 @@ def envelope_given_lk(
 
 def _piecewise_lower(x, theta_max: float):
     """min over theta in [1, theta_max] of lower_envelope(theta * x), elementwise."""
-    x = np.asarray(x, dtype=np.float64)
     return np.where(
         x <= 2.0 / theta_max,
         lower_envelope(theta_max * np.minimum(x, 2.0 / theta_max)),  # finite where unused

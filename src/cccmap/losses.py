@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, Singularity
-from .stats import _as_pair, _count, _error_mean, _moments, _real, _reals, _scaled_errors, _span
-from .stats import _unscale, as_sequence, ccc as _ccc, mse as _mse
+from .stats import _as_pair, _count, _counts, _error_mean, _moments, _real, _reals, _scaled_errors
+from .stats import _span, _unscale, as_sequence, ccc as _ccc, mse as _mse
 from .variants import VARIANTS, Variant
 
 
@@ -62,14 +62,10 @@ class LossParams:
         _real(self.gamma, "gamma", "positive")
         _real(self.alpha, "alpha", "nonnegative")
         _count(self.beta, "beta", 0)
-        for name in ("per_sample_alpha", "per_sample_eps"):
+        for name in ("per_sample_alpha", "per_sample_eps", "per_sample_beta"):
             if (vec := getattr(self, name)) is not None:
-                object.__setattr__(self, name, _reals(vec, name, "positive"))
-        if self.per_sample_beta is not None:
-            vec = np.asarray(self.per_sample_beta)
-            if vec.dtype.kind not in "iu" or np.any(vec < 0):
-                raise InvalidInput("per_sample_beta entries must be nonnegative integers")
-            object.__setattr__(self, "per_sample_beta", vec.astype(np.int64))
+                vec = _counts(vec, name) if "beta" in name else _reals(vec, name, "positive")
+                object.__setattr__(self, name, vec)
 
 
 def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
@@ -108,8 +104,9 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
     eps, coef, alpha, beta = 1.0, 1.0, 1.0, 0
     if variant.startswith("general_"):
         vectors = (params.per_sample_eps, params.per_sample_alpha, params.per_sample_beta)
-        if any(v is not None and v.shape != (n,) for v in vectors):
-            raise InvalidInput(f"per-sample coefficients must have shape ({n},)")
+        for name, v in zip(("eps", "alpha", "beta"), vectors):
+            if v is not None and v.shape != (n,):
+                raise InvalidInput(f"per_sample_{name} must have shape ({n},), got {v.shape}")
         eps, alpha, beta = (w if v is None else v for v, w in zip(vectors, (eps, alpha, beta)))
     elif variant.startswith("diff"):
         coef, beta = params.alpha, params.beta if variant == "diff_pow" else 0
@@ -155,11 +152,11 @@ def _evaluate(params: LossParams, g: np.ndarray, p: np.ndarray):
 
 
 def loss(params: LossParams, gold, pred) -> float:
-    return _evaluate(params, *_as_pair(gold, pred))[0]
+    return _evaluate(params, *_as_pair(gold, pred, ("gold", "pred")))[0]
 
 
 def loss_gradient(params: LossParams, gold, pred) -> np.ndarray:
-    g, p = _as_pair(gold, pred)
+    g, p = _as_pair(gold, pred, ("gold", "pred"))
     return _wrapped_gradient(params, *_inner_and_grad(params, g, p), g.size)
 
 
@@ -202,7 +199,7 @@ def training_trace(
     whose loss or gradient raises is treated as an increase.
     """
     step, iters = _real(step, "step", "positive"), _count(iters, "iters", 1)
-    g, p = _as_pair(gold, init_pred)
+    g, p = _as_pair(gold, init_pred, ("gold", "init_pred"))
     p = p.copy()
     rows = []
     current_step = step
@@ -219,7 +216,7 @@ def training_trace(
             with np.errstate(over="ignore"):  # as_sequence refuses an inf candidate
                 candidate = p - current_step * grad
             try:
-                cand_loss, gradient = _evaluate(params, g, as_sequence(candidate))
+                cand_loss, gradient = _evaluate(params, g, as_sequence(candidate, "pred"))
                 if cand_loss <= current:
                     grad = gradient()  # the next step's, from this evaluation
                     p, current, moved = candidate, cand_loss, True

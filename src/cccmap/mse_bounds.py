@@ -103,7 +103,7 @@ class CenteredGold:
 
 
 def center_gold(gold) -> CenteredGold:
-    arr = as_sequence(gold)
+    arr = as_sequence(gold, "gold")
     e, mu, var, a = _gold_moments(arr)
     var_g = _unscale(var, 2 * e, "var_g")
     if var_g == 0.0:

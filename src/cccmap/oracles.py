@@ -238,7 +238,7 @@ def lk_sphere_oracle(gold, k: float, lk: float, trials: int, seed: int) -> Oracl
 
 def finite_difference(f, at, h: float) -> np.ndarray:
     """Central-difference gradient estimate of a scalar function of a sequence."""
-    x = as_sequence(at).copy()
+    x = as_sequence(at, "at").copy()
     h = _real(h, "h", "positive")
     up, down = np.empty_like(x), np.empty_like(x)
     for i in range(x.size):

@@ -58,7 +58,7 @@ class ErrorSet:
 
 
 def error_set(values) -> ErrorSet:
-    arr = np.sort(as_sequence(values))
+    arr = np.sort(as_sequence(values, "values"))
     mu_e, mse = _mean_and_mse(arr, *_span(arr[[0, -1]]))  # sorted: the ends hold the largest magnitude
     return ErrorSet(values=arr, mu_e=mu_e, mse=mse)
 

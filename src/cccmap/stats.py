@@ -19,10 +19,10 @@ side once per call and allocate nothing per row or block; :func:`_row_cov`, the 
 of its one-row path, scores a row for cov alone. :func:`_ccc` serves one row and a batch
 alike; the even-k solver takes only the gold's side from it.
 
-Every module checks its inputs with the helpers here, one per rule: :func:`as_sequence`
-for a sequence, :func:`_real` (and :func:`_reals`, its form for arrays) for a real
-scalar, :func:`_count` for a count, seed or index, and :func:`_prepared_gold` for the gold
-that the ordering extremes and the oracles score rows against.
+Every module checks its inputs with the helpers here, one per rule, each refusal naming the
+argument: :func:`_real` and :func:`_reals` for real numbers, alone and in arrays of any kind
+(:func:`as_sequence` adds a nonempty 1-D shape), :func:`_count` and :func:`_counts` for
+counts, and :func:`_prepared_gold` for the gold that rows are scored against.
 
 The sampled searches share two more private pieces: :func:`_block_rows`, the rows of
 one cache-sized block, and :func:`_sphere_rows`, which draws a block of Gaussian rows
@@ -37,6 +37,7 @@ import contextlib
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,27 +45,22 @@ import numpy as np
 from .errors import DegenerateVariance, InvalidInput
 
 
-def as_sequence(values) -> np.ndarray:
-    """Validate and convert input to a 1-D float64 array of finite samples."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidInput(f"expected a 1-D sequence, got shape {arr.shape}")
-    if arr.size == 0:
-        raise InvalidInput("sequence is empty")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput("sequence contains NaN or Inf")
+def as_sequence(values, name: str) -> np.ndarray:
+    """values as a 1-D, nonempty float64 array by the rule of :func:`_reals`."""
+    arr = _reals(values, name)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidInput(f"{name} must be a nonempty 1-D sequence, got shape {arr.shape}")
     return arr
 
 
 def _real(value, name: str, sign: str = "") -> float:
-    """value as a Python float; InvalidInput naming it unless it is a finite real number,
-    and positive or nonnegative where ``sign`` says so."""
+    """value as a Python float; InvalidInput naming it unless it is a real number that is
+    finite in float64, and positive or nonnegative where ``sign`` says so."""
     if not isinstance(value, numbers.Real):
         raise InvalidInput(f"{name} must be a real number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:  # an int or fraction past float64
-        x = math.inf
+    if sys.float_info.max < abs(value) < math.inf:  # an int, fraction or longdouble
+        raise InvalidInput(f"{name} has a value beyond float64")
+    x = float(value)
     above = {"": True, "nonnegative": x >= 0.0, "positive": x > 0.0}[sign]
     if not (math.isfinite(x) and above):
         raise InvalidInput(f"{name} must be finite{' and ' + sign if sign else ''}, got {value}")
@@ -72,16 +68,22 @@ def _real(value, name: str, sign: str = "") -> float:
 
 
 def _reals(values, name: str, sign: str = "") -> np.ndarray:
-    """values as a float64 array; InvalidInput unless its least and greatest entries (NaN
-    if any entry is) pass :func:`_real`."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf":  # bool, integers and floats
-        raise InvalidInput(f"{name} must be real numbers, got {values!r}")
-    arr = arr.astype(np.float64, copy=False)
-    if arr.size:
-        _real(arr.min(), name, sign)
-        _real(arr.max(), name, sign)
-    return arr
+    """values as a float64 array, not copied where it is one; InvalidInput naming it unless its
+    entries pass :func:`_real`: of a bool, integer or float array the least and greatest (the
+    first NaN, if any), of an object array (a list holding an int past int64) each one."""
+    if isinstance(values, getattr(sys.modules.get("numpy.ma"), "MaskedArray", ())):
+        raise InvalidInput(f"{name} must not be a masked array")  # np.asarray drops the mask
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # nested sequences of unequal lengths
+        raise InvalidInput(f"{name} must be real numbers, got a ragged nesting") from None
+    if arr.dtype.kind == "O":
+        return np.array([_real(v, name, sign) for v in arr.flat]).reshape(arr.shape)
+    if arr.dtype.kind not in "biuf":  # complex, text, dates: not real numbers
+        raise InvalidInput(f"{name} must be real numbers, got dtype {arr.dtype}")
+    for i in (arr.argmin(), arr.argmax()) if arr.size else ():
+        _real(arr.item(i), name, sign)  # checked before the cast, which cannot overflow then
+    return arr.astype(np.float64, copy=False)
 
 
 def _count(value, name: str, least: int) -> int:
@@ -95,10 +97,18 @@ def _count(value, name: str, least: int) -> int:
     return value
 
 
-def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xv, yv = as_sequence(x), as_sequence(y)
+def _counts(values, name: str) -> np.ndarray:
+    """values as an int64 array: an integer array that :func:`_reals` takes as nonnegative."""
+    _reals(values, name, "nonnegative")
+    if (arr := np.asarray(values)).dtype.kind not in "iu":
+        raise InvalidInput(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
+
+
+def _as_pair(x, y, names=("x", "y")) -> tuple[np.ndarray, np.ndarray]:
+    xv, yv = as_sequence(x, names[0]), as_sequence(y, names[1])
     if xv.size != yv.size:
-        raise InvalidInput(f"length mismatch: {xv.size} vs {yv.size}")
+        raise InvalidInput(f"length mismatch: {names[0]} {xv.size} vs {names[1]} {yv.size}")
     return xv, yv
 
 
@@ -184,7 +194,7 @@ def _prepared_gold(gold, n: int | None = None):
     """(g, scratch, :func:`_gold_moments` of g) of a gold that rows are scored against: g of
     length ``n`` where given, and a (2, n) scratch whose first row took the squares, for the
     caller to reuse; DegenerateVariance when g is constant."""
-    g = as_sequence(gold)
+    g = as_sequence(gold, "gold")
     if n is not None and g.size != n:
         raise InvalidInput(f"length mismatch: gold {g.size} vs errors {n}")
     scratch = np.empty((2, g.size))
@@ -257,15 +267,8 @@ def _error_mean(d: np.ndarray, u: float, k: float, name: str) -> float:
     return _unscale(mean, k * u, name)
 
 
-def _mean(arr: np.ndarray) -> float:
-    """Mean of a validated array, summed at the power of two that cannot overflow; a
-    constant array's mean is its value."""
-    e, constant = _span(arr)
-    return float(arr[0]) if constant else math.ldexp(float(np.ldexp(arr, -e).mean()), e)
-
-
 def _mean_and_mse(arr: np.ndarray, e: int, constant: bool) -> tuple[float, float]:
-    """(mean, mean of squares) of a validated array as :func:`_mean` and :func:`_error_mean`
+    """(mean, mean of squares) of a validated array as :func:`mean` and :func:`_error_mean`
     give them, from one scaled copy; (e, constant) is :func:`_span` of arr, which a caller
     may take from fewer values than arr."""
     d = np.ldexp(arr, -e)
@@ -274,11 +277,13 @@ def _mean_and_mse(arr: np.ndarray, e: int, constant: bool) -> tuple[float, float
 
 
 def mean(s) -> float:
-    return _mean(as_sequence(s))
+    arr = as_sequence(s, "s")
+    e, constant = _span(arr)
+    return float(arr[0]) if constant else math.ldexp(float(np.ldexp(arr, -e).mean()), e)
 
 
 def population_variance(s) -> float:
-    e, _, var, _ = _gold_moments(as_sequence(s))
+    e, _, var, _ = _gold_moments(as_sequence(s, "s"))
     return _unscale(var, 2 * e, "variance")
 
 
@@ -356,7 +361,7 @@ def _max_scaled_norm(m: np.ndarray, p: float) -> float:
 def lp_norm(e, p: float) -> float:
     """(sum |e_i|^p)^(1/p) for finite p > 0, computed on e / max |e_i| as
     :func:`_max_scaled_norm` does; InvalidInput when the norm exceeds float64."""
-    arr = np.abs(as_sequence(e))
+    arr = np.abs(as_sequence(e, "e"))
     norm = _max_scaled_norm(arr, _real(p, "p", "positive"))
     if norm == math.inf:
         raise InvalidInput("lp_norm overflows float64")

@@ -85,6 +85,12 @@ class TestAnalyze:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["mse"] == 1.0
 
+    def test_cell_past_float64_names_the_line(self):
+        proc = run(["analyze"], stdin="1e400,1\n2,2\n3,5\n")
+        assert (proc.returncode, proc.stderr) == (2, "error: line 1: '1e400' is beyond float64\n")
+        proc = run(["analyze", "--format", "plain"], stdin="1 1\n2 2\n3 -1e400\n")
+        assert (proc.returncode, proc.stderr) == (2, "error: line 3: '-1e400' is beyond float64\n")
+
     def test_underscore_float_rejected(self):
         proc = run(["analyze"], stdin="1_0,2\n2,3\n")
         assert proc.returncode == 2
@@ -685,7 +691,9 @@ def _oracle_load(text, fmt, header_row, selectors):
                 line = line_number(offset + i)
                 raise InvalidInput(f"line {line}: {cell!r} is not a plain decimal number")
             values[i] = float(cell)
-        out[what] = as_sequence(values)
+            if abs(values[i]) == math.inf:
+                raise InvalidInput(f"line {line_number(offset + i)}: {cell!r} is beyond float64")
+        out[what] = as_sequence(values, what)
     return out
 
 

@@ -29,13 +29,13 @@ EXTRA = {"--k": ("4e307",), "--n": (str(2**64),), "--steps": SIZES, "--theta-ste
 VERBS = [
     (["analyze", "--json"], ["--seed"]),
     (["bounds-mse", "--mse", "1", "--json"], ["--mse", "--seed"]),
-    (["bounds-lk", "--k", "4", "--lk", "1", "--json"], ["--k", "--lk", "--theta-steps"]),
+    (["bounds-lk", "--k", "4", "--lk", "1", "--json"], ["--k", "--lk", "--theta-steps", "--seed"]),
     (["permute", "--audit", "--json"], ["--seed"]),
     (["solve-even-p", "--k", "4", "--lk", "1", "--json"], ["--k", "--lk", "--max-iters", "--seed"]),
     (["solve-even-p", "--k", "6", "--lk", "1", "--objective", "min", "--json"], ["--k", "--lk"]),
     *(
         (["loss", "--variant", variant, "--trace-iters", "3", "--trace-step", "0.1", "--json"],
-         ["--gamma", "--alpha", "--beta", "--trace-iters", "--trace-step"])
+         ["--gamma", "--alpha", "--beta", "--trace-iters", "--trace-step", "--seed"])
         for variant in ("ratio", "diff_pow", "abs_mse_over_cov")
     ),
     (["region", "--kind", "mse"], ["--x-max", "--steps"]),
@@ -45,7 +45,7 @@ VERBS = [
     (["audit", "mse-sphere", "--mse", "1", "--trials", "50", "--json"],
      ["--mse", "--trials", "--seed"]),
     (["audit", "lk-sphere", "--k", "4", "--lk", "1", "--trials", "50", "--json"],
-     ["--k", "--lk", "--trials"]),
+     ["--k", "--lk", "--trials", "--seed"]),
 ]
 
 
@@ -100,6 +100,15 @@ def test_extreme_flag_values_end_in_a_typed_exit(argv, flag, capsys):
     else:  # region: CSV of finite numbers
         rows = list(csv.reader(io.StringIO(out)))
         assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in VERBS if argv[0] != "region"], ids=lambda argv: " ".join(argv[:3])
+)
+def test_a_negative_seed_is_refused_by_every_verb(argv, capsys):
+    assert run_main([*argv, "--seed", "-1"], capsys) == (
+        2, "", "error: seed must be at least 0, got -1\n"
+    )
 
 
 def test_a_control_character_in_out_is_escaped(tmp_path, capsys):
