@@ -53,10 +53,6 @@ _FLOAT_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$", re.ASCII)
 _FLOAT_FMT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return _FLOAT_FMT % x
-
-
 # ---------------------------------------------------------------------------
 # input handling
 
@@ -232,100 +228,98 @@ def _load_errors(args) -> tuple[np.ndarray, ErrorSet, dict]:
 # report rendering
 
 
-def _render_json(obj, out: list[str]) -> None:
+def _write_rows(write, cells: np.ndarray, head: str, row: str, sep: str = "", tail: str = "",
+                null: str | None = None) -> None:
+    """Write ``head + sep.join(row % tuple(r) for r in cells) + tail`` for the 2-D array
+    ``cells``, formatting and writing 2^14 cells at a time, each chunk with one ``%`` over its
+    flat values, so that the memory a table takes does not grow with it. With ``null``, a
+    non-finite cell is written as ``null`` in place of its :data:`_FLOAT_FMT` conversion."""
+    import numpy as np
+
+    template, step = sep + row, max(1, (1 << 14) // cells.shape[1])
+    write(head)
+    for start in range(0, len(cells), step):
+        values = cells[start:start + step].ravel()
+        text = template * (values.size // cells.shape[1])
+        if null is not None and not (ok := np.isfinite(values)).all():
+            pieces = text.split(_FLOAT_FMT)  # cell i's conversion sits after pieces[i]
+            text = "".join(np.char.add(pieces[:-1], np.where(ok, _FLOAT_FMT, null))) + pieces[-1]
+            values = values[ok]
+        text %= tuple(values.tolist())
+        write(text if start else text[len(sep):])
+    write(tail)
+
+
+def _render_json(obj, write) -> None:
     import numpy as np
 
     if isinstance(obj, dict):
-        out.append("{")
+        write("{")
         for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(f'"{key}":')
-            _render_json(value, out)
-        out.append("}")
-    elif isinstance(obj, np.ndarray):  # a float vector, in one join
-        finite = np.isfinite(obj).tolist()
-        cells = [_fmt(v) if ok else "null" for v, ok in zip(obj.tolist(), finite)]
-        out.append("[" + ",".join(cells) + "]")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(",")
-            _render_json(value, out)
-        out.append("]")
+            write(f',"{key}":' if i else f'"{key}":')
+            _render_json(value, write)
+        write("}")
+    elif isinstance(obj, tuple):  # a table: its column names and a 2-D array, a record per row
+        names, rows = obj
+        record = "{" + ",".join(f'"{name}":{_FLOAT_FMT}' for name in names) + "}"
+        _write_rows(write, rows, "[", record, ",", "]", "null")
+    elif isinstance(obj, np.ndarray):  # a float vector
+        _write_rows(write, obj[:, None], "[", _FLOAT_FMT, ",", "]", "null")
     elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
+        write("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+        write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         # strict JSON has no Infinity/NaN tokens
-        out.append(_fmt(obj) if np.isfinite(obj) else "null")
+        write(_FLOAT_FMT % obj if np.isfinite(obj) else "null")
     else:
-        out.append(json.dumps(str(obj), ensure_ascii=False))
+        write(json.dumps(str(obj), ensure_ascii=False))
 
 
-def _render_text(obj, out: list[str], indent: int = 0) -> None:
+def _render_text(report: dict, write, pad: str = "") -> None:
     import numpy as np
 
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if isinstance(value, dict):
-                out.append(f"{pad}{key}:")
-                _render_text(value, out, indent + 1)
-            elif isinstance(value, (list, tuple, np.ndarray)) and any(
-                isinstance(v, dict) for v in value
-            ):
-                out.append(f"{pad}{key}:")
-                for v in value:
-                    out.append(f"{pad}  -")
-                    _render_text(v, out, indent + 2)
-            else:
-                out.append(f"{pad}{key}: {_scalar_text(value)}")
-    else:
-        out.append(f"{pad}{_scalar_text(obj)}")
-
-
-def _scalar_text(value) -> str:
-    import numpy as np
-
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return ", ".join(_scalar_text(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    for key, value in report.items():
+        write(f"{pad}{key}:")
+        if isinstance(value, dict):
+            write("\n")
+            _render_text(value, write, pad + "  ")
+        elif isinstance(value, tuple):  # a table: a "-" line, then a line per cell, per record
+            names, rows = value
+            record = f"\n{pad}  -" + "".join(f"\n{pad}    {name}: %r" for name in names)
+            _write_rows(write, rows, "", record, "", "\n")
+        elif isinstance(value, np.ndarray):
+            _write_rows(write, value[:, None], " ", "%r", ", ", "\n")
+        elif isinstance(value, bool):
+            write(" true\n" if value else " false\n")
+        elif isinstance(value, (float, np.floating)):
+            write(f" {float(value)!r}\n")
+        else:
+            write(f" {value}\n")
 
 
 def _emit_report(report: dict, as_json: bool) -> None:
+    """Write ``report`` to stdout, as JSON or as indented text. A float vector or a table
+    (column names, 2-D array) in it goes out through :func:`_write_rows`."""
+    (_render_json if as_json else _render_text)(report, sys.stdout.write)
     if as_json:
-        parts: list[str] = []
-        _render_json(report, parts)
-        sys.stdout.write("".join(parts) + "\n")
-    else:
-        lines: list[str] = []
-        _render_text(report, lines)
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write("\n")
 
 
 def _write_csv(path: str | None, columns, rows: np.ndarray) -> None:
     """Comma-separated, header row, LF endings, UTF-8; stdout when no path.
 
     ``rows`` is a 2-D float array, one row per line, every cell written as
-    :func:`_fmt` writes it (integers such as an iteration count come out bare).
+    :data:`_FLOAT_FMT` writes it (integers such as an iteration count come out bare).
     """
-    line = ",".join([_FLOAT_FMT] * len(columns)) + "\n"
-    data = ",".join(columns) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
+    header, line = ",".join(columns) + "\n", ",".join([_FLOAT_FMT] * len(columns)) + "\n"
     if path is None:
-        sys.stdout.write(data)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise InvalidInput(f"cannot write output {path!r}: {exc}") from exc
+        return _write_rows(sys.stdout.write, rows, header, line)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            _write_rows(fh.write, rows, header, line)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write output {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +388,9 @@ def cmd_bounds_mse(args) -> dict:
 
 
 def cmd_bounds_lk(args) -> dict:
-    from .lk_bounds import _lower_family, envelope_given_lk, theta_band, theta_grid
+    import numpy as np
+
+    from .lk_bounds import envelope_given_lk, lower_family, theta_band, theta_grid
 
     if args.k is None or args.lk is None:
         raise InvalidInput("bounds-lk requires --k and --lk")
@@ -415,10 +411,10 @@ def cmd_bounds_lk(args) -> dict:
         "ccc_upper": envelope.ccc_upper,
         "ccc_lower": envelope.ccc_lower,
         "theta_at_min": envelope.theta_at_min,
-        "lower_by_theta": [
-            {"theta": float(t), "ccc_lower_at_theta": float(v)}
-            for t, v in zip(thetas, _lower_family(envelope.x, thetas, "x"))
-        ],
+        "lower_by_theta": (
+            ("theta", "ccc_lower_at_theta"),
+            np.column_stack([thetas, lower_family(envelope.x, thetas)]),
+        ),
     }
     return {"inputs": inputs, "results": results}
 

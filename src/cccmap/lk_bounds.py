@@ -7,8 +7,8 @@ pins sqrt(mse) = L_2/sqrt(N) inside a band once L_k is fixed:
 
 with theta_max = N^(|k-2|/(2k)). On the normalized axis x = rmse_min/sigma_g
 the attainable ccc is bounded above by upper_envelope(x) and below by the
-family lower_envelope(theta*x), theta in [1, theta_max], whose pointwise
-minimum is the piecewise curve implemented in :func:`envelope_given_lk`.
+family lower_envelope(theta*x), theta in [1, theta_max] (:func:`lower_family`),
+whose pointwise minimum is the piecewise curve of :func:`envelope_given_lk`.
 These are outer bounds: the span actually reachable for a concrete gold
 standard is strictly smaller in general.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInput, NoConjugate
 from .mse_bounds import _check_grid, lower_envelope, mse_region_table, upper_envelope
-from .stats import _count, _real, _unscale, as_sequence, lp_norm
+from .stats import _count, _real, _reals, _unscale, as_sequence, lp_norm
 
 
 def norm_sandwich(e, r: float, p: float) -> tuple[float, float, float]:
@@ -190,16 +190,17 @@ def lk_region_table(
     xs = mse_rows[:, 0]
     band = theta_band(k, n, lk=1.0)
     thetas = theta_grid(band.theta_max, theta_steps)
-    family = _lower_family(xs, thetas, "x_max")
+    family = lower_family(xs, thetas, "x_max")
     rows = np.column_stack([mse_rows[:, :2], _piecewise_lower(xs, band.theta_max), family])
     return rows, thetas
 
 
-def _lower_family(x, thetas: np.ndarray, name: str) -> np.ndarray:
+def lower_family(x, thetas: np.ndarray, name: str = "x") -> np.ndarray:
     """lower_envelope(theta_j * x) for each theta_j of a :func:`theta_grid` and each x >= 0
     (a row per x, a column per theta); InvalidInput naming the largest x when its product
-    with the grid's last (largest) theta leaves float64."""
-    theta_max, x_max = float(thetas[-1]), float(np.max(x))
+    with the largest theta leaves float64."""
+    x, thetas = _reals(x, name, "nonnegative"), _reals(thetas, "thetas", "positive")
+    theta_max, x_max = float(np.max(thetas, initial=0.0)), float(np.max(x, initial=0.0))
     if theta_max * x_max == inf:
         raise InvalidInput(
             f"{name} must be at most {np.finfo(np.float64).max / theta_max:.17g} at "

@@ -54,9 +54,9 @@ def as_sequence(values, name: str) -> np.ndarray:
 
 
 def _real(value, name: str, sign: str = "") -> float:
-    """value as a Python float; InvalidInput naming it unless it is a real number that is
-    finite in float64, and positive or nonnegative where ``sign`` says so."""
-    if not isinstance(value, numbers.Real):
+    """value as a Python float; InvalidInput naming it unless it is a real number (numpy's
+    bool too) finite in float64, and positive or nonnegative where ``sign`` says so."""
+    if not isinstance(value, (numbers.Real, np.bool_)):
         raise InvalidInput(f"{name} must be a real number, got {value!r}")
     if sys.float_info.max < abs(value) < math.inf:  # an int, fraction or longdouble
         raise InvalidInput(f"{name} has a value beyond float64")
@@ -87,9 +87,9 @@ def _reals(values, name: str, sign: str = "") -> np.ndarray:
 
 
 def _count(value, name: str, least: int) -> int:
-    """value as an int; InvalidInput naming it unless it is an integer of at least ``least``."""
+    """value as an int; InvalidInput naming it unless an integer (numpy's bool too) >= ``least``."""
     try:
-        value = operator.index(value)
+        value = operator.index(value.item() if isinstance(value, np.bool_) else value)
     except TypeError:
         raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
     if value < least:
@@ -98,10 +98,12 @@ def _count(value, name: str, least: int) -> int:
 
 
 def _counts(values, name: str) -> np.ndarray:
-    """values as an int64 array: an integer array that :func:`_reals` takes as nonnegative."""
+    """values as int64: an integer array, within int64, that :func:`_reals` takes as nonnegative."""
     _reals(values, name, "nonnegative")
     if (arr := np.asarray(values)).dtype.kind not in "iu":
         raise InvalidInput(f"{name} must be integers, got dtype {arr.dtype}")
+    if arr.size and arr.max() > np.iinfo(np.int64).max:
+        raise InvalidInput(f"{name} has a value beyond int64")
     return arr.astype(np.int64)
 
 

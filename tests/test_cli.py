@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line surface via subprocess, and of the
 table loader in process against a frozen copy of its per-line reference."""
 
+import contextlib
 import csv
 import decimal
+import io
 import itertools
 import json
 import math
@@ -894,3 +896,135 @@ def test_ingest_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
         tracemalloc.stop()
     assert cols["gold"].size == 25 * gold.size
     assert peak < 3 * path.stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# the report renderer against its per-cell reference
+
+
+def _oracle_json(obj) -> str:
+    """The JSON renderer as it was before row templates, frozen here as the reference:
+    a table is a list of dicts, and every cell is formatted on its own."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(f'"{key}":{_oracle_json(value)}' for key, value in obj.items()) + "}"
+    if isinstance(obj, (list, np.ndarray)):
+        return "[" + ",".join(_oracle_json(value) for value in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return "%.17g" % obj if math.isfinite(obj) else "null"
+    return json.dumps(str(obj), ensure_ascii=False)
+
+
+def _oracle_text(report: dict, pad: str = "") -> str:
+    """The text renderer as it was before row templates, frozen here as the reference."""
+    out = ""
+    for key, value in report.items():
+        if isinstance(value, dict):
+            out += f"{pad}{key}:\n" + _oracle_text(value, pad + "  ")
+        elif isinstance(value, list):  # a table: a "-" line, then a line per cell, per record
+            out += f"{pad}{key}:\n" + "".join(
+                f"{pad}  -\n" + _oracle_text(record, pad + "    ") for record in value
+            )
+        elif isinstance(value, np.ndarray):
+            out += f"{pad}{key}: " + ", ".join(repr(float(v)) for v in value) + "\n"
+        elif isinstance(value, bool):
+            out += f"{pad}{key}: {'true' if value else 'false'}\n"
+        elif isinstance(value, float):
+            out += f"{pad}{key}: {float(value)!r}\n"
+        else:
+            out += f"{pad}{key}: {value}\n"
+    return out
+
+
+def _rendered(report: dict, as_json: bool) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_report(report, as_json)
+    return out.getvalue()
+
+
+def _same(got: str, want: str) -> None:
+    """Fail with the first difference only: a diff of megabytes of output takes minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), len(want))
+        pytest.fail(f"at {at}: {got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}")
+
+
+def _check_renderer(vector: np.ndarray, table: np.ndarray) -> None:
+    """Both forms of a report holding ``vector`` and the two-column ``table`` against the
+    reference, which is handed the table as a list of records."""
+    head = {"command": "loss", "version": "0.1.0", "seed": 0}
+    scalars = {"n": 3, "agrees": True, "x": 0.1, "top": np.float64(sys.float_info.max)}
+    report = {**head, "results": {**scalars, "v": vector, "t": (("a", "b"), table)}}
+    records = [{"a": a, "b": b} for a, b in table.tolist()]
+    reference = {**head, "results": {**scalars, "v": vector, "t": records}}
+    as_json = _rendered(report, True)
+    _same(as_json, _oracle_json(reference) + "\n")
+    loaded = json.loads(as_json)["results"]["t"]
+    assert loaded == [{k: v if math.isfinite(v) else None for k, v in r.items()} for r in records]
+    _same(_rendered(report, False), _oracle_text(reference))
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, sys.float_info.min,
+    sys.float_info.max, -sys.float_info.max, np.nextafter(sys.float_info.max, 0.0),
+    0.1, 1 / 3, 1e16, 1e-7, math.nan, math.inf, -math.inf,
+]
+_CELLS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vector=st.lists(_CELLS, max_size=12),
+    # a report's table has a row per theta step, and there is at least one
+    table=st.lists(st.tuples(_CELLS, _CELLS), min_size=1, max_size=12),
+)
+def test_renderer_matches_the_per_cell_reference(vector, table):
+    _check_renderer(np.array(vector, dtype=np.float64), np.array(table, dtype=np.float64))
+
+
+def test_renderer_matches_the_reference_across_chunks():
+    # the loss verb's 5x10^4-cell gradient and a 3x10^4-row table span several chunks;
+    # non-finite cells sit at random places, the first and the last cell among them
+    rng = np.random.default_rng(7)
+    vector = rng.normal(size=50_000) * 10.0 ** rng.integers(-300, 300, size=50_000)
+    table = rng.normal(size=(30_000, 2))
+    for cells in (vector, table.reshape(-1)):
+        spots = rng.integers(0, cells.size, size=40)
+        cells[spots] = rng.choice(_EDGE_FLOATS, size=spots.size)
+        cells[[0, -1]] = math.nan, -math.inf
+    _check_renderer(vector, table)
+
+
+class _Count:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_render_peak_memory_is_a_fraction_of_the_output(as_json):
+    # bounds-lk's lower_by_theta at 10^5 theta steps: the renderer holds a chunk of rows at a
+    # time, not the output (before row templates its peak was about 10x the output)
+    from cccmap.lk_bounds import lower_family, theta_grid
+
+    thetas = theta_grid(2.0, 10**5)
+    table = np.column_stack([thetas, lower_family(0.7, thetas)])
+    report = {"results": {"lower_by_theta": (("theta", "ccc_lower_at_theta"), table)}}
+    out = _Count()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            cli._emit_report(report, as_json)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.chars > 6_000_000
+    assert peak < out.chars / 2

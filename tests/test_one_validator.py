@@ -8,7 +8,7 @@ their float64 conversion gives, bit for bit. Text, complex, masked, ragged, ``No
 NaN, Inf and values past float64 are refused with an InvalidInput whose message opens with
 the parameter's name (a value past float64 as that), and so are an empty or 2-D sequence
 and a length that does not match the other arguments. ``per_sample_beta`` takes integer
-arrays only.
+arrays only, within int64. numpy's bool scalar is taken wherever Python's ``bool`` is.
 """
 
 import dataclasses
@@ -66,7 +66,7 @@ from cccmap import (
     upper_envelope,
     variance_identity_residual,
 )
-from cccmap.lk_bounds import theta_grid
+from cccmap.lk_bounds import lower_family, theta_grid
 
 PACKAGE = Path(cccmap.__file__).parent
 # a chained comparison from 0 or -inf up to inf: `0.0 < x < inf`, `-np.inf < x < np.inf`
@@ -216,6 +216,8 @@ ARRAY_PARAMETERS = [
     ("envelope_kernel", "t", envelope_kernel, "array", False),
     ("upper_envelope", "x", upper_envelope, "array", False),
     ("lower_envelope", "x", lower_envelope, "array", False),
+    ("lower_family", "x", lambda v: lower_family(v, theta_grid(2.0, 3)), "array", False),
+    ("lower_family", "thetas", lambda v: lower_family([0.5, 1.0], v), "array", False),
     ("norm_sandwich", "e", lambda v: norm_sandwich(v, 1.0, 3.0), "sequence", False),
     ("error_set", "values", error_set, "sequence", False),
     ("optimal_permutations", "gold", lambda v: optimal_permutations(v, E3), "sequence", True),
@@ -256,6 +258,7 @@ ARRAY_VALUES = [
     ("float32", np.array([1.5, 2, 4], dtype=np.float32), {"sequence", "array"}),
     ("int-list", [1, 0, 2], {"sequence", "array", "counts"}),
     ("uint8", np.array([1, 0, 2], dtype=np.uint8), {"sequence", "array", "counts"}),
+    ("uint64-past-int64", np.array([2**63, 0, 1], dtype=np.uint64), {"sequence", "array"}),
     ("empty", [], {"array"}),
     ("2-D", [[1.0, 2.0, 4.0], [1.0, 2.0, 4.0]], {"array"}),
     ("digit-strings", ["1", "2", "4.5"], set()),
@@ -320,3 +323,14 @@ def test_a_length_mismatch_names_the_array(function, param, call, rule, bound):
     with warnings.catch_warnings(), pytest.raises(InvalidInput, match=rf"\b{param}\b"):
         warnings.simplefilter("error")
         call([1, 2, 4, 8])
+
+
+@pytest.mark.parametrize("name, param", PARAMETERS, ids=[f"{n}-{p}" for n, p in PARAMETERS])
+def test_numpys_bool_scalar_is_taken_as_pythons_bool(name, param):
+    fn, args, valid, _ = CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for flag in (False, True):
+            outcomes = [_outcome(lambda v: fn(*args, **{**valid, param: v}), value)
+                        for value in (flag, np.bool_(flag))]
+            assert outcomes[0] == outcomes[1]
