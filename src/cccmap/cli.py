@@ -397,7 +397,7 @@ def cmd_bounds_lk(args) -> dict:
     gold, inputs = _load_gold(args)
     band = theta_band(args.k, gold.n, args.lk)
     thetas = theta_grid(band.theta_max, args.theta_steps)
-    envelope = envelope_given_lk(args.k, gold.n, args.lk, gold.sigma_g, theta=1.0)
+    envelope = envelope_given_lk(args.k, gold.n, args.lk, gold.sigma_g)
     results = {
         "k": args.k,
         "n": gold.n,
@@ -616,7 +616,7 @@ def cmd_audit(args) -> dict:
             raise InvalidInput("audit lk-sphere requires --k and --lk")
         gold, inputs = _load_gold(args)
         oracle = lk_sphere_oracle(gold.gold, args.k, args.lk, args.trials, args.seed)
-        env = envelope_given_lk(args.k, gold.n, args.lk, gold.sigma_g, theta=1.0)
+        env = envelope_given_lk(args.k, gold.n, args.lk, gold.sigma_g)
         params, x, lower, upper = {"k": args.k, "lk": args.lk}, env.x, env.ccc_lower, env.ccc_upper
     best, worst, slack = oracle.best_value, oracle.worst_value, TOL.oracle_slack
     results = {

@@ -28,8 +28,10 @@ from .stats import _count, _real, _reals, _unscale, as_sequence, lp_norm
 def norm_sandwich(e, r: float, p: float) -> tuple[float, float, float]:
     """Return (L_p, L_r, N^((p-r)/(pr)) * L_p) for 0 < r < p.
 
-    The middle value always lies between the outer two. The upper bound is
-    tight for constant-magnitude vectors, the lower for single-spike vectors.
+    The middle value lies between the outer two within a relative 1e-12: rounding may
+    leave a tight bound just past it (``norm_sandwich([1, 1, 1], 1, 2)`` gives hi
+    2.9999999999999996, mid 3.0). The upper bound is tight for constant-magnitude
+    vectors, the lower for single-spike vectors.
     """
     arr = as_sequence(e, "e")
     r, p = _real(r, "r", "positive"), _real(p, "p", "positive")
@@ -39,7 +41,7 @@ def norm_sandwich(e, r: float, p: float) -> tuple[float, float, float]:
     lo = lp_norm(arr, p)
     mid = lp_norm(arr, r)
     try:
-        hi = n ** ((p - r) / (p * r)) * lo if lo else 0.0
+        hi = n ** ((p - r) / p / r) * lo if lo else 0.0  # p * r may overflow
     except OverflowError:  # the factor alone leaves float64
         hi = inf
     if hi == inf:
@@ -51,8 +53,6 @@ def norm_sandwich(e, r: float, p: float) -> tuple[float, float, float]:
 class RmseBand:
     """Feasible band of sqrt(mse) values at a fixed L_k norm of N errors."""
 
-    k: float
-    n: int
     theta_min: float
     theta_max: float
     rmse_min: float
@@ -68,13 +68,13 @@ def theta_band(k: float, n: int, lk: float) -> RmseBand:
     k, n = _real(k, "k", "positive"), _count(n, "n", 1)
     lk = _real(lk, "lk", "nonnegative")
     try:
-        theta_max = float(n) ** (abs(k - 2.0) / (2.0 * k))
+        theta_max = float(n) ** (abs(k - 2.0) / k * 0.5)  # not / (2 * k): 2k overflows past 9e307
+        if theta_max == inf:  # the exponent is inf below k = 1.1e-308, and pow raises nothing
+            raise OverflowError
         rmse_min = lk / (sqrt(n) if k >= 2 else float(n) ** (1.0 / k))
     except OverflowError:
         raise InvalidInput(f"band at k={k}, n={n} overflows float64") from None
     return RmseBand(
-        k=k,
-        n=n,
         theta_min=1.0,
         theta_max=float(theta_max),
         rmse_min=float(rmse_min),
@@ -87,24 +87,19 @@ class LkEnvelope:
     """ccc envelope data at one normalized abscissa x for a fixed L_k.
 
     ``ccc_lower`` is the pointwise minimum over all admissible band positions
-    (the piecewise outer bound); ``ccc_lower_at_theta`` is the single family
-    member evaluated at the requested theta. ``theta_at_min`` = 2/x is the
-    band position at which the lower envelope bottoms out at -1 (infinite
-    when x = 0).
+    (the piecewise outer bound); one family member, lower_envelope(theta * x),
+    is :func:`lower_family`'s, and the band's theta_max is :func:`theta_band`'s.
+    ``theta_at_min`` = 2/x is the band position at which the lower envelope
+    bottoms out at -1 (infinite when x = 0).
     """
 
     x: float
-    theta: float
-    theta_max: float
     ccc_upper: float
     ccc_lower: float
-    ccc_lower_at_theta: float
     theta_at_min: float
 
 
-def envelope_given_lk(
-    k: float, n: int, lk: float, sigma_g: float, theta: float = 1.0
-) -> LkEnvelope:
+def envelope_given_lk(k: float, n: int, lk: float, sigma_g: float) -> LkEnvelope:
     """Outer ccc bounds at fixed L_k for a gold standard with deviation sigma_g.
 
     x = L_k/(sqrt(N) sigma_g) for k >= 2, L_k/(N^(1/k) sigma_g) for k <= 2.
@@ -115,22 +110,14 @@ def envelope_given_lk(
         lower_envelope(x)               for x >= 2.
     """
     sigma_g = _real(sigma_g, "sigma_g", "positive")
-    band, theta = theta_band(k, n, lk), _real(theta, "theta")
-    slack = 1.0 + 1e-12
-    if not (1.0 / slack <= theta <= band.theta_max * slack):
-        raise InvalidInput(
-            f"theta={theta} outside [1, {band.theta_max}] for k={k}, n={n}"
-        )
+    band = theta_band(k, n, lk)
     # from the mantissas of lk and sigma_g, so a band floor below the normal range costs no bits
     (m_lk, e_lk), (m_s, e_s) = frexp(lk), frexp(sigma_g)
     x = _unscale(theta_band(k, n, m_lk).rmse_min / m_s, e_lk - e_s, "x")
     return LkEnvelope(
         x=float(x),
-        theta=float(theta),
-        theta_max=band.theta_max,
         ccc_upper=float(upper_envelope(x)),
         ccc_lower=float(_piecewise_lower(x, band.theta_max)),
-        ccc_lower_at_theta=float(lower_envelope(theta * x)),
         theta_at_min=_unscale(2.0 / x, 0, "theta_at_min") if x > 0 else inf,
     )
 

@@ -30,6 +30,7 @@ zero) the subgradient 0 is returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +133,9 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
         dnum, dreward = 2.0 * eps * err, coef * (2 * beta + 1) * powers * g
         if not ratio:
             return dnum - dreward
-        grad = (dnum - inner * dreward) / reward
-        return np.ldexp(grad, -shift, out=grad)
+        m, r = math.frexp(reward)  # reward = m * 2**r: its power of two goes first, with the shift's
+        grad = dnum - inner * dreward
+        return np.divide(np.ldexp(grad, -shift - r, out=grad), m, out=grad)
 
     return inner, gradient, variant not in ("ratio", "diff")
 

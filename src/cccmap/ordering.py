@@ -28,7 +28,6 @@ from .mse_bounds import ccc_from_mse_cov
 from .stats import (
     _ccc,
     _error_mean,
-    _mean_and_mse,
     _prepared_gold,
     _row_cov,
     _row_moments,
@@ -43,13 +42,11 @@ GOLD_MINUS_PRED: Convention = "gold_minus_pred"
 
 @dataclass(frozen=True)
 class ErrorSet:
-    """A multiset of signed error values, stored sorted ascending.
-
-    The moments (mu_e, mse) depend only on the multiset, never on an ordering.
+    """A multiset of signed error values, stored sorted ascending, and its mse
+    = mean(e**2), which depends only on the multiset, never on an ordering.
     """
 
     values: np.ndarray
-    mu_e: float
     mse: float
 
     @property
@@ -59,8 +56,8 @@ class ErrorSet:
 
 def error_set(values) -> ErrorSet:
     arr = np.sort(as_sequence(values, "values"))
-    mu_e, mse = _mean_and_mse(arr, *_span(arr[[0, -1]]))  # sorted: the ends hold the largest magnitude
-    return ErrorSet(values=arr, mu_e=mu_e, mse=mse)
+    e = _span(arr[[0, -1]])[0]  # sorted: the ends hold the largest magnitude
+    return ErrorSet(values=arr, mse=_error_mean(np.ldexp(arr, -e), e, 2, "mse"))
 
 
 def _adds(convention: Convention) -> bool:
@@ -85,24 +82,21 @@ def _mapped_ccc(eg: int, ee: int, var_g: float, cov: float, mse: float, add: boo
 
 @dataclass(frozen=True)
 class PermutationResult:
-    """One extreme ordering: the assignment, its prediction, and both ccc routes.
+    """One extreme ordering: its errors, its prediction, and both ccc routes.
 
-    ``assignment[j]`` is the error value paired with the j-th smallest gold
-    sample (ties in gold broken by original index); ``errors`` is the same
-    permutation aligned with the original gold order, so its multiset is the
-    input ErrorSet bit for bit. ``prediction`` is gold +- errors per the
-    convention. ``formula_value`` comes from the closed form and must agree
+    ``errors`` is the input ErrorSet's values, bit for bit, aligned with the original
+    gold order: the error paired with the j-th smallest gold sample (ties in gold
+    broken by original index) is ``values[j]`` where the errors are sorted like the
+    gold and ``values[::-1][j]`` where opposite to it. ``prediction`` is gold +- errors
+    per the convention. ``formula_value`` comes from the closed form and must agree
     with ``ccc_value`` computed directly from the prediction.
 
-    The three arrays are read-only, and the extremes of one call share them where
-    they hold the same values: ``max_add`` and ``min_sub`` share ``errors`` and
-    ``assignment``, as do ``max_sub`` and ``min_add``, and the two assignments are
-    one array read forwards and backwards. Copy an array before changing it.
+    Both arrays are read-only, and ``max_add`` and ``min_sub`` share ``errors``, as do
+    ``max_sub`` and ``min_add``. Copy an array before changing it.
     """
 
     convention: Convention
     objective: Literal["max", "min"]
-    assignment: np.ndarray
     errors: np.ndarray
     prediction: np.ndarray
     ccc_value: float
@@ -218,11 +212,8 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
             _ccc(eg, ep, mu_g, mu_p, var_g, var_p, cov_p),
             _mapped_ccc(eg, ee, var_g, covs[row], mse, add),
         ))
-    del a, scratch  # freed before the assignment's copy: the peak stays at 9 n-length arrays
-    asc = errors.values.copy()
-    asc.flags.writeable = False
     return OrderingExtremes(**{
-        name: PermutationResult(convention, objective, asc[::-1] if row else asc, rows[row], *score)
+        name: PermutationResult(convention, objective, rows[row], *score)
         for (name, convention, objective, row), score in zip(_EXTREMES, scored)
     })
 

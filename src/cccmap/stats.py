@@ -269,15 +269,6 @@ def _error_mean(d: np.ndarray, u: float, k: float, name: str) -> float:
     return _unscale(mean, k * u, name)
 
 
-def _mean_and_mse(arr: np.ndarray, e: int, constant: bool) -> tuple[float, float]:
-    """(mean, mean of squares) of a validated array as :func:`mean` and :func:`_error_mean`
-    give them, from one scaled copy; (e, constant) is :func:`_span` of arr, which a caller
-    may take from fewer values than arr."""
-    d = np.ldexp(arr, -e)
-    mu = float(arr[0]) if constant else math.ldexp(float(d.mean()), e)
-    return mu, _unscale(float(np.square(d, out=d).mean()), 2 * e, "mse")
-
-
 def mean(s) -> float:
     arr = as_sequence(s, "s")
     e, constant = _span(arr)

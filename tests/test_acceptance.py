@@ -142,6 +142,8 @@ def test_criterion_05_norm_sandwich():
     assert mid == pytest.approx(hi, rel=1e-12)
     lo, mid, hi = norm_sandwich([0.0, 0.0, 2.4, 0.0], 1, 2)
     assert mid == pytest.approx(lo, rel=1e-12)
+    lo, mid, hi = norm_sandwich([1, 2, 3], 2, 1e308)  # p * r leaves float64, (p - r) / (p r) does not
+    assert mid <= hi == pytest.approx(3**0.5 * lo, rel=1e-15)
 
 
 @criterion(6, "theta machinery: theta_max(k=1,N=64)=8, conjugate {8,1.6} at x=0.75, involution")

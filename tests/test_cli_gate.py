@@ -1,8 +1,8 @@
 """An in-process gate of the command-line surface over extreme flag values.
 
 Every verb runs through ``cli.main`` with each of its numeric flags set in turn to
-nan, +-inf, 0, -1, a subnormal, 1e-300, 1e300 and 1e308 (and k to 4e307, n to 2**64, and
-the grid sizes to 10**30 and 2**63),
+nan, +-inf, 0, -1, a subnormal, 1e-300, 1e300 and 1e308 (and k to 4e307, 9e307 and
+5e-324, n to 2**64, and the grid sizes to 10**30 and 2**63),
 the other flags at ordinary values, and every warning raised as an error. Each run must
 end in exit 0, 2 or 3 with no exception; a ``--json`` report must parse with
 ``json.loads`` and hold no null, save ``theta_at_min`` at lk 0, where it is infinite.
@@ -23,7 +23,9 @@ from cccmap import cli
 TABLE = "1,1.5\n2,1.7\n4,3.9\n3,3.2\n7,6.1\n"  # gold, and predictions or errors
 VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1e-300", "1e300", "1e308")
 SIZES = (str(10**30), str(2**63))
-EXTRA = {"--k": ("4e307",), "--n": (str(2**64),), "--steps": SIZES, "--theta-steps": SIZES}
+EXTRA = {
+    "--k": ("4e307", "9e307", "5e-324"), "--n": (str(2**64),), "--steps": SIZES, "--theta-steps": SIZES,
+}
 
 # (verb and its ordinary flags, the numeric flags varied); the table is read from stdin
 VERBS = [
@@ -158,6 +160,15 @@ def test_a_grid_past_the_cap_names_its_size(argv, what, capsys):
     code, out, err = run_main(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {what} = ") and err.endswith(" past the cap of 1000000\n")
+
+
+@pytest.mark.parametrize("k", ["1e-320", "5e-324"])
+@pytest.mark.parametrize(
+    "argv", [["bounds-lk", "--lk", "1", "--json"], ["region", "--kind", "lk", "--n", "5"]],
+    ids=["bounds-lk", "region"],
+)
+def test_a_band_past_float64_names_k_and_n(argv, k, capsys):
+    assert run_main([*argv, "--k", k], capsys) == (2, "", f"error: band at k={k}, n=5 overflows float64\n")
 
 
 def test_unreadable_input_message(tmp_path, capsys):

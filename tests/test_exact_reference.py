@@ -38,6 +38,16 @@ bounds the terms of P, which cancel as f nears 0; plus 16n of the least subnorma
 term of P or of mse + 2P, taken in units of the larger of the two powers of two, falls
 below the normal range. mse + 2P = var_g + var_p + (mu_p - mu_g)^2 is never 0.
 
+The ``ratio`` and ``diff`` losses and their gradients (gamma 1, which they do not read) are
+rational in g, p and alpha. Each is checked against its exact value within a bound carried
+through the steps that ``losses`` documents: g and p scaled by the power of two that brings
+their largest magnitude into [0.5, 1) for ``ratio``, unscaled for ``diff``. Each elementwise
+step rounds by at most u |value| + eta / 2 (u = 2^-53, eta = 2^-1074) on top of its operands'
+bounds, and each dot product by at most gamma_n sum |terms| + n eta, gamma_n = n u / (1 - n u),
+which holds whatever order BLAS sums in. A call may raise ``Singularity`` only where the
+reward sum may round to 0, and ``InvalidInput`` only where some step may leave float64: for
+``diff`` that includes the sums N and R, which may overflow where N - alpha R does not.
+
 ``quadratic_in_gold``'s b and c are checked within 1e-12 of the magnitude of their terms
 (that of b is b itself), plus the least subnormal for a value rounded below the normal
 range, on small-integer golds and errors at their own powers of two.
@@ -46,6 +56,7 @@ range, on small-integer golds and errors at their own powers of two.
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -53,6 +64,7 @@ from hypothesis import strategies as st
 from cccmap.errors import DegenerateVariance, InvalidInput, Singularity
 from cccmap.even_p import StationarityProblem, quadratic_in_gold
 from cccmap.lk_bounds import envelope_given_lk
+from cccmap.losses import LossParams, loss, loss_gradient
 from cccmap.mse_bounds import (
     bounds_given_mse, ccc_from_mse_cov, center_gold, envelope_kernel, lower_envelope, upper_envelope,
 )
@@ -157,7 +169,7 @@ def test_gold_figures_match_exact_arithmetic(
     x_lk = Fraction(lk) / (root * fsqrt(var))
     # 2/x past float64 is refused; at x = 0 theta_at_min is inf
     envelope = outcome(
-        lambda: envelope_given_lk(k, n, lk, prepared.sigma_g, theta=1.0), budget,
+        lambda: envelope_given_lk(k, n, lk, prepared.sigma_g), budget,
         x=x_lk, theta_at_min=2 / x_lk if x_lk else Fraction(0),
     )
     if envelope is not None:
@@ -313,3 +325,124 @@ def test_envelopes_match_exact_arithmetic(x):
         got = outcome(lambda: envelope(x), 3, t=t)
         assert got is not None, f"{name}({x!r}) refused"
         assert_within(name, got, 2 * t / (1 + t * t), 3)
+
+
+U = Fraction(1, 2**53)  # the unit roundoff
+NORMAL = Fraction(2) ** -1022
+
+
+class Bounded(NamedTuple):
+    """An exact value and a bound on how far its float64 evaluation may lie from it."""
+
+    x: Fraction
+    err: Fraction
+
+    def may_leave_float64(self) -> bool:
+        return abs(self.x) + self.err > MAX
+
+
+def rounded(x: Fraction, pre: Fraction) -> Bounded:
+    """One float64 operation whose exact result is x, on operands that move it by at most pre."""
+    return Bounded(x, pre + U * (abs(x) + pre) + TINY / 2)
+
+
+def sub(a: Bounded, b: Bounded) -> Bounded:
+    return rounded(a.x - b.x, a.err + b.err)
+
+
+def mul(a: Bounded, b: Bounded) -> Bounded:
+    return rounded(a.x * b.x, abs(a.x) * b.err + abs(b.x) * a.err + a.err * b.err)
+
+
+def div(a: Bounded, b: Bounded) -> Bounded:
+    """a / b, where b's evaluation cannot be 0."""
+    q = a.x / b.x
+    return rounded(q, (a.err + abs(q) * b.err) / (abs(b.x) - b.err))
+
+
+def quotient(a: Bounded, b: Bounded, k: int) -> Bounded:
+    """a / b * 2**k as ``losses`` takes it, ldexp(a, k - r) / m for b = m * 2**r: one relative
+    rounding, and at most two into the subnormal range, where b's evaluation cannot be 0."""
+    q, scale = a.x / b.x, Fraction(2) ** k
+    pre = (a.err + abs(q) * b.err) / (abs(b.x) - b.err) * scale
+    return Bounded(q * scale, pre + U * (abs(q) * scale + pre) + 2 * TINY)
+
+
+def dot(xs, ys) -> Bounded:
+    n = len(xs)
+    pre = sum(abs(x.x) * y.err + abs(y.x) * x.err + x.err * y.err for x, y in zip(xs, ys))
+    size = sum(abs(x.x * y.x) for x, y in zip(xs, ys)) + pre
+    return Bounded(sum(x.x * y.x for x, y in zip(xs, ys)), pre + n * U / (1 - n * U) * size + n * TINY)
+
+
+def ldexp(a: Bounded, k: int) -> Bounded:
+    """a * 2**k: exact unless its value may fall below the normal range."""
+    x, err = a.x * Fraction(2) ** k, a.err * Fraction(2) ** k
+    return Bounded(x, err + (TINY / 2 if abs(x) - err < NORMAL else 0))
+
+
+def loss_reference(variant: str, gold, pred, alpha: float):
+    """(loss steps, gradient steps) as ``losses`` evaluates them, the loss and the gradient
+    last; None where the reward sum may round to 0, so the loss may be anything."""
+    exact = [Bounded(Fraction(v), Fraction(0)) for v in (*gold, *pred)]
+    if variant == "ratio":  # N / R is scale-free: taken at the power of two of the larger magnitude
+        shift = max(math.frexp(max(map(abs, gold)))[1], math.frexp(max(map(abs, pred)))[1])
+        exact = [ldexp(v, -shift) for v in exact]
+    g, p = exact[:len(gold)], exact[len(gold):]
+    err = [sub(pi, gi) for gi, pi in zip(g, p)]
+    num, gp = dot(err, err), dot(g, p)
+    twice = [Bounded(2 * e.x, 2 * e.err) for e in err]  # 2 * eps * err: exact doubling
+    if variant == "ratio":
+        if abs(gp.x) <= gp.err:
+            return None
+        inner = div(num, gp)
+        grad = [quotient(sub(d, mul(inner, gi)), gp, -shift) for d, gi in zip(twice, g)]
+        return [num, gp, inner], [*twice, *grad]
+    coef = Bounded(Fraction(alpha), Fraction(0))
+    reward = mul(coef, gp)
+    inner = sub(num, reward)
+    grad = [sub(d, mul(coef, gi)) for d, gi in zip(twice, g)]
+    return [num, gp, reward, inner], [*twice, *grad]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)), min_size=1, max_size=8
+    ),
+    gold_scale=st.integers(-1074, 1013),
+    pred_scale=st.integers(-1074, 1013),
+    alpha=st.builds(math.ldexp, st.integers(0, 1000), st.integers(-1074, 1013)),
+    variant=st.sampled_from(["ratio", "diff"]),
+)
+# diff: N = 36 * 2**1020 and R = 27 * 2**1020 leave float64, N - R = 9 * 2**1020 does not
+@example(pairs=[(3, 9)], gold_scale=510, pred_scale=510, alpha=1.0, variant="diff")
+# ratio: the small samples fall below the normal range once scaled by the large one's power
+@example(pairs=[(1000, 1), (1, 1), (-3, 7)], gold_scale=1013, pred_scale=-60, alpha=1.0, variant="ratio")
+# ratio: the gradient is about -2**1023, which in g and p's units (2**2 larger) overflowed
+@example(pairs=[(1, 1)], gold_scale=1, pred_scale=-511, alpha=1.0, variant="ratio")
+def test_ratio_and_diff_losses_match_exact_arithmetic(pairs, gold_scale, pred_scale, alpha, variant):
+    gold = [math.ldexp(g, gold_scale) for g, _ in pairs]
+    pred = [math.ldexp(p, pred_scale) for _, p in pairs]
+    params = LossParams(variant, alpha=alpha)
+    reference = loss_reference(variant, gold, pred, alpha)
+    if reference is None:  # the reward may round to 0: Singularity or any value
+        return
+    loss_steps, grad_steps = reference
+    try:
+        got = loss(params, gold, pred)
+    except InvalidInput as exc:
+        assert str(exc) == "loss overflows float64", exc
+        assert any(step.may_leave_float64() for step in loss_steps), f"loss refused: {exc}"
+    else:
+        want = loss_steps[-1]
+        assert abs(Fraction(got) - want.x) <= want.err, f"loss {got!r} vs {float(want.x)!r}"
+    try:
+        grad = loss_gradient(params, gold, pred).tolist()
+    except InvalidInput as exc:
+        assert str(exc) in ("loss overflows float64", "loss gradient overflows float64"), exc
+        steps = loss_steps + grad_steps
+        assert any(step.may_leave_float64() for step in steps), f"gradient refused: {exc}"
+        return
+    for i, (got_i, want) in enumerate(zip(grad, grad_steps[-len(pairs):])):
+        assert abs(Fraction(got_i) - want.x) <= want.err, f"gradient[{i}] {got_i!r} vs {float(want.x)!r}"

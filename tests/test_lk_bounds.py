@@ -22,7 +22,7 @@ from cccmap import (
     theta_band,
     upper_envelope,
 )
-from cccmap.lk_bounds import lk_region_columns, theta_grid
+from cccmap.lk_bounds import lk_region_columns, lower_family, theta_grid
 from cccmap.mse_bounds import MAX_GRID_CELLS, mse_region_table
 
 
@@ -90,6 +90,12 @@ class TestThetaBand:
         band = theta_band(4, 16, 1.0)
         assert band.theta_max == pytest.approx(2.0, rel=1e-15)
 
+    @pytest.mark.parametrize("k", [8e307, 9e307, 1.7976931348623157e308])
+    def test_huge_k_is_the_k_infinity_band(self, k):
+        # n^(|k-2|/(2k)) -> sqrt(n); 2k past float64 made it n^0 = 1
+        for n in (2, 3, 64, 1000):
+            assert theta_band(k, n, 1.0).theta_max == math.sqrt(n)
+
     def test_band_scaling_relation(self):
         band = theta_band(4, 10, 2.5)
         assert band.rmse_max == pytest.approx(band.theta_max * band.rmse_min, rel=1e-15)
@@ -153,27 +159,21 @@ class TestEnvelopeGivenLk:
         assert env.ccc_lower == pytest.approx(0.0, abs=1e-15)
 
     def test_family_member_at_x075_theta8(self):
-        env = envelope_given_lk(1, 64, lk=48.0, sigma_g=1.0, theta=8.0)
+        env = envelope_given_lk(1, 64, lk=48.0, sigma_g=1.0)
         assert env.x == pytest.approx(0.75, rel=1e-15)
-        assert env.ccc_lower_at_theta == pytest.approx(-10.0 / 26.0, rel=1e-12)
+        assert lower_family(env.x, np.array([8.0]))[0] == pytest.approx(-10.0 / 26.0, rel=1e-12)
         assert env.ccc_lower == -1.0  # 2/8 <= 0.75 <= 2: bottom of the band
         assert env.theta_at_min == pytest.approx(2.0 / 0.75, rel=1e-15)
 
     def test_curves_rejoin_for_large_x(self):
-        env = envelope_given_lk(1, 64, lk=192.0, sigma_g=1.0, theta=1.0)
+        env = envelope_given_lk(1, 64, lk=192.0, sigma_g=1.0)
         assert env.x == pytest.approx(3.0, rel=1e-15)
         assert env.ccc_lower == pytest.approx(float(lower_envelope(3.0)), rel=1e-15)
-        assert env.ccc_lower_at_theta == env.ccc_lower
+        assert lower_family(env.x, np.array([1.0]))[0] == env.ccc_lower
 
     def test_upper_is_mse_envelope(self):
         env = envelope_given_lk(4, 20, lk=1.3, sigma_g=0.7)
         assert env.ccc_upper == pytest.approx(float(upper_envelope(env.x)), rel=1e-15)
-
-    def test_theta_out_of_range(self):
-        with pytest.raises(InvalidInput):
-            envelope_given_lk(1, 64, lk=1.0, sigma_g=1.0, theta=9.0)
-        with pytest.raises(InvalidInput):
-            envelope_given_lk(1, 64, lk=1.0, sigma_g=1.0, theta=0.5)
 
     def test_nonfinite_lk_rejected(self):
         for lk in (float("nan"), float("inf")):
@@ -196,12 +196,17 @@ class TestEnvelopeGivenLk:
     def test_lower_bound_where_theta_max_times_x_overflows(self):
         # theta_max * x past float64 lies on the branch the bound does not take
         env = envelope_given_lk(0.01, 4, lk=1e300, sigma_g=1e-10)
-        assert env.theta_max * env.x == math.inf
+        assert theta_band(0.01, 4, 1e300).theta_max * env.x == math.inf
         assert env.ccc_lower == lower_envelope(env.x)
 
-    def test_band_overflow_is_typed(self):
-        with pytest.raises(InvalidInput, match="overflows"):
-            theta_band(0.001, 64, 8.0)
+    @pytest.mark.parametrize("k", [0.001, 1e-300, 1e-320, 5e-324])
+    def test_band_overflow_is_typed(self, k):
+        # below k = 1.1e-308 the exponent itself is inf, which pow returns without an error
+        with pytest.raises(InvalidInput, match=rf"^band at k={k}, n=64 overflows float64$"):
+            theta_band(k, 64, 8.0)
+        with pytest.raises(InvalidInput, match=rf"^band at k={k}, n=3 overflows float64$"):
+            envelope_given_lk(k, 3, 1.0, 1.0)
+        assert theta_band(k, 1, 8.0) == theta_band(2.0, 1, 8.0)  # one error: no band
 
     def test_containment_of_random_vectors(self):
         # every vector with the given L_k norm lands inside the outer envelope

@@ -132,7 +132,7 @@ CASES = {
     "norm_sandwich": (norm_sandwich, (ERRORS,), {"r": 1.0, "p": 3.0}, ()),
     "theta_band": (theta_band, (), {"k": 4.0, "n": 5, "lk": 1.0}, ("n",)),
     "envelope_given_lk": (
-        envelope_given_lk, (), {"k": 4.0, "n": 5, "lk": 1.0, "sigma_g": 1.0, "theta": 1.0}, ("n",)
+        envelope_given_lk, (), {"k": 4.0, "n": 5, "lk": 1.0, "sigma_g": 1.0}, ("n",)
     ),
     "conjugate_theta": (conjugate_theta, (), {"theta1": 2.0, "x": 1.0}, ()),
     "theta_grid": (theta_grid, (), {"theta_max": 2.0, "theta_steps": 3}, ("theta_steps",)),

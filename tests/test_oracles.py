@@ -361,7 +361,7 @@ class TestExtremeP:
         g = [1.0, 2.0, 4.0, 3.0]
         gold = center_gold(g)
         report = lk_sphere_oracle(g, k, 1.0, 2000, 0)
-        env = envelope_given_lk(k, gold.n, 1.0, math.sqrt(gold.var_g), theta=1.0)
+        env = envelope_given_lk(k, gold.n, 1.0, math.sqrt(gold.var_g))
         assert env.ccc_lower <= report.worst_value <= report.best_value <= env.ccc_upper
         assert lp_norm(report.witness_best, k) == pytest.approx(1.0, rel=1e-12)
 

@@ -5,6 +5,9 @@ other public name in its submodule on each access. The names are pinned to the
 list that the package exported when it imported every submodule eagerly.
 """
 
+import ast
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -15,7 +18,8 @@ import pytest
 
 import cccmap
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 PUBLIC = [
     "CccmapError", "CenteredGold", "DegenerateVariance", "ErrorSet", "InvalidInput",
@@ -98,3 +102,51 @@ def test_the_tolerance_table_keeps_its_fields_and_refuses_assignment():
     assert cccmap.Tolerances(residual_tol=1e-6) == cccmap.TOL._replace(residual_tol=1e-6)
     with pytest.raises(AttributeError):
         cccmap.TOL.residual_tol = 1.0
+
+
+# Types a caller builds and passes in; their fields are read by the module that takes them.
+PARAMETER_TYPES = {"LossParams", "StationarityProblem"}
+# Result fields and properties that neither the CLI, another module nor the benchmark reads.
+UNREAD_BY_DESIGN = {
+    "CenteredGold.mu": "the kernel-unit mean that the mu_g property unscales",
+    "CenteredGold.centered": "the tests' reference computations; no module may read it "
+    "(test_no_module_reads_the_unscaled_centred_gold)",
+    "OracleReport.best_index": "witness provenance that the README documents",
+    "OracleReport.worst_index": "witness provenance that the README documents",
+    "PermutationResult.errors": "the extreme ordering itself, whose prediction is gold +- it",
+}
+
+
+def _attributes_read(paths) -> set[str]:
+    """Every attribute name read as ``value.name`` or ``getattr(value, "name")`` in the files."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                names.add(node.args[1].value)
+    return names
+
+
+def test_every_result_field_is_read_outside_its_module():
+    """A field or property of a public result type is read by the CLI, by another module or
+    by the benchmark, or it is listed above with its reason. The check goes by name, as the
+    moment-kernel guards go by pattern: a field counts as read where any attribute of its
+    name is, so it finds a field whose name nothing reads at all."""
+    modules = sorted((SRC / "cccmap").glob("*.py"))
+    benchmark = _attributes_read(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+    unread = set()
+    for module, names in cccmap._EXPORTS.items():
+        read = benchmark | _attributes_read(p for p in modules if p.stem != module)
+        for name in sorted(set(names) - PARAMETER_TYPES):
+            cls = getattr(cccmap, name)
+            if not dataclasses.is_dataclass(cls):
+                continue
+            members = [f.name for f in dataclasses.fields(cls)] + [
+                member for member, _ in inspect.getmembers(cls, lambda m: isinstance(m, property))
+                if not member.startswith("_")
+            ]
+            unread |= {f"{name}.{member}" for member in members if member not in read}
+    assert unread == set(UNREAD_BY_DESIGN)
