@@ -42,7 +42,7 @@ _EXPORTS = {
         "ErrorSet", "OrderingExtremes", "PermutationResult", "error_set", "optimal_permutations",
     ),
     "even_p": (
-        "SolverState", "StationarityProblem", "quadratic_in_gold", "scaled_residual", "solve",
+        "SolverState", "StationarityProblem", "scaled_residual", "solve",
     ),
     "losses": ("LossParams", "TrainingTrace", "loss", "loss_gradient", "training_trace"),
     "oracles": (

@@ -378,9 +378,9 @@ def cmd_bounds_mse(args) -> dict:
             np.column_stack([
                 gold.gold,
                 result.err_max,
-                result.err_min,
+                -result.err_max,
                 gold.gold + result.err_max,
-                gold.gold + result.err_min,
+                gold.gold - result.err_max,
             ]),
         )
         report["out"] = args.out
@@ -517,7 +517,7 @@ def cmd_solve_even_p(args) -> dict:
     }
     if k == 2:
         closed = bounds_given_mse(gold, args.lk**2 / gold.n)
-        target = closed.err_max if args.objective == "max" else closed.err_min
+        target = closed.err_max if args.objective == "max" else -closed.err_max
         cos = float(
             state.d @ target / (np.sqrt(state.d @ state.d) * np.sqrt(target @ target))
         )

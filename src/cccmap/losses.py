@@ -20,12 +20,13 @@ A variant ignores the parameters it does not read. The signed ratio is
 unbounded below when the dot product can go negative; abs_mse_over_cov is the
 safe variant (bounded below on the negative-cov side, so driving the
 covariance more negative cannot pay off indefinitely); it is evaluated in the
-moment kernel's scaled units, and ratio and ratio_pow, whose N / R is
-scale-free, at the power of two that brings max |g_i|, |p_i| into [0.5, 1), so
-their sums overflow at no scale. A sum, loss or gradient past float64 raises
-InvalidInput naming it. Gradients are with respect to the
-prediction. At a non-differentiable point of |.|^gamma (inner value exactly
-zero) the subgradient 0 is returned.
+moment kernel's scaled units, and every variant with no positive beta at the
+power of two that brings max |g_i|, |p_i| into [0.5, 1) (the weighted ones only
+where that scales down), so that the scale of g and p alone takes no sum past
+float64 where N / R or N - R is finite. A sum, loss or gradient past float64
+raises InvalidInput naming it. Gradients are with respect to the prediction.
+At a non-differentiable point of |.|^gamma (inner value exactly zero) the
+subgradient 0 is returned.
 """
 
 from __future__ import annotations
@@ -112,11 +113,12 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
     elif variant.startswith("diff"):
         coef, beta = params.alpha, params.beta if variant == "diff_pow" else 0
     ratio = "ratio" in variant
-    # N / R with unit weights is scale-free: evaluated on g and p at the power of two that
-    # brings their largest magnitude into [0.5, 1), with its gradient unscaled by that power
+    # with every beta 0, N and R scale as 4**s with g and p by 2**s, so N / R is scale-free
+    # and N - R is unscaled by 4**s; a weight times a scaled-up term may overflow
     shift = 0
-    if variant in ("ratio", "ratio_pow"):
-        shift = np.int32(max(_span(g)[0], _span(p)[0]))  # int32: fast loop
+    if not np.any(beta):
+        least = -1074 if variant in ("ratio", "ratio_pow") else 0
+        shift = np.int32(max(_span(g)[0], _span(p)[0], least))  # int32: fast loop
         g, p = np.ldexp(g, -shift), np.ldexp(p, -shift)
     with np.errstate(all="ignore"):  # a sum past float64 is reported below
         err = p - g
@@ -128,11 +130,14 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
     inner = num / reward if ratio else num - reward
     if not np.all(np.isfinite((num, reward, inner))):
         raise InvalidInput("loss overflows float64")
+    if not ratio:
+        inner = _unscale(inner, 2 * shift, "loss")
 
     def gradient():
         dnum, dreward = 2.0 * eps * err, coef * (2 * beta + 1) * powers * g
         if not ratio:
-            return dnum - dreward
+            grad = dnum - dreward
+            return np.ldexp(grad, shift, out=grad)
         m, r = math.frexp(reward)  # reward = m * 2**r: its power of two goes first, with the shift's
         grad = dnum - inner * dreward
         return np.divide(np.ldexp(grad, -shift - r, out=grad), m, out=grad)

@@ -113,13 +113,13 @@ def center_gold(gold) -> CenteredGold:
 
 @dataclass(frozen=True)
 class MseBoundsResult:
-    """ccc extremes at a fixed mse, with the error vectors that attain them."""
+    """ccc extremes at a fixed mse; the errors ``err_max`` attain the maximum and their
+    negation the minimum."""
 
     x_param: float
     ccc_max: float
     ccc_min: float
     err_max: np.ndarray
-    err_min: np.ndarray
 
 
 def bounds_given_mse(gold: CenteredGold, mse_value: float) -> MseBoundsResult:
@@ -145,7 +145,6 @@ def bounds_given_mse(gold: CenteredGold, mse_value: float) -> MseBoundsResult:
         ccc_max=float(upper_envelope(x)),
         ccc_min=float(lower_envelope(x)),
         err_max=err,
-        err_min=-err,
     )
 
 

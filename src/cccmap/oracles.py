@@ -60,7 +60,6 @@ class OracleReport:
     worst_value: float
     witness_best: np.ndarray
     witness_worst: np.ndarray
-    seed: int
     best_index: int
     worst_index: int
 
@@ -95,11 +94,11 @@ def permutation_oracle(gold, errors: ErrorSet, convention: Convention) -> Oracle
         # copy of ``out`` that the default mode makes
         np.take(signed, table[lo:lo + len(out)], out=out, mode="clip")
 
-    report = _extremes(g, moments, len(table), fill, seed=0)
+    report = _extremes(g, moments, len(table), fill)
     return replace(report, witness_best=g + report.witness_best, witness_worst=g + report.witness_worst)
 
 
-def _extremes(g, moments, trials: int, fill, seed: int) -> OracleReport:
+def _extremes(g, moments, trials: int, fill) -> OracleReport:
     """Best and worst ccc of g + d over ``trials`` error rows d, against a gold g prepared
     by :func:`stats._prepared_gold`; the witnesses are the rows d, and ties keep the first
     row. ``fill(lo, out, scratch)`` writes rows lo to lo + len(out) - 1 into the (R, n)
@@ -133,7 +132,6 @@ def _extremes(g, moments, trials: int, fill, seed: int) -> OracleReport:
         worst_value=worst_val,
         witness_best=best_wit,
         witness_worst=worst_wit,
-        seed=seed,
         best_index=best_idx,
         worst_index=worst_idx,
     )
@@ -207,7 +205,7 @@ def _sphere_report(g: np.ndarray, moments, p: float, radius: float, trials, seed
     def fill(_, out, scratch):
         _sphere_rows(rng, out, p, radius, scratch)
 
-    return _extremes(g, moments, trials, fill, seed)
+    return _extremes(g, moments, trials, fill)
 
 
 def mse_sphere_oracle(gold, mse: float, trials: int, seed: int) -> OracleReport:

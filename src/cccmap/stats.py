@@ -270,9 +270,8 @@ def _error_mean(d: np.ndarray, u: float, k: float, name: str) -> float:
 
 
 def mean(s) -> float:
-    arr = as_sequence(s, "s")
-    e, constant = _span(arr)
-    return float(arr[0]) if constant else math.ldexp(float(np.ldexp(arr, -e).mean()), e)
+    e, mu, _, _ = _gold_moments(as_sequence(s, "s"))
+    return math.ldexp(mu, e)
 
 
 def population_variance(s) -> float:

@@ -99,9 +99,9 @@ def test_criterion_03_attainment_and_dominance():
         target = float(rng.uniform(0.0, 9.0)) * gold.var_g
         res = bounds_given_mse(gold, target)
         assert abs(ccc(g, g + res.err_max) - res.ccc_max) <= 1e-10
-        assert abs(ccc(g, g + res.err_min) - res.ccc_min) <= 1e-10
+        assert abs(ccc(g, g - res.err_max) - res.ccc_min) <= 1e-10
         assert mse(g, g + res.err_max) == pytest.approx(target, rel=1e-12, abs=1e-15)
-        assert mse(g, g + res.err_min) == pytest.approx(target, rel=1e-12, abs=1e-15)
+        assert mse(g, g - res.err_max) == pytest.approx(target, rel=1e-12, abs=1e-15)
     total = 0
     for chunk_seed in range(5):
         g = rng.uniform(-5, 5, int(rng.integers(4, 40)))
@@ -120,7 +120,7 @@ def test_criterion_03_attainment_and_dominance():
 def test_criterion_04_headline_counterexample():
     gold = center_gold([0.4, 1.1, 2.9, 3.6, 5.2])
     mse_1, mse_2 = gold.var_g, 4.0 * gold.var_g
-    pred_1 = gold.gold + bounds_given_mse(gold, mse_1).err_min
+    pred_1 = gold.gold - bounds_given_mse(gold, mse_1).err_max
     pred_2 = gold.gold + bounds_given_mse(gold, mse_2).err_max
     assert mse(gold.gold, pred_1) < mse(gold.gold, pred_2)
     assert ccc(gold.gold, pred_1) < ccc(gold.gold, pred_2)

@@ -68,6 +68,10 @@ class TestLossValues:
         with pytest.raises(Singularity):
             loss(params, [1.0, -1.0], [1.0, 1.0])
 
+    def test_zero_covariance_is_singular(self):
+        with pytest.raises(Singularity, match="^covariance is exactly zero$"):
+            loss(LossParams(variant="abs_mse_over_cov"), [1, 2, 3], [1, 0, 1])
+
     def test_abs_variants_nonnegative(self):
         rng = np.random.default_rng(0)
         for variant in ("ratio_pow", "general_ratio", "diff_pow", "general_diff",
@@ -135,13 +139,28 @@ class TestOverflow:
         with pytest.raises(InvalidInput, match="gradient"):
             loss_gradient(params, g, p)
 
-    # ratio and ratio_pow are evaluated at a power of two: see TestLossCccLink
-    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v not in ("abs_mse_over_cov", "ratio", "ratio_pow")])
+    # the scale-free ratios are evaluated at a power of two: see TestLossCccLink
+    @pytest.mark.parametrize("variant", ["diff", "diff_pow", "general_diff", "general_ratio"])
     def test_raw_sums_past_float64_name_the_loss(self, variant):
+        # N - R is -13e308, past float64 at any scale; with a positive beta general_ratio
+        # takes no power of two, and its (g_j p_j)^2 leave float64
         g, p = [1e154, 2e154, 3e154], [2e154, 1e154, 4e154]
+        beta = {"per_sample_beta": [1, 1, 1]} if variant == "general_ratio" else {}
         for fn in (loss, loss_gradient):
             with pytest.raises(InvalidInput, match="^loss overflows float64$"):
-                fn(LossParams(variant=variant), g, p)
+                fn(LossParams(variant=variant, **beta), g, p)
+
+    @pytest.mark.parametrize("variant, want, grad", [
+        ("diff", 9 * 2.0**1020, 9 * 2.0**510),
+        ("diff_pow", 9 * 2.0**1020, 9 * 2.0**510),
+        ("general_diff", 9 * 2.0**1020, 9 * 2.0**510),
+        ("general_ratio", 4 / 3, 8 / 27 * 2.0**-510),
+    ], ids=["diff", "diff_pow", "general_diff", "general_ratio"])
+    def test_a_finite_loss_past_the_raw_sums_is_returned(self, variant, want, grad):
+        # N = 36 * 2**1020 and R = 27 * 2**1020 leave float64; N - R and N / R do not
+        g, p, params = [3 * 2**510], [9 * 2**510], LossParams(variant=variant)
+        assert loss(params, g, p) == want
+        assert loss_gradient(params, g, p).tolist() == [pytest.approx(grad, rel=1e-15)]
 
     @pytest.mark.parametrize(
         "params, g, p",
@@ -185,7 +204,7 @@ class TestLossCccLink:
                 ccc(g, p), rel=1e-12
             )
 
-    @pytest.mark.parametrize("variant", ["ratio", "ratio_pow"])
+    @pytest.mark.parametrize("variant", ["ratio", "ratio_pow", "general_ratio"])
     @pytest.mark.parametrize("exponent", [-400, 0, 510])
     def test_unit_weight_ratios_exact_under_power_of_two_scaling(self, variant, exponent):
         # N and R are past float64 at 2**510; 1e154 is the CLI's case
@@ -201,6 +220,22 @@ class TestLossCccLink:
             )
         g, p = np.array([1.0, 2.0, 3.0, 4.0]), np.array([2.0, 1.0, 3.5, 4.0])
         assert loss(LossParams(variant=variant), g * 1e154, p * 1e154) == pytest.approx(2.25 / 30.5, rel=1e-15)
+
+    @pytest.mark.parametrize("variant", ["diff", "diff_pow", "general_diff"])
+    @pytest.mark.parametrize("exponent", [-400, 0, 500])
+    def test_unit_weight_diffs_scale_by_four_to_the_power_of_two(self, variant, exponent):
+        # N - R scales as 4**s and its gradient as 2**s; at 2**500 N and R are evaluated at
+        # the power of two that the unscaled pair takes
+        rng = np.random.default_rng(4)
+        params = LossParams(variant=variant)
+        for _ in range(20):
+            g = rng.uniform(0.5, 3, 6)
+            p = g + rng.uniform(-0.5, 0.5, 6)
+            gs, ps = np.ldexp(g, exponent), np.ldexp(p, exponent)
+            assert loss(params, gs, ps) == np.ldexp(loss(params, g, p), 2 * exponent)
+            np.testing.assert_array_equal(
+                loss_gradient(params, gs, ps), np.ldexp(loss_gradient(params, g, p), exponent)
+            )
 
     @pytest.mark.parametrize("exponent", [-500, 500])
     def test_abs_mse_over_cov_exact_under_power_of_two_scaling(self, exponent):

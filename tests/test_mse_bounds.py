@@ -136,7 +136,7 @@ class TestBoundsGivenMse:
     def test_zero_mse(self):
         res = bounds_given_mse(center_gold([1, 2, 3]), 0.0)
         assert res.ccc_max == 1.0 and res.ccc_min == 1.0
-        assert np.all(res.err_max == 0) and np.all(res.err_min == 0)
+        assert np.all(res.err_max == 0)
 
     def test_mse_equal_to_variance(self):
         gold = center_gold([1, 2, 3])
@@ -191,7 +191,7 @@ class TestBoundsGivenMse:
             gold = center_gold(g)
             target = float(rng.uniform(0, 9.0)) * gold.var_g
             res = bounds_given_mse(gold, target)
-            for err, want in ((res.err_max, res.ccc_max), (res.err_min, res.ccc_min)):
+            for err, want in ((res.err_max, res.ccc_max), (-res.err_max, res.ccc_min)):
                 assert mse(g, g + err) == pytest.approx(target, rel=1e-12, abs=1e-15)
                 assert ccc(g, g + err) == pytest.approx(want, abs=1e-10)
 
@@ -216,7 +216,7 @@ class TestBoundsGivenMse:
         mse_2 = 4.0 * gold.var_g
         res_1 = bounds_given_mse(gold, mse_1)
         res_2 = bounds_given_mse(gold, mse_2)
-        ccc_1 = ccc(gold.gold, gold.gold + res_1.err_min)
+        ccc_1 = ccc(gold.gold, gold.gold - res_1.err_max)
         ccc_2 = ccc(gold.gold, gold.gold + res_2.err_max)
         assert mse_1 < mse_2
         assert ccc_1 < ccc_2

@@ -58,7 +58,6 @@ from cccmap import (
     pearson,
     permutation_oracle,
     population_variance,
-    quadratic_in_gold,
     scaled_residual,
     solve,
     theta_band,
@@ -119,7 +118,7 @@ PROB = StationarityProblem(CG, 4, 1.0, "max")
 ERRORS = np.array([0.5, -0.25, 0.75, 0.1, -0.6])
 PARAMS = LossParams("diff_pow", gamma=2.0)
 
-# name: (function, positional arguments, valid scalar and count keywords, the counts)
+# name: (function, positional arguments, valid scalar, choice and count keywords, the counts)
 CASES = {
     "lp_norm": (lp_norm, (ERRORS,), {"p": 3.0}, ()),
     "mke": (mke, (GOLD, GOLD + ERRORS), {"k": 3.0}, ()),
@@ -141,11 +140,10 @@ CASES = {
         ("n", "steps", "theta_steps"),
     ),
     "StationarityProblem": (
-        lambda **kw: solve(StationarityProblem(CG, objective="max", **kw), seed=0),
-        (), {"k": 4, "lk": 1.0}, ("k",),
+        lambda **kw: solve(StationarityProblem(CG, **kw), seed=0),
+        (), {"k": 4, "lk": 1.0, "objective": "max"}, ("k",),
     ),
     "solve": (solve, (PROB,), {"seed": 0, "max_iters": 50}, ("seed", "max_iters")),
-    "quadratic_in_gold": (quadratic_in_gold, (PROB, ERRORS), {"i": 1}, ("i",)),
     "LossParams": (
         lambda **kw: LossParams("diff_pow", **kw), (), {"gamma": 2.0, "alpha": 1.0, "beta": 0},
         ("beta",),
@@ -161,6 +159,9 @@ CASES = {
         ("trials", "seed"),
     ),
     "finite_difference": (finite_difference, (lambda v: float(v @ v), GOLD), {"h": 1e-3}, ()),
+    "permutation_oracle": (
+        permutation_oracle, (GOLD, error_set(ERRORS)), {"convention": "gold_minus_pred"}, ()
+    ),
 }
 
 #: Values drawn for one parameter at a time; 4.0 and 2.5 are not counts.
@@ -228,7 +229,6 @@ ARRAY_PARAMETERS = [
     ("finite_difference", "at", lambda v: finite_difference(lambda w: float(w @ w), v, 1e-3),
      "sequence", False),
     ("scaled_residual", "d", lambda v: scaled_residual(PROB3, v), "sequence", True),
-    ("quadratic_in_gold", "d", lambda v: quadratic_in_gold(PROB3, v, 0), "sequence", True),
     *(
         (fn.__name__, param, call, "sequence", True)
         for fn in (loss, loss_gradient)

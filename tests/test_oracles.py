@@ -207,7 +207,7 @@ class TestOracleValues:
 
 def _fields(report):
     return (report.trials, report.best_value, report.worst_value, report.witness_best.tobytes(),
-            report.witness_worst.tobytes(), report.seed, report.best_index, report.worst_index)
+            report.witness_worst.tobytes(), report.best_index, report.worst_index)
 
 
 class TestBlocks:
@@ -366,7 +366,7 @@ class TestExtremeP:
         assert lp_norm(report.witness_best, k) == pytest.approx(1.0, rel=1e-12)
 
 
-def _frozen_extremes(moments, blocks, seed: int) -> OracleReport:
+def _frozen_extremes(moments, blocks) -> OracleReport:
     """The search loop before the screen, kept as the reference: every row of every block
     of (predictions, witnesses) is scored by the kernel, and ties keep the first row."""
     ex, mu_x, var_x, a = moments
@@ -387,7 +387,7 @@ def _frozen_extremes(moments, blocks, seed: int) -> OracleReport:
         if vals[i_min] < worst_val:
             worst_val, worst_wit, worst_idx = float(vals[i_min]), witnesses[i_min].copy(), trials + i_min
         trials += len(vals)
-    return OracleReport(trials, best_val, worst_val, best_wit, worst_wit, seed, best_idx, worst_idx)
+    return OracleReport(trials, best_val, worst_val, best_wit, worst_wit, best_idx, worst_idx)
 
 
 def _frozen_permutation(gold, errors, convention) -> OracleReport:
@@ -402,7 +402,7 @@ def _frozen_permutation(gold, errors, convention) -> OracleReport:
             np.take(errors.values, table[lo:lo + len(block)], out=block, mode="clip")
             yield combine(g, block, out=block), block
 
-    return _frozen_extremes(moments, blocks(), seed=0)
+    return _frozen_extremes(moments, blocks())
 
 
 def _frozen_sphere(gold, p: float, radius: float, trials: int, seed: int) -> OracleReport:
@@ -415,7 +415,7 @@ def _frozen_sphere(gold, p: float, radius: float, trials: int, seed: int) -> Ora
             d = stats._sphere_rows(rng, buf[:trials - done], p, radius, preds[:trials - done])
             yield np.add(g, d, out=preds[:trials - done]), d
 
-    return _frozen_extremes(moments, blocks(), seed)
+    return _frozen_extremes(moments, blocks())
 
 
 def _oracle_and_frozen(oracle: str, gold, *args):

@@ -1,4 +1,5 @@
-"""Contract of the package namespace: its public names, and that it caches none.
+"""Contract of the package namespace: its public names, that it caches none, and that each
+is used outside its module.
 
 ``import cccmap`` binds the errors and the tolerance table and resolves every
 other public name in its submodule on each access. The names are pinned to the
@@ -32,9 +33,8 @@ PUBLIC = [
     "lk_sphere_oracle", "loss", "loss_gradient", "losses", "lower_envelope", "lp_norm",
     "mae", "mean", "mke", "mse", "mse_bounds", "mse_region_table", "mse_sphere_oracle",
     "norm_sandwich", "optimal_permutations", "oracles", "ordering", "pair_stats", "pearson",
-    "permutation_oracle", "population_variance", "quadratic_in_gold", "scaled_residual",
-    "solve", "stats", "theta_band", "tolerances", "training_trace", "upper_envelope",
-    "variance_identity_residual",
+    "permutation_oracle", "population_variance", "scaled_residual", "solve", "stats",
+    "theta_band", "tolerances", "training_trace", "upper_envelope", "variance_identity_residual",
 ]
 
 PROBE = r"""
@@ -117,17 +117,31 @@ UNREAD_BY_DESIGN = {
 }
 
 
+def _is_args(node) -> bool:
+    """Whether ``node`` is ``args``, the name every parser result is bound to: an option is
+    no read of a result field of the same name."""
+    return isinstance(node, ast.Name) and node.id == "args"
+
+
 def _attributes_read(paths) -> set[str]:
-    """Every attribute name read as ``value.name`` or ``getattr(value, "name")`` in the files."""
+    """Every attribute name read as ``value.name`` or ``getattr(value, "name")`` in the files,
+    save those read off the parsed command line."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute) and not _is_args(node.value):
                 names.add(node.attr)
             elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
-                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                  and not _is_args(node.args[0])):
                 names.add(node.args[1].value)
     return names
+
+
+def test_the_field_guard_skips_reads_off_the_command_line(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('args.seed\ngetattr(args, "trials", 0)\nreport.best_index\ngetattr(r, "worst_index")\n')
+    assert _attributes_read([probe]) == {"best_index", "worst_index"}
 
 
 def test_every_result_field_is_read_outside_its_module():
@@ -150,3 +164,54 @@ def test_every_result_field_is_read_outside_its_module():
             ]
             unread |= {f"{name}.{member}" for member in members if member not in read}
     assert unread == set(UNREAD_BY_DESIGN)
+
+
+# Public functions that neither the CLI, another module, the benchmark nor a numbered criterion
+# calls, each with its reason.
+UNCALLED_BY_DESIGN = {
+    "stats.mke": "the paper's L_k-power error, the quantity its even-k results are stated in",
+    "mse_bounds.envelope_kernel": "the kernel 2t / (1 + t^2) that both envelopes evaluate",
+}
+
+
+def _names_used(paths) -> set[str]:
+    """Every name the files load, import or read as an attribute, and ``name`` of every
+    string ``"module.name"`` of a cccmap submodule, as the benchmark's tracer names the
+    entry points it wraps."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                module, _, name = node.value.partition(".")
+                if module in cccmap._EXPORTS and name.isidentifier():
+                    names.add(name)
+    return names
+
+
+def test_the_call_guard_counts_names_imports_and_span_keys(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('from cccmap.stats import mke\nstats.ccc(g)\n'
+                     'SPANS = {"even_p.solve": 1, "plots.draw": 2, "stats.not a name": 3}\n')
+    assert _names_used([probe]) == {"mke", "stats", "ccc", "g", "SPANS", "solve"}
+
+
+def test_every_public_function_is_called_outside_its_module():
+    """A public function is used by the CLI, by another module, by the benchmark or by a
+    numbered criterion (tests/test_acceptance.py), or it is listed above with its reason.
+    Like the field guard, it goes by name."""
+    modules = sorted((SRC / "cccmap").glob("*.py"))
+    outside = [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    outside.append(ROOT / "tests" / "test_acceptance.py")
+    benchmark_and_criteria = _names_used(outside)
+    uncalled = set()
+    for module, names in cccmap._EXPORTS.items():
+        used = benchmark_and_criteria | _names_used(p for p in modules if p.stem != module)
+        uncalled |= {f"{module}.{name}" for name in names
+                     if inspect.isfunction(getattr(cccmap, name)) and name not in used}
+    assert uncalled == set(UNCALLED_BY_DESIGN)

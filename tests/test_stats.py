@@ -54,6 +54,27 @@ class TestMean:
         with pytest.raises(InvalidInput):
             mean([1.0, float("nan")])
 
+    @pytest.mark.parametrize("values", [
+        [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [1, 2, 3, 4], [5e-324, 1e-323], [5e-324] * 3,
+        [1e308, 1.5e308, -1e308, 1.7e308], [2.0**-1070, 2.0**1020],
+        [2.0**-1074, 2.0**-1073, 2.0**-1072, 2.0**-1072],
+    ], ids=["signed-zeros", "zero-then-negative-zero", "negative-zero-then-zero", "int-grid",
+            "subnormal-tie", "subnormal-constant", "near-float64-max", "tiny-and-huge",
+            "subnormal-powers"])
+    def test_an_exact_sum_gives_the_correctly_rounded_mean(self, values):
+        # the scaled sum and its division by n are exact, so the one rounding is the
+        # unscaling's; a constant, signed zeros included, is its first value
+        got = mean(values)
+        want = float(sum(map(Fraction, values)) / len(values)) if any(values) else values[0]
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
+    @pytest.mark.parametrize("exponent", [-900, -300, 300, 1000])
+    def test_exact_under_power_of_two_scaling(self, exponent):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x = rng.standard_normal(7)
+            assert mean(np.ldexp(x, exponent)) == math.ldexp(mean(x), exponent)
+
 
 class TestPopulationVariance:
     def test_constant(self):
