@@ -403,10 +403,10 @@ def cmd_bounds_lk(args) -> dict:
         "n": gold.n,
         "lk": args.lk,
         "sigma_g": gold.sigma_g,
-        "theta_min": band.theta_min,
+        "theta_min": 1.0,
         "theta_max": band.theta_max,
         "rmse_min": band.rmse_min,
-        "rmse_max": band.rmse_max,
+        "rmse_max": band.theta_max * band.rmse_min,
         "x": envelope.x,
         "ccc_upper": envelope.ccc_upper,
         "ccc_lower": envelope.ccc_lower,

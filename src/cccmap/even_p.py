@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InvalidInput, NotConverged
 from .mse_bounds import CenteredGold, ccc_from_mse_cov
-from .stats import _count, _lp_norm, _real, as_sequence
+from .stats import _count, _instance, _lp_norm, _real, as_sequence
 from .tolerances import TOL
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ class StationarityProblem:
     objective: Literal["max", "min"]
 
     def __post_init__(self):
+        _instance(self.gold, CenteredGold, "gold")
         if _count(self.k, "k", 2) % 2 != 0:
             raise InvalidInput(f"k must be an even integer >= 2, got {self.k}")
         _real(self.lk, "lk", "positive")
@@ -71,7 +72,7 @@ def _residual(a: np.ndarray, k: int, x: np.ndarray, var: float, m: float):
 def scaled_residual(prob: StationarityProblem, d) -> float:
     """Max |residual| over the largest magnitude of its terms (2 var_g, |s_gd| and
     max |yz_i d_i|), from :func:`_residual` in the gold's units, so it does not move with them."""
-    dv, gold = as_sequence(d, "d"), prob.gold
+    dv, gold = as_sequence(d, "d"), _instance(prob, StationarityProblem, "prob").gold
     if dv.size != gold.n:
         raise InvalidInput(f"length mismatch: d {dv.size} vs gold {gold.n}")
     if not dv.any():
@@ -164,6 +165,12 @@ def _plan_roots(a: np.ndarray, var: float, k: int, lk: float, sigma: float, max_
     top, the outer root turns the hump's curve back near tau = 1. So that plan is also
     sampled evenly in (1 - tau)^(1/2). That these fixed points bracket every root that
     can win is observed, not proven.
+
+    That some root is found is proven: neighbouring points bracket one unless fa * fb > 0
+    (a NaN or 0 product counts), so a plan whose ends differ in sign has one. For the
+    maximum the two hump plans start with opposite signs (``near`` < 0 < the outer root's
+    limit) and share their value at tau = 1; for the minimum so do they when ``near`` > 0,
+    else mono (``near`` <= 0 against ``far``) or dip (its start > 0 against ``far`` < 0) does.
     """
     n = a.size
     ay = np.abs(a)
@@ -261,19 +268,17 @@ def solve(prob: StationarityProblem, seed: int, max_iters: int = 400) -> SolverS
     among those within the residual tolerance is kept; ``iterations`` counts its
     root-find's. The solve draws no random numbers: ``seed`` is validated and otherwise
     unused. Raises InvalidInput when ``seed`` is not a nonnegative integer or ``max_iters``
-    not a positive one, or a reported quantity leaves float64; NotConverged when no plan
-    has a root (with no state) or no root meets the residual tolerance (with the best one).
+    not a positive one, or a reported quantity leaves float64; NotConverged, with the best
+    root's state, when no root meets the residual tolerance.
     """
     _count(seed, "seed", 0)
     max_iters = _count(max_iters, "max_iters", 1)
-    gold, k = prob.gold, prob.k
+    gold, k = _instance(prob, StationarityProblem, "prob").gold, prob.k
     sigma = 1.0 if prob.objective == "max" else -1.0
     # the objective scales as (gold / lk)**2: out of range when lk / 2**e is
     lk = _field("objective_value", prob.lk, -gold.e)
     roots = ([(np.abs(gold.a), 0)] if k == 2
              else _plan_roots(gold.a, gold.var, k, lk, sigma, max_iters))
-    if not roots:
-        raise NotConverged(f"no plan of the k = {k} stationarity system has a root")
     signs = np.where(gold.a < 0.0, -sigma, sigma)
     ranked = []  # ((converged, signed objective), m, x, s, m2, iterations), gold's units
     for u, it in roots:

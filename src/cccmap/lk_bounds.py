@@ -3,7 +3,7 @@
 For 0 < r < p the Holder-derived sandwich  L_p <= L_r <= N^((p-r)/(pr)) L_p
 pins sqrt(mse) = L_2/sqrt(N) inside a band once L_k is fixed:
 
-    rmse_min <= sqrt(mse) = theta * rmse_min <= rmse_max = theta_max * rmse_min
+    rmse_min <= sqrt(mse) = theta * rmse_min <= theta_max * rmse_min,  theta >= 1
 
 with theta_max = N^(|k-2|/(2k)). On the normalized axis x = rmse_min/sigma_g
 the attainable ccc is bounded above by upper_envelope(x) and below by the
@@ -51,12 +51,10 @@ def norm_sandwich(e, r: float, p: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class RmseBand:
-    """Feasible band of sqrt(mse) values at a fixed L_k norm of N errors."""
+    """Band of sqrt(mse) at a fixed L_k norm of N errors: rmse_min to theta_max * rmse_min."""
 
-    theta_min: float
     theta_max: float
     rmse_min: float
-    rmse_max: float
 
 
 def theta_band(k: float, n: int, lk: float) -> RmseBand:
@@ -74,12 +72,7 @@ def theta_band(k: float, n: int, lk: float) -> RmseBand:
         rmse_min = lk / (sqrt(n) if k >= 2 else float(n) ** (1.0 / k))
     except OverflowError:
         raise InvalidInput(f"band at k={k}, n={n} overflows float64") from None
-    return RmseBand(
-        theta_min=1.0,
-        theta_max=float(theta_max),
-        rmse_min=float(rmse_min),
-        rmse_max=float(theta_max * rmse_min),
-    )
+    return RmseBand(theta_max=float(theta_max), rmse_min=float(rmse_min))
 
 
 @dataclass(frozen=True)
@@ -153,12 +146,10 @@ def conjugate_theta(theta1: float, x: float) -> float:
 
 
 def theta_grid(theta_max: float, theta_steps: int) -> np.ndarray:
-    """Geometric grid from 1 to theta_max inclusive (collapses when theta_max=1)."""
+    """Geometric grid from 1 to theta_max inclusive (all ones when theta_max = 1)."""
     theta_max = _real(theta_max, "theta_max", "positive")
     theta_steps = _count(theta_steps, "theta_steps", 1)
     _check_grid(theta_steps, "theta_steps")
-    if theta_max == 1.0 or theta_steps == 1:
-        return np.ones(theta_steps, dtype=np.float64)
     return np.geomspace(1.0, theta_max, theta_steps)
 
 

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, Singularity
-from .stats import _as_pair, _count, _counts, _error_mean, _moments, _real, _reals, _scaled_errors
-from .stats import _span, _unscale, as_sequence, ccc as _ccc, mse as _mse
+from .stats import _as_pair, _count, _counts, _error_mean, _instance, _moments, _real, _reals
+from .stats import _scaled_errors, _span, _unscale, as_sequence, ccc as _ccc, mse as _mse
 from .variants import VARIANTS, Variant
 
 
@@ -74,7 +74,7 @@ def _inner_and_grad(params: LossParams, g: np.ndarray, p: np.ndarray):
     """(inner value, gradient, wrap_abs_power?) for the chosen variant; ``gradient()``
     computes d inner / d p, so a caller that wants only the loss builds no gradient. It may
     build the gradient in the inner value's buffers, so call it at most once."""
-    variant = params.variant
+    variant = _instance(params, LossParams, "params").variant
     n = g.size
     if variant == "abs_mse_over_cov":
         # in the kernel's units g / 2**eg, p / 2**ep, p - g = d * 2**u: exact at any scale

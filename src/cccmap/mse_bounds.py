@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, Singularity, TooLarge
-from .stats import _count, _gold_moments, _real, _reals, _unscale, as_sequence
+from .stats import _count, _gold_moments, _instance, _real, _reals, _unscale, as_sequence
 
 #: Column names of the region table rows produced by :func:`mse_region_table`.
 MSE_REGION_COLUMNS = ("x", "psi_upper", "psi_lower")
@@ -130,6 +130,7 @@ def bounds_given_mse(gold: CenteredGold, mse_value: float) -> MseBoundsResult:
     x = sqrt(mse / var_g). The positive sign attains the maximum, the
     negative sign the minimum.
     """
+    gold = _instance(gold, CenteredGold, "gold")
     mse_value = _real(mse_value, "mse", "nonnegative")
     # sqrt(mse / var_g) from the mantissas of mse and var = var_g / 4**e, so the quotient
     # cannot overflow; the plain formula's bits wherever var_g and the quotient are normal

@@ -35,6 +35,7 @@ and is reproducible bit for bit from its seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,7 +43,8 @@ import numpy as np
 from .errors import InvalidInput, TooLarge
 from .ordering import Convention, ErrorSet, _adds
 from .stats import (
-    _block_rows, _ccc, _count, _prepared_gold, _real, _row_moments, _sphere_rows, as_sequence,
+    _block_rows, _ccc, _count, _instance, _prepared_gold, _real, _row_moments, _sphere_rows,
+    as_sequence,
 )
 
 #: Enumerating beyond 9! orderings is refused.
@@ -83,7 +85,7 @@ def permutation_oracle(gold, errors: ErrorSet, convention: Convention) -> Oracle
     of the canonical ascending values; ties resolve to the first ordering
     encountered, so the report is deterministic. The witnesses are predictions.
     """
-    g, _, moments = _prepared_gold(gold, errors.n)
+    g, _, moments = _prepared_gold(gold, _instance(errors, ErrorSet, "errors").n)
     if g.size > MAX_ENUM_N:
         raise TooLarge(f"N={g.size} exceeds the enumeration guard of {MAX_ENUM_N}")
     signed = errors.values if _adds(convention) else -errors.values
@@ -236,6 +238,7 @@ def lk_sphere_oracle(gold, k: float, lk: float, trials: int, seed: int) -> Oracl
 
 def finite_difference(f, at, h: float) -> np.ndarray:
     """Central-difference gradient estimate of a scalar function of a sequence."""
+    _instance(f, Callable, "f")
     x = as_sequence(at, "at").copy()
     h = _real(h, "h", "positive")
     up, down = np.empty_like(x), np.empty_like(x)

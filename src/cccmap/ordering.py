@@ -18,7 +18,7 @@ ordering between the two exists, so comparisons must evaluate both sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -28,6 +28,7 @@ from .mse_bounds import ccc_from_mse_cov
 from .stats import (
     _ccc,
     _error_mean,
+    _instance,
     _prepared_gold,
     _row_cov,
     _row_moments,
@@ -42,12 +43,19 @@ GOLD_MINUS_PRED: Convention = "gold_minus_pred"
 
 @dataclass(frozen=True)
 class ErrorSet:
-    """A multiset of signed error values, stored sorted ascending, and its mse
-    = mean(e**2), which depends only on the multiset, never on an ordering.
+    """A multiset of signed error values, validated by :func:`stats.as_sequence` and
+    stored sorted ascending, and its mse = mean(e**2), which depends only on the multiset,
+    never on an ordering; InvalidInput naming ``values`` or, past float64, the mse.
     """
 
     values: np.ndarray
-    mse: float
+    mse: float = field(init=False)
+
+    def __post_init__(self):
+        arr = np.sort(as_sequence(self.values, "values"))
+        e = _span(arr[[0, -1]])[0]  # sorted: the ends hold the largest magnitude
+        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "mse", _error_mean(np.ldexp(arr, -e), e, 2, "mse"))
 
     @property
     def n(self) -> int:
@@ -55,9 +63,7 @@ class ErrorSet:
 
 
 def error_set(values) -> ErrorSet:
-    arr = np.sort(as_sequence(values, "values"))
-    e = _span(arr[[0, -1]])[0]  # sorted: the ends hold the largest magnitude
-    return ErrorSet(values=arr, mse=_error_mean(np.ldexp(arr, -e), e, 2, "mse"))
+    return ErrorSet(values)
 
 
 def _adds(convention: Convention) -> bool:
@@ -190,7 +196,7 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
     error rows are scored for cov(g, e) alone, the one moment the mapping reads from them.
     Each ``ccc_value`` is ``stats.ccc`` of its prediction bit for bit.
     """
-    g, scratch, (eg, mu_g, var_g, a) = _prepared_gold(gold, errors.n)
+    g, scratch, (eg, mu_g, var_g, a) = _prepared_gold(gold, _instance(errors, ErrorSet, "errors").n)
     order = _gold_order(g, scratch)
     rows = np.empty((2, g.size))
     rows[0, order] = errors.values  # e_same: ascending errors onto ascending gold

@@ -15,14 +15,15 @@ is pure.
 The kernel is two halves: :func:`_gold_moments` scales and centres x once, and
 :func:`_row_moments` scores one row or an (R, n) batch of rows against it in
 caller-owned scratch, so that the ordering extremes and the oracles take the gold's
-side once per call and allocate nothing per row or block; :func:`_row_cov`, the first half
-of its one-row path, scores a row for cov alone. :func:`_ccc` serves one row and a batch
-alike; the even-k solver takes only the gold's side from it.
+side once per call and allocate nothing per row or block; :func:`_row_cov`, its first half,
+scales, centres and scores a row or a batch for cov alone. :func:`_ccc` serves one row and a
+batch alike; the even-k solver takes only the gold's side from it.
 
 Every module checks its inputs with the helpers here, one per rule, each refusal naming the
 argument: :func:`_real` and :func:`_reals` for real numbers, alone and in arrays of any kind
 (:func:`as_sequence` adds a nonempty 1-D shape), :func:`_count` and :func:`_counts` for
-counts, and :func:`_prepared_gold` for the gold that rows are scored against.
+counts, :func:`_instance` for an object of a library type or a callable, and
+:func:`_prepared_gold` for the gold that rows are scored against.
 
 The sampled searches share two more private pieces: :func:`_block_rows`, the rows of
 one cache-sized block, and :func:`_sphere_rows`, which draws a block of Gaussian rows
@@ -86,6 +87,13 @@ def _reals(values, name: str, sign: str = "") -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
+def _instance(value, kind: type, name: str):
+    """value; InvalidInput naming it unless it is a ``kind`` (``Callable``: any callable)."""
+    if not isinstance(value, kind):
+        raise InvalidInput(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _count(value, name: str, least: int) -> int:
     """value as an int; InvalidInput naming it unless an integer (numpy's bool too) >= ``least``."""
     try:
@@ -114,14 +122,16 @@ def _as_pair(x, y, names=("x", "y")) -> tuple[np.ndarray, np.ndarray]:
     return xv, yv
 
 
-def _span(v: np.ndarray) -> tuple[int, bool]:
-    """(e, whether v is constant) of a 1-D v, e with max |v_i| in [2**(e-1), 2**e) (0 for
-    zeros), from one max and one min; InvalidInput when v holds NaN or Inf."""
-    hi, lo = v.max(), v.min()
-    top = max(hi, -lo)
-    if not top < math.inf:
+def _span(v: np.ndarray):
+    """(e, whether v is constant) along the last axis, e with max |v_i| in [2**(e-1), 2**e)
+    (0 for zeros), from one max and one min: Python scalars for a 1-D v, an int32 and a bool
+    array over an (R, n) batch; InvalidInput when v holds NaN or Inf."""
+    hi, lo = v.max(axis=-1), v.min(axis=-1)
+    top = np.maximum(hi, -lo)
+    if not (top < math.inf).all():
         raise InvalidInput("sequence contains NaN or Inf")
-    return math.frexp(top)[1], hi == lo
+    e, constant = np.frexp(top)[1], hi == lo
+    return (int(e), bool(constant)) if v.ndim == 1 else (e, constant)
 
 
 def _moments(xv: np.ndarray, yv: np.ndarray):
@@ -140,14 +150,11 @@ def _moments(xv: np.ndarray, yv: np.ndarray):
 def _gold_moments(xv: np.ndarray, out: np.ndarray | None = None):
     """(ex, mu_x, var_x, a) of a 1-D x: the power of two of :func:`_span`, the mean and
     variance of x / 2**ex, and a, a new array holding x / 2**ex - mu_x. ``out``, if given,
-    is x-length scratch that receives the squares. A constant x takes its first value as
-    its mean, so it centres to exactly 0."""
+    is x-length scratch that receives the squares. It is :func:`_row_cov` of x against its
+    own centred copy, whose cov is the variance."""
     ex, constant = _span(xv)
-    n = xv.size  # np.add.reduce(v, axis=-1) / n is v.mean(axis=-1) bit for bit, and cheaper
-    a = np.ldexp(xv, -ex)
-    mu_x = a[0] if constant else np.add.reduce(a) / n
-    a -= mu_x
-    var_x = np.add.reduce(np.multiply(a, a, out=out)) / n
+    a = np.empty(xv.size)
+    mu_x, var_x = _row_cov(a, xv, ex, constant, a, out)
     return ex, float(mu_x), float(var_x), a
 
 
@@ -156,40 +163,23 @@ def _row_moments(a: np.ndarray, yv: np.ndarray, b: np.ndarray, c: np.ndarray):
     the units of :func:`_moments`: floats for one row, arrays over an (R, n) batch, each
     row with its own power of two and each element the bits that row alone gives. b and
     c are caller-owned scratch of y's shape; for one row c may be ``a`` itself, when a is
-    not needed again. A row whose values are all equal takes its first scaled value as its
-    mean, so it centres to exactly 0, alone or in a batch. InvalidInput when y holds NaN
-    or Inf."""
-    n = a.size
-    if yv.ndim == 1:
-        ey, constant = _span(yv)
-        mu_y, cov = _row_cov(a, yv, ey, constant, b, c)
-        var_y = np.add.reduce(np.multiply(b, b, out=c)) / n
-        return ey, float(mu_y), float(var_y), float(cov)
-    top = np.abs(yv, out=c).max(axis=-1)
-    if not np.all(top < math.inf):
-        raise InvalidInput("sequence contains NaN or Inf")
-    ey = np.frexp(top)[1]
-    np.ldexp(yv, -ey[:, None], out=b)
-    mu_y = np.add.reduce(b, axis=-1) / n
-    # a constant row's first value has the largest magnitude: only those rows are read again
-    lead = np.flatnonzero(np.abs(yv[:, 0]) == top)
-    flat = lead[(yv[lead] == yv[lead, :1]).all(axis=-1)]
-    mu_y[flat] = b[flat, 0]
-    b -= mu_y[:, None]
-    cov = np.add.reduce(np.multiply(b, a, out=c), axis=-1) / n
-    var_y = np.add.reduce(np.multiply(b, b, out=c), axis=-1) / n
-    return ey, mu_y, var_y, cov
+    not needed again. InvalidInput when y holds NaN or Inf."""
+    ey, constant = _span(yv)
+    mu_y, cov = _row_cov(a, yv, ey, constant, b, c)
+    var_y = np.add.reduce(np.multiply(b, b, out=c), axis=-1) / a.size
+    return (ey, mu_y, var_y, cov) if yv.ndim > 1 else (ey, float(mu_y), float(var_y), float(cov))
 
 
-def _row_cov(a: np.ndarray, yv: np.ndarray, ey: int, constant: bool, b: np.ndarray, c: np.ndarray):
-    """(mu_y, cov) of one row y against the centred x ``a``, the first half of
-    :func:`_row_moments`' one-row path, for a caller that reads only cov: (ey, constant) is
-    :func:`_span` of y, which a caller may take from fewer values than y, and b is left
-    holding y / 2**ey - mu_y. b and c are scratch as for :func:`_row_moments`."""
-    np.ldexp(yv, -np.int32(ey), out=b)  # int32: fast loop
-    mu_y = b[0] if constant else np.add.reduce(b) / a.size
-    b -= mu_y
-    return mu_y, np.add.reduce(np.multiply(b, a, out=c)) / a.size
+def _row_cov(a: np.ndarray, yv: np.ndarray, ey, constant, b: np.ndarray, c: np.ndarray):
+    """(mu_y, cov) of a row or an (R, n) batch y against the centred x ``a``, the first half
+    of :func:`_row_moments`: (ey, constant) is :func:`_span` of y, which a caller may take from
+    fewer values than y, a constant row takes its first scaled value as its mean, so it centres
+    to exactly 0, and b, scratch as c is, is left holding y / 2**ey - mu_y."""
+    np.ldexp(yv, -np.int32(ey)[..., None], out=b)  # int32: fast loop
+    # np.add.reduce(b, axis=-1) / n is b.mean(axis=-1) bit for bit, and cheaper
+    mu_y = np.where(constant, b[..., 0], np.add.reduce(b, axis=-1) / a.size)
+    b -= mu_y[..., None]
+    return mu_y, np.add.reduce(np.multiply(b, a, out=c), axis=-1) / a.size
 
 
 def _prepared_gold(gold, n: int | None = None):

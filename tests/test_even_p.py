@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cccmap import (
@@ -285,11 +285,11 @@ def _outcome(prob):
 
 
 @st.composite
-def _fold_golds(draw):
-    """Integer golds of mean exactly 0 whose 3 to 5 largest |g - mu_g| tie, each then
-    moved by a relative 1e-14 to 1e-1 or left tied."""
+def _fold_golds(draw, least=3):
+    """Integer golds of mean exactly 0 whose ``least`` to 5 largest |g - mu_g| tie, each
+    then moved by a relative 1e-14 to 1e-1 or left tied."""
     top = draw(st.integers(2, 60))
-    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=5))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=least, max_size=5))
     rest = draw(st.lists(st.integers(1 - top, top - 1), max_size=8))
     values = [sign * top for sign in signs] + rest
     while total := sum(values):  # balance the sum with values below the tie
@@ -318,6 +318,21 @@ class TestFrozenResampleLoop:
         with mock.patch.object(even_p, "_plan_roots", _frozen_plan_roots):
             frozen = _outcome(prob)
         assert _outcome(prob) == frozen
+
+
+@settings(max_examples=300, deadline=None)
+@given(gold=_fold_golds(least=1), k=st.sampled_from([4, 6, 8, 50]),
+       lk=st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+def test_some_plan_has_a_root(gold, k, lk):
+    # the bracketing proof in _plan_roots' docstring: for either objective some plan's
+    # fixed points change sign, so the solve always has a root to rank
+    base = center_gold(gold)
+    try:
+        lk = even_p._field("objective_value", lk, -base.e)  # in the gold's units, as solve takes it
+    except InvalidInput:
+        assume(False)
+    for sigma in (1.0, -1.0):
+        assert even_p._plan_roots(base.a, base.var, k, lk, sigma, 400), sigma
 
 
 class TestPresampleBlocks:

@@ -1,5 +1,6 @@
 """Tests for the norm sandwich, the rmse band, and the fixed-L_k envelopes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cccmap import (
     InvalidInput,
     NoConjugate,
+    RmseBand,
     TooLarge,
     ccc,
     center_gold,
@@ -76,10 +78,11 @@ class TestNormSandwich:
 
 class TestThetaBand:
     def test_k2_collapses(self):
+        # the band is the one point rmse_min = L_2 / sqrt(n)
         for n in (2, 17, 1000):
             band = theta_band(2, n, 1.0)
             assert band.theta_max == 1.0
-            assert band.rmse_min == band.rmse_max
+            assert band.rmse_min == 1.0 / math.sqrt(n)
 
     def test_k1_n64(self):
         band = theta_band(1, 64, 3.0)
@@ -97,9 +100,10 @@ class TestThetaBand:
             assert theta_band(k, n, 1.0).theta_max == math.sqrt(n)
 
     def test_band_scaling_relation(self):
-        band = theta_band(4, 10, 2.5)
-        assert band.rmse_max == pytest.approx(band.theta_max * band.rmse_min, rel=1e-15)
-        assert band.theta_min == 1.0
+        # k >= 2: rmse_min = L_k / sqrt(n); k < 2: L_k / n**(1/k); theta_max = n**(|k-2|/(2k))
+        assert theta_band(4, 10, 2.5) == RmseBand(theta_max=10.0**0.25, rmse_min=2.5 / math.sqrt(10))
+        assert theta_band(1, 10, 2.5) == RmseBand(theta_max=10.0**0.5, rmse_min=2.5 / 10.0)
+        assert [f.name for f in dataclasses.fields(RmseBand)] == ["theta_max", "rmse_min"]
 
     def test_theta_of_random_vectors_in_band(self):
         rng = np.random.default_rng(10)
@@ -275,3 +279,10 @@ def test_theta_grid_endpoints(n, k):
     assert grid[0] == pytest.approx(1.0, rel=1e-12)
     assert grid[-1] == pytest.approx(tmax, rel=1e-12)
     assert np.all(np.diff(grid) > 0)
+
+
+@pytest.mark.parametrize("theta_max, theta_steps", [(1.0, 1), (1.0, 2), (1.0, 7), (2.0, 1), (1e300, 1),
+                                                    (5e-324, 1), (1.0, 10**6)])
+def test_theta_grid_collapses_to_ones(theta_max, theta_steps):
+    # one step, or a band of one point: the geometric grid is all ones, bit for bit
+    assert theta_grid(theta_max, theta_steps).tobytes() == np.ones(theta_steps).tobytes()

@@ -1,6 +1,7 @@
 """Guards: no module but ``stats`` calls a numpy mean, variance, deviation or covariance,
 a gold standard deviation comes only from ``CenteredGold.sigma_g``, no module works on the
-unscaled centred gold ``CenteredGold.centered``, and the oracles import no closed form."""
+unscaled centred gold ``CenteredGold.centered``, the oracles import no closed form, and a
+row's power of two and its NaN/Inf refusal come only from ``stats._span``."""
 
 import ast
 import re
@@ -13,6 +14,9 @@ MOMENT_CALL = re.compile(r"\.mean\(|\bnp\.(mean|var|std|cov)\b")
 # the root of a var_g taken outside the kernel's units: sqrt(gold.var_g), var_g ** 0.5
 GOLD_STD = re.compile(r"sqrt\(\s*[\w.]*\bvar_g\s*\)|\bvar_g\s*\*\*\s*0?\.5\b")
 CENTERED = re.compile(r"\.centered\b")
+NAN_INF = re.compile(re.escape("sequence contains NaN or Inf"))
+# the largest magnitude of each row of a batch, the start of a power of two taken by hand
+ROW_TOP = re.compile(r"\bnp\.abs\(.*\)\.max\(axis=-1\)")
 
 
 def _offenders(pattern, skip=()):
@@ -23,6 +27,33 @@ def _offenders(pattern, skip=()):
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if pattern.search(line)
     ]
+
+
+def _holders(pattern):
+    """(file, innermost function or None) of each line of the package matching pattern."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        functions = [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)]
+        for number, line in enumerate(text.splitlines(), 1):
+            if pattern.search(line):
+                spans = [f for f in functions if f.lineno <= number <= f.end_lineno]
+                found.append((path.name, min(spans, key=lambda f: f.end_lineno - f.lineno).name
+                              if spans else None))
+    return found
+
+
+def test_the_row_rules_live_in_span():
+    assert _holders(NAN_INF) == [("stats.py", "_span")]
+    offenders = [place for place in _holders(ROW_TOP) if place != ("stats.py", "_span")]
+    assert offenders == [], f"a row's power of two taken outside stats._span: {offenders}"
+
+
+def test_the_row_guard_sees_what_it_forbids():
+    for line in ("top = np.abs(yv, out=c).max(axis=-1)", "e = np.frexp(np.abs(rows).max(axis=-1))[1]"):
+        assert ROW_TOP.search(line), line
+    for line in ("hi, lo = v.max(axis=-1), v.min(axis=-1)", "top = float(np.max(np.abs(ax)))"):
+        assert not ROW_TOP.search(line), line
 
 
 def test_no_module_but_stats_computes_moments():

@@ -1,6 +1,8 @@
-"""One check per input rule: every scalar, count and array parameter of the public
+"""One check per input rule: every scalar, count, object and array parameter of the public
 functions ends in a result or a typed CccmapError, no module writes its own finite-range
-check, and only ``stats`` reads a dtype's kind.
+check, and only ``stats`` reads a dtype's kind. An object parameter (a ``CenteredGold``,
+``StationarityProblem``, ``ErrorSet``, ``LossParams`` or callable) given anything else is
+refused with an InvalidInput whose message opens with the parameter's name.
 
 The array gate probes each array parameter with values of every kind. Bool, integer and
 float arrays, and lists of real numbers (a Python int past int64 among them), give what
@@ -126,7 +128,7 @@ CASES = {
     "envelope_kernel": (envelope_kernel, (), {"t": 0.5}, ()),
     "upper_envelope": (upper_envelope, (), {"x": 0.5}, ()),
     "lower_envelope": (lower_envelope, (), {"x": 0.5}, ()),
-    "bounds_given_mse": (bounds_given_mse, (CG,), {"mse_value": 1.0}, ()),
+    "bounds_given_mse": (bounds_given_mse, (), {"gold": CG, "mse_value": 1.0}, ()),
     "mse_region_table": (mse_region_table, (), {"x_max": 4.0, "steps": 5}, ("steps",)),
     "norm_sandwich": (norm_sandwich, (ERRORS,), {"r": 1.0, "p": 3.0}, ()),
     "theta_band": (theta_band, (), {"k": 4.0, "n": 5, "lk": 1.0}, ("n",)),
@@ -140,16 +142,22 @@ CASES = {
         ("n", "steps", "theta_steps"),
     ),
     "StationarityProblem": (
-        lambda **kw: solve(StationarityProblem(CG, **kw), seed=0),
-        (), {"k": 4, "lk": 1.0, "objective": "max"}, ("k",),
+        lambda **kw: solve(StationarityProblem(**kw), seed=0),
+        (), {"gold": CG, "k": 4, "lk": 1.0, "objective": "max"}, ("k",),
     ),
-    "solve": (solve, (PROB,), {"seed": 0, "max_iters": 50}, ("seed", "max_iters")),
+    "solve": (solve, (), {"prob": PROB, "seed": 0, "max_iters": 50}, ("seed", "max_iters")),
+    "scaled_residual": (lambda prob: scaled_residual(prob, ERRORS), (), {"prob": PROB}, ()),
     "LossParams": (
         lambda **kw: LossParams("diff_pow", **kw), (), {"gamma": 2.0, "alpha": 1.0, "beta": 0},
         ("beta",),
     ),
+    "loss": (lambda params: loss(params, GOLD, GOLD + ERRORS), (), {"params": PARAMS}, ()),
+    "loss_gradient": (
+        lambda params: loss_gradient(params, GOLD, GOLD + ERRORS), (), {"params": PARAMS}, ()
+    ),
     "training_trace": (
-        training_trace, (PARAMS, GOLD, GOLD + ERRORS), {"step": 0.1, "iters": 3}, ("iters",)
+        lambda params, **kw: training_trace(params, GOLD, GOLD + ERRORS, **kw), (),
+        {"params": PARAMS, "step": 0.1, "iters": 3}, ("iters",),
     ),
     "mse_sphere_oracle": (
         mse_sphere_oracle, (GOLD,), {"mse": 1.0, "trials": 10, "seed": 0}, ("trials", "seed")
@@ -158,14 +166,22 @@ CASES = {
         lk_sphere_oracle, (GOLD,), {"k": 4.0, "lk": 1.0, "trials": 10, "seed": 0},
         ("trials", "seed"),
     ),
-    "finite_difference": (finite_difference, (lambda v: float(v @ v), GOLD), {"h": 1e-3}, ()),
+    "finite_difference": (
+        lambda f, h: finite_difference(f, GOLD, h), (), {"f": lambda v: float(v @ v), "h": 1e-3}, ()
+    ),
+    "optimal_permutations": (
+        lambda errors: optimal_permutations(GOLD, errors), (), {"errors": error_set(ERRORS)}, ()
+    ),
     "permutation_oracle": (
-        permutation_oracle, (GOLD, error_set(ERRORS)), {"convention": "gold_minus_pred"}, ()
+        permutation_oracle, (GOLD,), {"errors": error_set(ERRORS), "convention": "gold_minus_pred"},
+        (),
     ),
 }
 
 #: Values drawn for one parameter at a time; 4.0 and 2.5 are not counts.
 VALUES = ["2", None, 1j, math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5, 2.5, 4.0, 3]
+#: Values drawn for an object parameter, each refused.
+OBJECTS = [[1.0, 2.0, 4.0, 3.0, 7.0], GOLD, None]
 
 PARAMETERS = [(name, param) for name, (_, _, valid, _) in CASES.items() for param in valid]
 
@@ -178,14 +194,24 @@ def _refused(value, count: bool) -> bool:
     return count and not isinstance(value, int)
 
 
+def _is_object(value) -> bool:
+    """Whether a valid argument is an object parameter's: neither a number nor a choice."""
+    return not isinstance(value, (numbers.Real, str))
+
+
 @pytest.mark.parametrize("name, param", PARAMETERS, ids=[f"{n}-{p}" for n, p in PARAMETERS])
 @settings(max_examples=2 * len(VALUES), deadline=None, derandomize=True)
-@given(value=st.sampled_from(VALUES))
-def test_every_parameter_ends_in_a_result_or_a_typed_error(name, param, value):
+@given(data=st.data())
+def test_every_parameter_ends_in_a_result_or_a_typed_error(name, param, data):
     fn, args, valid, counts = CASES[name]
+    is_object = _is_object(valid[param])
+    value = data.draw(st.sampled_from(OBJECTS if is_object else VALUES))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if _refused(value, param in counts):
+        if is_object:
+            with pytest.raises(InvalidInput, match=f"^{param} must be a "):
+                fn(*args, **{**valid, param: value})
+        elif _refused(value, param in counts):
             with pytest.raises(InvalidInput, match=param.removesuffix("_value")):  # mse_value: mse
                 fn(*args, **{**valid, param: value})
         else:

@@ -16,6 +16,7 @@ from cccmap import (
     error_set,
     mean,
     optimal_permutations,
+    permutation_oracle,
 )
 from cccmap.ordering import (
     GOLD_MINUS_PRED,
@@ -50,6 +51,20 @@ class TestErrorSet:
         es = error_set([3.0, -1.0, 2.0])
         np.testing.assert_array_equal(es.values, [-1.0, 2.0, 3.0])
         assert es.mse == pytest.approx(14.0 / 3.0, rel=1e-15)
+
+    def test_a_hand_built_set_sorts_validates_and_derives_its_mse(self):
+        es = ErrorSet(values=np.array([2.0, -1.0, 0.5, 0.1]))
+        np.testing.assert_array_equal(es.values, [-1.0, 0.1, 0.5, 2.0])
+        assert es.mse == error_set([2.0, -1.0, 0.5, 0.1]).mse
+        # unsorted, it once scored the wrong orderings: 0.7071269487750556
+        top = optimal_permutations([0, 1, 4, 2], es).max_add.ccc_value
+        assert top == permutation_oracle([0, 1, 4, 2], es, PRED_MINUS_GOLD).best_value
+        assert top == pytest.approx(0.8512443438914027, rel=1e-15)
+        np.testing.assert_array_equal(ErrorSet(values=[0.3, 0.1, 0.2]).values, [0.1, 0.2, 0.3])
+        with pytest.raises(InvalidInput, match="^values "):
+            ErrorSet(values=[0.1, None, 0.3])
+        with pytest.raises(TypeError):
+            ErrorSet(values=[0.1, 0.2, 0.3], mse=1.0)  # the mse is derived, never given
 
     def test_power_mean_inequality(self):
         rng = np.random.default_rng(0)
@@ -147,10 +162,11 @@ class TestOptimalPermutations:
             optimal_permutations([2, 2, 2], error_set([1, 2, 3]))
 
     def test_overflowing_prediction_rejected(self):
-        # error_set refuses errors this large (their mse overflows); a hand-built set does not
-        es = ErrorSet(values=np.array([0.0, 0.5, 1e308]), mse=0.0)
-        with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="sequence contains NaN or Inf"):
-            optimal_permutations([0.0, 1.0, 1.7e308], es)
+        # errors large enough for g + e to overflow have an mse past float64: no ErrorSet,
+        # hand-built or not, holds them, so the refusal comes at construction
+        for build in (error_set, ErrorSet):
+            with pytest.raises(InvalidInput, match="^mse overflows float64$"):
+                build(np.array([0.0, 0.5, 1e308]))
 
     def test_closed_form_matches_direct_ccc(self):
         rng = np.random.default_rng(4)

@@ -235,20 +235,27 @@ class TestMomentKernel:
     def test_batch_rows_keep_the_bits_of_one_row(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(18)
-        rows = rng.standard_normal((7, 18)) * np.exp2(rng.integers(-40, 40, (7, 1)))
+        rows = rng.standard_normal((11, 18)) * np.exp2(rng.integers(-40, 40, (11, 1)))
         rows[1] = -2.0527140857596002  # 18 copies do not average to the value
         rows[3] = 0.1
         rows[4, 0] = 2 * np.abs(rows[4]).max()  # largest first value, not constant
         rows[5] = 0.0
         rows[6, ::2] = -0.0  # equal to 0.0, so constant
         rows[6, 1::2] = 0.0
+        rows[7] = rng.standard_normal(18) * 2.0**-1070  # subnormal
+        rows[8] = rng.uniform(-1.0, 1.0, 18) * 2.0**1023  # up to just below 2**1023
+        rows[8, 3] = np.nextafter(2.0**1023, 0.0)
+        rows[9] = -3.0e-5  # a negative constant row
+        rows[10] = np.ldexp(np.arange(18.0) - 9.0, -1074)  # subnormals from -9 to 8 ulps
         ex, mu_x, var_x, a = _gold_moments(x, np.empty(x.size))
-        ey, mu_y, var_y, cov = _row_moments(a, rows, *np.empty((2, *rows.shape)))
-        for i, row in enumerate(rows):
-            alone = [np.float64(v).tobytes() for v in _moments(x, row)]
-            batch = (ex, ey[i], mu_x, mu_y[i], var_x, var_y[i], cov[i])
-            assert [np.float64(v).tobytes() for v in batch] == alone, i
-        assert var_y[[1, 3, 5, 6]].tolist() == [0.0] * 4  # the constant rows
+        for batch in (rows, *rows[:, None]):  # the whole batch, then each row as R = 1
+            ey, mu_y, var_y, cov = _row_moments(a, batch, *np.empty((2, *batch.shape)))
+            for i, row in enumerate(batch):
+                alone = [np.float64(v).tobytes() for v in _moments(x, row)]
+                kernel = (ex, ey[i], mu_x, mu_y[i], var_x, var_y[i], cov[i])
+                assert [np.float64(v).tobytes() for v in kernel] == alone, i
+        var_y = _row_moments(a, rows, *np.empty((2, *rows.shape)))[2]
+        assert var_y[[1, 3, 5, 6, 9]].tolist() == [0.0] * 5  # the constant rows
 
     def test_nonfinite_batch_row_rejected(self):
         rows = np.ones((3, 4))
