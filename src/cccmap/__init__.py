@@ -27,12 +27,12 @@ from .tolerances import TOL, Tolerances
 # submodule -> the public names that the package resolves from it
 _EXPORTS = {
     "stats": (
-        "PairStats", "ccc", "covariance", "lp_norm", "mae", "mean", "mke", "mse", "pair_stats",
-        "pearson", "population_variance", "variance_identity_residual",
+        "CenteredGold", "PairStats", "ccc", "covariance", "lp_norm", "mae", "mean", "mke", "mse",
+        "pair_stats", "pearson", "population_variance", "variance_identity_residual",
     ),
     "mse_bounds": (
-        "CenteredGold", "MseBoundsResult", "bounds_given_mse", "ccc_from_mse_cov", "center_gold",
-        "envelope_kernel", "lower_envelope", "mse_region_table", "upper_envelope",
+        "MseBoundsResult", "bounds_given_mse", "ccc_from_mse_cov", "center_gold", "envelope_kernel",
+        "lower_envelope", "mse_region_table", "upper_envelope",
     ),
     "lk_bounds": (
         "LkEnvelope", "RmseBand", "conjugate_theta", "envelope_given_lk", "lk_region_table",

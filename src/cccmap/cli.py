@@ -45,8 +45,8 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from .mse_bounds import CenteredGold
     from .ordering import ErrorSet
+    from .stats import CenteredGold
 
 _FLOAT_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$", re.ASCII)
 # 17 significant digits: guarantees float64 round-trip fidelity.
@@ -199,10 +199,9 @@ def _parse_rows(text: str, args, selectors: list[tuple[str, str]]) -> dict[str, 
 
 
 def _digest_of(arr: np.ndarray) -> dict:
-    from .stats import _gold_moments, _unscale
+    from .stats import _gold_moments
 
     e, mu, var, _ = _gold_moments(arr)
-    _unscale(var, 2 * e, "variance")  # mu, var in the kernel's units: refuse a var past float64
     return {"n": arr.size, "mean": math.ldexp(mu, e), "std": math.ldexp(math.sqrt(var), e)}
 
 
@@ -292,9 +291,7 @@ def _render_text(report: dict, write, pad: str = "") -> None:
             _write_rows(write, value[:, None], " ", "%r", ", ", "\n")
         elif isinstance(value, bool):
             write(" true\n" if value else " false\n")
-        elif isinstance(value, (float, np.floating)):
-            write(f" {float(value)!r}\n")
-        else:
+        else:  # str() of a float or numpy float64 is its repr
             write(f" {value}\n")
 
 

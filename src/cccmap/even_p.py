@@ -33,8 +33,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import InvalidInput, NotConverged
-from .mse_bounds import CenteredGold, ccc_from_mse_cov
-from .stats import _count, _instance, _lp_norm, _real, as_sequence
+from .mse_bounds import ccc_from_mse_cov
+from .stats import CenteredGold, _count, _instance, _lp_norm, _real, as_sequence
 from .tolerances import TOL
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def scaled_residual(prob: StationarityProblem, d) -> float:
     return float(np.max(np.abs(res))) / scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverState:
     """Converged (or best-found) iterate of :func:`solve`."""
 

@@ -103,6 +103,8 @@ def envelope_given_lk(k: float, n: int, lk: float, sigma_g: float) -> LkEnvelope
         lower_envelope(x)               for x >= 2.
     """
     sigma_g = _real(sigma_g, "sigma_g", "positive")
+    if sigma_g < 2.0**-1022:  # subnormal: already short of the bits that x is taken from
+        raise InvalidInput(f"sigma_g must be a normal float64, at least 2**-1022, got {sigma_g!r}")
     band = theta_band(k, n, lk)
     # from the mantissas of lk and sigma_g, so a band floor below the normal range costs no bits
     (m_lk, e_lk), (m_s, e_s) = frexp(lk), frexp(sigma_g)

@@ -42,7 +42,7 @@ from .stats import _scaled_errors, _span, _unscale, as_sequence, ccc as _ccc, ms
 from .variants import VARIANTS, Variant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossParams:
     """Coefficients selecting one member of the loss family.
 
@@ -186,7 +186,7 @@ def _wrapped_gradient(params: LossParams, inner: float, gradient, wrap: bool, n:
 TRACE_COLUMNS = ("iter", "loss", "mse", "ccc")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingTrace:
     """Rows of (iteration, loss, mse, ccc); ``diverged`` is always False, as every loss is
     finite or raises InvalidInput."""

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, Singularity, TooLarge
-from .stats import _count, _gold_moments, _instance, _real, _reals, _unscale, as_sequence
+from .errors import Singularity, TooLarge
+from .stats import CenteredGold, _count, _instance, _prepared_gold, _real, _reals, _unscale
 
 #: Column names of the region table rows produced by :func:`mse_region_table`.
 MSE_REGION_COLUMNS = ("x", "psi_upper", "psi_lower")
@@ -71,47 +71,11 @@ def lower_envelope(x):
     return envelope_kernel(1.0 - _reals(x, "x", "nonnegative"))
 
 
-@dataclass(frozen=True)
-class CenteredGold:
-    """A gold standard prepared once in the moment kernel's units: ``e``, ``mu``, ``var`` and
-    ``a`` = gold / 2**e - mu from :func:`stats._gold_moments`, and ``var_g`` = var * 4**e > 0.
-    ``mu_g``, ``sigma_g`` and ``centered`` = g_i - mu_g are unscaled on each read: the plain
-    formula's bits wherever they are normal float64, and none lost to a subnormal var_g."""
-
-    gold: np.ndarray
-    e: int
-    mu: float
-    var: float
-    a: np.ndarray
-    var_g: float
-
-    @property
-    def n(self) -> int:
-        return int(self.gold.size)
-
-    @property
-    def mu_g(self) -> float:
-        return math.ldexp(self.mu, self.e)
-
-    @property
-    def sigma_g(self) -> float:
-        return math.ldexp(math.sqrt(self.var), self.e)
-
-    @property
-    def centered(self) -> np.ndarray:
-        return np.ldexp(self.a, self.e)
-
-
 def center_gold(gold) -> CenteredGold:
-    arr = as_sequence(gold, "gold")
-    e, mu, var, a = _gold_moments(arr)
-    var_g = _unscale(var, 2 * e, "var_g")
-    if var_g == 0.0:
-        raise DegenerateVariance("gold variance is zero in float64; bounds undefined")
-    return CenteredGold(gold=arr, e=e, mu=mu, var=var, a=a, var_g=var_g)
+    return _prepared_gold(gold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MseBoundsResult:
     """ccc extremes at a fixed mse; the errors ``err_max`` attain the maximum and their
     negation the minimum."""

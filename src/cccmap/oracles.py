@@ -43,15 +43,15 @@ import numpy as np
 from .errors import InvalidInput, TooLarge
 from .ordering import Convention, ErrorSet, _adds
 from .stats import (
-    _block_rows, _ccc, _count, _instance, _prepared_gold, _real, _row_moments, _sphere_rows,
-    as_sequence,
+    CenteredGold, _block_rows, _ccc, _count, _instance, _prepared_gold, _real, _row_moments,
+    _sphere_rows, as_sequence,
 )
 
 #: Enumerating beyond 9! orderings is refused.
 MAX_ENUM_N = 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleReport:
     """Extremes of a brute-force search. ``best_index`` and ``worst_index`` are the
     0-based trial numbers of the witnesses: the rank of the ordering in lexicographic
@@ -85,28 +85,29 @@ def permutation_oracle(gold, errors: ErrorSet, convention: Convention) -> Oracle
     of the canonical ascending values; ties resolve to the first ordering
     encountered, so the report is deterministic. The witnesses are predictions.
     """
-    g, _, moments = _prepared_gold(gold, _instance(errors, ErrorSet, "errors").n)
-    if g.size > MAX_ENUM_N:
-        raise TooLarge(f"N={g.size} exceeds the enumeration guard of {MAX_ENUM_N}")
+    cg = _prepared_gold(gold, _instance(errors, ErrorSet, "errors").n)
+    if cg.n > MAX_ENUM_N:
+        raise TooLarge(f"N={cg.n} exceeds the enumeration guard of {MAX_ENUM_N}")
     signed = errors.values if _adds(convention) else -errors.values
-    table = _permutation_table(g.size)
+    table = _permutation_table(cg.n)
 
     def fill(lo, out, _):
         # every index is in range, so "clip" changes no value; it spares the buffered
         # copy of ``out`` that the default mode makes
         np.take(signed, table[lo:lo + len(out)], out=out, mode="clip")
 
-    report = _extremes(g, moments, len(table), fill)
+    report = _extremes(cg, len(table), fill)
+    g = cg.gold
     return replace(report, witness_best=g + report.witness_best, witness_worst=g + report.witness_worst)
 
 
-def _extremes(g, moments, trials: int, fill) -> OracleReport:
-    """Best and worst ccc of g + d over ``trials`` error rows d, against a gold g prepared
-    by :func:`stats._prepared_gold`; the witnesses are the rows d, and ties keep the first
+def _extremes(gold: CenteredGold, trials: int, fill) -> OracleReport:
+    """Best and worst ccc of g + d over ``trials`` error rows d, against the gold g that
+    :func:`stats._prepared_gold` prepared; the witnesses are the rows d, and ties keep the first
     row. ``fill(lo, out, scratch)`` writes rows lo to lo + len(out) - 1 into the (R, n)
     block ``out``, with ``scratch`` of its shape to spare. Only the rows :func:`_candidates`
     returns are scored, or the whole block where it returns None."""
-    ex, mu_x, var_x, a = moments
+    g, ex, mu_x, var_x, a = gold.gold, gold.e, gold.mu, gold.var, gold.a
     rows = min(_block_rows(g.size), trials)
     block, *scratch = np.empty((4, rows, g.size))
     screen = _screen(g.size, ex, var_x)
@@ -199,15 +200,15 @@ def _candidates(d: np.ndarray, a: np.ndarray, unit: float, two_a: float, width: 
     return hit if 4 * len(hit) <= len(v) else None
 
 
-def _sphere_report(g: np.ndarray, moments, p: float, radius: float, trials, seed) -> OracleReport:
-    """Extremes over Gaussian directions rescaled to L_p norm ``radius``, around g."""
+def _sphere_report(gold: CenteredGold, p: float, radius: float, trials, seed) -> OracleReport:
+    """Extremes over Gaussian directions rescaled to L_p norm ``radius``, around the gold."""
     trials = _count(trials, "trials", 1)
     rng = np.random.default_rng(_count(seed, "seed", 0))
 
     def fill(_, out, scratch):
         _sphere_rows(rng, out, p, radius, scratch)
 
-    return _extremes(g, moments, trials, fill)
+    return _extremes(gold, trials, fill)
 
 
 def mse_sphere_oracle(gold, mse: float, trials: int, seed: int) -> OracleReport:
@@ -216,13 +217,12 @@ def mse_sphere_oracle(gold, mse: float, trials: int, seed: int) -> OracleReport:
     Directions are isotropic (normalized Gaussians); witnesses are the error
     vectors, not the predictions.
     """
-    g, _, moments = _prepared_gold(gold)
+    cg = _prepared_gold(gold)
     mse = _real(mse, "mse", "nonnegative")
     # sqrt(N mse / 4**j) * 2**j: the plain formula's bits wherever N * mse is normal, and
     # finite wherever the radius is
     j = math.frexp(mse)[1] // 2
-    return _sphere_report(g, moments, 2, math.ldexp(math.sqrt(g.size * math.ldexp(mse, -2 * j)), j),
-                          trials, seed)
+    return _sphere_report(cg, 2, math.ldexp(math.sqrt(cg.n * math.ldexp(mse, -2 * j)), j), trials, seed)
 
 
 def lk_sphere_oracle(gold, k: float, lk: float, trials: int, seed: int) -> OracleReport:
@@ -231,9 +231,9 @@ def lk_sphere_oracle(gold, k: float, lk: float, trials: int, seed: int) -> Oracl
     The rescaling is not a uniform measure on the L_k sphere for k != 2, but
     it covers it, which suffices for auditing outer bounds.
     """
-    g, _, moments = _prepared_gold(gold)
+    cg = _prepared_gold(gold)
     k, lk = _real(k, "k", "positive"), _real(lk, "lk", "positive")
-    return _sphere_report(g, moments, k, lk, trials, seed)
+    return _sphere_report(cg, k, lk, trials, seed)
 
 
 def finite_difference(f, at, h: float) -> np.ndarray:

@@ -41,7 +41,7 @@ PRED_MINUS_GOLD: Convention = "pred_minus_gold"
 GOLD_MINUS_PRED: Convention = "gold_minus_pred"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorSet:
     """A multiset of signed error values, validated by :func:`stats.as_sequence` and
     stored sorted ascending, and its mse = mean(e**2), which depends only on the multiset,
@@ -86,7 +86,7 @@ def _mapped_ccc(eg: int, ee: int, var_g: float, cov: float, mse: float, add: boo
     return ccc_from_mse_cov(math.ldexp(mse, 2 * (ee - s)), math.ldexp(var_g, 2 * (eg - s)) + cross)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationResult:
     """One extreme ordering: its errors, its prediction, and both ccc routes.
 
@@ -196,7 +196,9 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
     error rows are scored for cov(g, e) alone, the one moment the mapping reads from them.
     Each ``ccc_value`` is ``stats.ccc`` of its prediction bit for bit.
     """
-    g, scratch, (eg, mu_g, var_g, a) = _prepared_gold(gold, _instance(errors, ErrorSet, "errors").n)
+    scratch = np.empty((2, _instance(errors, ErrorSet, "errors").n))
+    cg = _prepared_gold(gold, errors.n, scratch[0])
+    g = cg.gold
     order = _gold_order(g, scratch)
     rows = np.empty((2, g.size))
     rows[0, order] = errors.values  # e_same: ascending errors onto ascending gold
@@ -205,18 +207,18 @@ def optimal_permutations(gold, errors: ErrorSet) -> OrderingExtremes:
     rows.flags.writeable = False
     # one multiset, so one power of two: the sorted errors' extremes hold its largest magnitude
     ee, constant = _span(errors.values[[0, -1]])
-    covs = [_row_cov(a, row, ee, constant, *scratch)[1] for row in rows]
+    covs = [_row_cov(cg.a, row, ee, constant, *scratch)[1] for row in rows]
     mse = _error_mean(np.ldexp(errors.values, -ee, out=scratch[0]), 0, 2, "mse")
     scored = []  # (prediction, ccc_value, formula_value) of each extreme
     for _, convention, _, row in _EXTREMES:
         add = convention == PRED_MINUS_GOLD
         pred = g + rows[row] if add else g - rows[row]
         pred.flags.writeable = False
-        ep, mu_p, var_p, cov_p = _row_moments(a, pred, *scratch)
+        ep, mu_p, var_p, cov_p = _row_moments(cg.a, pred, *scratch)
         scored.append((
             pred,
-            _ccc(eg, ep, mu_g, mu_p, var_g, var_p, cov_p),
-            _mapped_ccc(eg, ee, var_g, covs[row], mse, add),
+            _ccc(cg.e, ep, cg.mu, mu_p, cg.var, var_p, cov_p),
+            _mapped_ccc(cg.e, ee, cg.var, covs[row], mse, add),
         ))
     return OrderingExtremes(**{
         name: PermutationResult(convention, objective, rows[row], *score)

@@ -23,7 +23,7 @@ Every module checks its inputs with the helpers here, one per rule, each refusal
 argument: :func:`_real` and :func:`_reals` for real numbers, alone and in arrays of any kind
 (:func:`as_sequence` adds a nonempty 1-D shape), :func:`_count` and :func:`_counts` for
 counts, :func:`_instance` for an object of a library type or a callable, and
-:func:`_prepared_gold` for the gold that rows are scored against.
+:func:`_prepared_gold` for the gold that rows are scored against, a :class:`CenteredGold`.
 
 The sampled searches share two more private pieces: :func:`_block_rows`, the rows of
 one cache-sized block, and :func:`_sphere_rows`, which draws a block of Gaussian rows
@@ -182,18 +182,51 @@ def _row_cov(a: np.ndarray, yv: np.ndarray, ey, constant, b: np.ndarray, c: np.n
     return mu_y, np.add.reduce(np.multiply(b, a, out=c), axis=-1) / a.size
 
 
-def _prepared_gold(gold, n: int | None = None):
-    """(g, scratch, :func:`_gold_moments` of g) of a gold that rows are scored against: g of
-    length ``n`` where given, and a (2, n) scratch whose first row took the squares, for the
-    caller to reuse; DegenerateVariance when g is constant."""
+@dataclass(frozen=True, eq=False)
+class CenteredGold:
+    """A gold standard prepared once by :func:`_prepared_gold`: ``e``, ``mu``, ``var`` > 0 and
+    ``a`` = gold / 2**e - mu from :func:`_gold_moments`. ``mu_g``, ``var_g``, ``sigma_g`` and
+    ``centered`` = g_i - mu_g are unscaled on each read: the plain formula's bits wherever they
+    are normal float64, and none lost to a subnormal var_g; var_g past float64 is InvalidInput."""
+
+    gold: np.ndarray
+    e: int
+    mu: float
+    var: float
+    a: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.gold.size)
+
+    @property
+    def mu_g(self) -> float:
+        return math.ldexp(self.mu, self.e)
+
+    @property
+    def var_g(self) -> float:
+        return _unscale(self.var, 2 * self.e, "var_g")
+
+    @property
+    def sigma_g(self) -> float:
+        return math.ldexp(math.sqrt(self.var), self.e)
+
+    @property
+    def centered(self) -> np.ndarray:
+        return np.ldexp(self.a, self.e)
+
+
+def _prepared_gold(gold, n: int | None = None, out: np.ndarray | None = None) -> CenteredGold:
+    """The gold that rows are scored against, of length ``n`` where given, its squares taken
+    in ``out``, gold-length scratch the caller may reuse; DegenerateVariance when it is
+    constant, the one gold it refuses."""
     g = as_sequence(gold, "gold")
     if n is not None and g.size != n:
         raise InvalidInput(f"length mismatch: gold {g.size} vs errors {n}")
-    scratch = np.empty((2, g.size))
-    moments = _gold_moments(g, scratch[0])
-    if moments[2] == 0.0:  # the gold's variance, in units of its own power of two
+    prepared = CenteredGold(g, *_gold_moments(g, out))
+    if prepared.var == 0.0:
         raise DegenerateVariance("gold standard is constant")
-    return g, scratch, moments
+    return prepared
 
 
 def _ccc_denominator(ex, ey, mu_x, mu_y, var_x, var_y):

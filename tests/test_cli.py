@@ -541,7 +541,6 @@ class TestParameterAndRangeErrors:
             (["bounds-lk", "--format", "plain", "--k", "0.001", "--lk", "8"], "1\n2\n3\n"),
             (["region", "--kind", "mse", "--x-max", "nan"], ""),
             (["audit", "mse-sphere", "--format", "plain", "--mse", "nan"], "1\n2\n3\n4\n"),
-            (["bounds-mse", "--format", "plain", "--mse", "4"], "1e160\n2e160\n4e160\n"),
             (["loss", "--variant", "ratio_pow", "--gamma", "inf", "--json"], "1,2\n2,3\n3,5\n"),
             (["solve-even-p", "--format", "plain", "--k", "4", "--lk", "inf"], "1\n2\n3\n"),
             (["solve-even-p", "--format", "plain", "--k", "inf", "--lk", "1"], "1\n2\n3\n"),
@@ -551,7 +550,6 @@ class TestParameterAndRangeErrors:
             (["region", "--kind", "mse", "--x-max", "inf"], ""),
             (["loss", "--variant", "diff", "--trace-iters", "5", "--trace-step", "inf", "--json"],
              "1,2\n2,3\n3,5\n"),
-            (["permute", "--json"], "1.7e308,0.1\n1.6e308,0.2\n1.5e308,0.3\n"),
             (["loss", "--variant", "diff", "--json"], "1.7e308,1\n1.6e308,2\n1.5e308,3\n"),
             (["loss", "--variant", "ratio_pow", "--gamma", "300", "--json"], "1,2\n2,30\n3,50\n"),
             (["loss", "--variant", "diff", "--json"], "1e154,2e154\n2e154,1e154\n3e154,4e154\n"),
@@ -570,9 +568,9 @@ class TestParameterAndRangeErrors:
         ],
         ids=[
             "mse-nan", "alpha-nan", "lk-nan", "k-band-overflow", "x-max-nan", "sphere-mse-nan",
-            "gold-variance-overflow", "gamma-inf", "solve-lk-inf", "solve-k-inf", "band-k-inf",
+            "gamma-inf", "solve-lk-inf", "solve-k-inf", "band-k-inf",
             "sphere-lk-inf", "errors-mse-overflow", "x-max-inf", "trace-step-inf",
-            "permute-gold-near-max", "loss-gold-near-max",
+            "loss-gold-near-max",
             "loss-gamma-overflow", "loss-sums-overflow", "loss-gradient-underflowing-reward",
             "sphere-mse-seed-negative", "sphere-lk-seed-negative", "solve-seed-negative",
             "sphere-lk-sampled-norm-overflow", "solve-lk-powers-overflow", "lk-x-overflow",
@@ -584,6 +582,30 @@ class TestParameterAndRangeErrors:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, stdin, std, results",
+        [
+            (["bounds-mse", "--mse", "4", "--json"], "1e160\n2e160\n4e160\n", 1.2472191289246471e160,
+             {"sigma_g": 1.2472191289246471e160, "x": 1.6035674514745462e-160, "ccc_max": 1.0,
+              "ccc_min": 1.0}),
+            (["permute", "--json"], "1e160,0.1\n2e160,0.2\n3e160,0.3\n", 8.1649658092772601e159,
+             {"ccc": 1.0, "ccc_closed_form": 1.0}),
+            (["permute", "--json"], "1.7e308,0.1\n1.6e308,0.2\n1.5e308,0.3\n",
+             8.1649658092772568e306, {"ccc": 1.0, "ccc_closed_form": 1.0}),
+        ],
+        ids=["gold-variance-overflow", "permute-gold-variance-overflow", "permute-gold-near-max"],
+    )
+    def test_a_gold_variance_past_float64_is_not_refused(self, args, stdin, std, results):
+        # no verb prints var_g, so a gold whose variance leaves float64 still ends in a result
+        proc = run(args, stdin=stdin)
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert report["inputs"]["gold"]["std"] == std
+        if args[0] == "permute":  # each of the four extremes
+            assert all(extreme.items() >= results.items() for extreme in report["results"].values())
+        else:
+            assert report["results"].items() >= results.items()
 
     @pytest.mark.parametrize(
         "args, stdin, name",

@@ -15,8 +15,10 @@ own, independent powers of two. Each figure is then checked against its value in
   ulp of mu_g, the rounding of the mean that every centred entry carries.
 
 A call may instead raise ``InvalidInput`` naming a quantity whose exact value leaves
-float64 (``DegenerateVariance`` where var_g rounds to zero), and must raise where it
-does.
+float64, and must raise where it does. No drawn gold is constant, so ``center_gold`` takes
+each one: a var_g below the normal range, down to 0, is still within budget times the least
+subnormal. ``envelope_given_lk`` refuses a subnormal sigma_g, and only that, as
+``InvalidInput`` naming it: such a sigma_g has lost bits of the x it would give.
 
 ``ccc_from_mse_cov`` and ``envelope_kernel`` take any finite float64 arguments and are
 checked within 2 ulps. The mapping 2c / (m + 2c) rounds twice, the sum and the quotient,
@@ -58,12 +60,13 @@ from typing import NamedTuple
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cccmap.errors import DegenerateVariance, InvalidInput, Singularity
+from cccmap.errors import CccmapError, DegenerateVariance, InvalidInput, Singularity
 from cccmap.lk_bounds import envelope_given_lk
 from cccmap.losses import LossParams, loss, loss_gradient
 from cccmap.mse_bounds import (
     bounds_given_mse, ccc_from_mse_cov, center_gold, envelope_kernel, lower_envelope, upper_envelope,
 )
+from cccmap.oracles import mse_sphere_oracle
 from cccmap.ordering import error_set, optimal_permutations
 
 MAX = Fraction(sys.float_info.max)
@@ -125,6 +128,8 @@ def outcome(call, budget: int, **exact: Fraction):
 )
 # the gold [1, 2, 3] near 1e-160, whose var_g is subnormal
 @example(ints=[1, 2, 3], gold_scale=-532, mse_mant=1, mse_scale=-532, lk_mant=1, lk_scale=-532, k=4)
+# the gold [0, 0, 1] at 2**-1026: var_g underflows to 0 and sigma_g is subnormal
+@example(ints=[0, 0, 1], gold_scale=-1026, mse_mant=1, mse_scale=-1000, lk_mant=1, lk_scale=-1000, k=4)
 # the gold [0, 22] near 1e149 at an mse whose x is subnormal: err must not inherit x's rounding
 @example(ints=[0, 22], gold_scale=490, mse_mant=1, mse_scale=-1065, lk_mant=0, lk_scale=0, k=1)
 def test_gold_figures_match_exact_arithmetic(
@@ -138,15 +143,11 @@ def test_gold_figures_match_exact_arithmetic(
     mu = sum(exact_gold) / n
     var = sum((g - mu) ** 2 for g in exact_gold) / n
 
-    try:
-        prepared = outcome(lambda: center_gold(gold), budget, var_g=var)
-    except DegenerateVariance:
-        assert var <= budget * TINY, f"var_g = {float(var)!r} refused as zero"
-        return
-    if prepared is None:
-        return
+    prepared = center_gold(gold)
     assert_within("mu_g", prepared.mu_g, mu, 1)
-    assert_within("var_g", prepared.var_g, var, budget)
+    var_g = outcome(lambda: prepared.var_g, budget, var_g=var)
+    if var_g is not None:
+        assert_within("var_g", var_g, var, budget)
     assert_within("sigma_g", prepared.sigma_g, fsqrt(var), budget)
 
     mse = math.ldexp(mse_mant, mse_scale)
@@ -161,6 +162,13 @@ def test_gold_figures_match_exact_arithmetic(
             assert abs(Fraction(got) - want) <= tol, f"err_max entry {got!r} vs {float(want)!r}"
 
     lk = math.ldexp(lk_mant, lk_scale)
+    if prepared.sigma_g < sys.float_info.min:
+        try:
+            envelope_given_lk(k, n, lk, prepared.sigma_g)
+        except InvalidInput as exc:
+            assert str(exc).startswith("sigma_g must be a normal float64"), exc
+            return
+        raise AssertionError(f"subnormal sigma_g = {prepared.sigma_g!r} was not refused")
     root = Fraction(n) if k == 1 else fsqrt(Fraction(n))
     x_lk = Fraction(lk) / (root * fsqrt(var))
     # 2/x past float64 is refused; at x = 0 theta_at_min is inf
@@ -172,6 +180,57 @@ def test_gold_figures_match_exact_arithmetic(
         assert_within("envelope x", envelope.x, x_lk, budget)
         if envelope.x:  # 2 / x of an x within budget ulps, rounded once more
             assert_within("theta_at_min", envelope.theta_at_min, 2 / x_lk, 2 * budget + 2)
+
+
+def _refusal(call):
+    """The type of the CccmapError that call() raises, or None where it returns."""
+    try:
+        call()
+    except CccmapError as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ints=st.lists(st.integers(-1000, 1000), min_size=2, max_size=8),
+    gold_scale=st.integers(-1074, 1023),
+    mse_mant=st.integers(1, 1 << 20),
+    lk_mant=st.integers(1, 1 << 20),
+    k=st.sampled_from([1, 2, 4]),
+)
+# the gold [0, 1, 2] near 1e-170, whose var_g underflows to 0
+@example(ints=[0, 1, 2], gold_scale=-565, mse_mant=1, lk_mant=1, k=4)
+# the gold [1, 2, 4] near 1e160, whose var_g overflows
+@example(ints=[1, 2, 4], gold_scale=531, mse_mant=1 << 20, lk_mant=1 << 20, k=2)
+@example(ints=[3, 3, 3], gold_scale=0, mse_mant=1, lk_mant=1, k=1)
+def test_one_gold_refusal_and_x_free_of_the_golds_scale(ints, gold_scale, mse_mant, lk_mant, k):
+    """``center_gold``, ``optimal_permutations`` and ``mse_sphere_oracle`` refuse the same
+    golds, the constant ones. The bounds depend on the gold only through its ratios to mse and
+    L_k, so wherever the scaled mse, L_k and sigma_g are normal, x at (gold 2^s, mse 4^s) and at
+    (L_k 2^s, sigma_g 2^s) is x at s = 0 bit for bit; a subnormal sigma_g is refused."""
+    scale = min(gold_scale, 1024 - max(abs(i) for i in ints).bit_length())  # keep gold finite
+    gold = [math.ldexp(i, scale) for i in ints]
+    constant = len(set(ints)) == 1
+    refusals = {
+        _refusal(lambda: center_gold(gold)),
+        _refusal(lambda: optimal_permutations(gold, error_set(ints))),
+        _refusal(lambda: mse_sphere_oracle(gold, 1.0, 8, 0)),
+    }
+    assert refusals == {DegenerateVariance if constant else None}
+    if constant:
+        return
+    unit, scaled = center_gold(ints), center_gold(gold)
+    mse, lk = math.ldexp(mse_mant, -20), math.ldexp(lk_mant, -20)  # in [2**-20, 1]
+    if -1002 <= 2 * scale <= 1023:  # mse 4^s is normal
+        got = bounds_given_mse(scaled, math.ldexp(mse, 2 * scale)).x_param
+        assert got == bounds_given_mse(unit, mse).x_param
+    n = len(ints)
+    if scaled.sigma_g < sys.float_info.min:
+        assert _refusal(lambda: envelope_given_lk(k, n, lk, scaled.sigma_g)) is InvalidInput
+    elif scale >= -1002:  # L_k 2^s is normal
+        got = envelope_given_lk(k, n, math.ldexp(lk, scale), scaled.sigma_g).x
+        assert got == envelope_given_lk(k, n, lk, unit.sigma_g).x
 
 
 @settings(max_examples=400, deadline=None)
@@ -205,11 +264,7 @@ def test_ordering_extremes_match_exact_arithmetic(pairs, gold_scale, err_scale):
     exact_g = [Fraction(g) for g in gold]
     mu = sum(exact_g) / n
     var = sum((g - mu) ** 2 for g in exact_g) / n
-    try:
-        extremes = optimal_permutations(gold, errors)
-    except DegenerateVariance:
-        assert var <= budget * TINY, f"var_g = {float(var)!r} refused as zero"
-        return
+    extremes = optimal_permutations(gold, errors)  # no drawn gold is constant
     ascending = sorted(exact_e)
     rank = sorted(range(n), key=exact_g.__getitem__)
     cov = {}  # cov(g, e) of the errors sorted like the gold (0) and opposite to it (1)

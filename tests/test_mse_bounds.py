@@ -179,8 +179,11 @@ class TestBoundsGivenMse:
             center_gold([4, 4, 4])
 
     def test_gold_variance_overflow_is_named(self):
-        with pytest.raises(InvalidInput, match="var_g"):
-            center_gold([1e160, 2e160, 4e160])
+        gold = center_gold([1e160, 2e160, 4e160])  # prepared: only var_g itself leaves float64
+        with pytest.raises(InvalidInput, match="^var_g overflows float64$"):
+            gold.var_g  # noqa: B018
+        assert gold.sigma_g == pytest.approx(math.sqrt(14 / 9) * 1e160, rel=1e-15)
+        assert bounds_given_mse(gold, 4.0).x_param == 1.6035674514745462e-160
         assert center_gold([1e150, 2e150, 4e150]).var_g == pytest.approx(14e300 / 9, rel=1e-15)
 
     def test_attainment_random(self):

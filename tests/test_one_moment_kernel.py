@@ -1,7 +1,8 @@
 """Guards: no module but ``stats`` calls a numpy mean, variance, deviation or covariance,
 a gold standard deviation comes only from ``CenteredGold.sigma_g``, no module works on the
-unscaled centred gold ``CenteredGold.centered``, the oracles import no closed form, and a
-row's power of two and its NaN/Inf refusal come only from ``stats._span``."""
+unscaled centred gold ``CenteredGold.centered``, the oracles import no closed form, a
+row's power of two and its NaN/Inf refusal come only from ``stats._span``, and a gold is
+prepared and refused only in ``stats._prepared_gold``."""
 
 import ast
 import re
@@ -17,6 +18,8 @@ CENTERED = re.compile(r"\.centered\b")
 NAN_INF = re.compile(re.escape("sequence contains NaN or Inf"))
 # the largest magnitude of each row of a batch, the start of a power of two taken by hand
 ROW_TOP = re.compile(r"\bnp\.abs\(.*\)\.max\(axis=-1\)")
+# a gold prepared by hand: a CenteredGold built, or the gold's side of the kernel taken
+PREPARE = re.compile(r"\bCenteredGold\(|\b_gold_moments\(")
 
 
 def _offenders(pattern, skip=()):
@@ -56,6 +59,28 @@ def test_the_row_guard_sees_what_it_forbids():
         assert not ROW_TOP.search(line), line
 
 
+def test_one_preparation_and_one_refusal_of_a_gold():
+    assert sorted(set(_holders(PREPARE))) == [
+        ("cli.py", "_digest_of"),  # the input digest of every column: its mean and std
+        ("stats.py", "_gold_moments"),  # its definition
+        ("stats.py", "_moments"),
+        ("stats.py", "_prepared_gold"),
+        ("stats.py", "mean"),
+        ("stats.py", "population_variance"),
+    ]
+    assert _holders(re.compile("gold standard is constant")) == [("stats.py", "_prepared_gold")]
+    for gone in ("gold variance is zero in float64", "variance overflows float64"):
+        assert _offenders(re.compile(re.escape(gone))) == [], gone
+
+
+def test_the_preparation_guard_sees_what_it_forbids():
+    for line in ("return CenteredGold(gold=arr, e=e, mu=mu, var=var, a=a)",
+                 "e, mu, var, a = _gold_moments(arr)", "stats._gold_moments(g, out)"):
+        assert PREPARE.search(line), line
+    for line in ('_instance(gold, CenteredGold, "gold")', ":func:`_gold_moments` and", "class CenteredGold:"):
+        assert not PREPARE.search(line), line
+
+
 def test_no_module_but_stats_computes_moments():
     offenders = _offenders(MOMENT_CALL, skip=("stats.py",))
     assert offenders == [], "moments computed outside stats._moments:\n" + "\n".join(offenders)
@@ -67,7 +92,7 @@ def test_gold_std_comes_from_sigma_g():
 
 
 def test_no_module_reads_the_unscaled_centred_gold():
-    offenders = _offenders(CENTERED, skip=("mse_bounds.py",))
+    offenders = _offenders(CENTERED)
     assert offenders == [], "CenteredGold.centered read in place of a, e:\n" + "\n".join(offenders)
 
 

@@ -366,10 +366,11 @@ class TestExtremeP:
         assert lp_norm(report.witness_best, k) == pytest.approx(1.0, rel=1e-12)
 
 
-def _frozen_extremes(moments, blocks) -> OracleReport:
+def _frozen_extremes(gold, blocks) -> OracleReport:
     """The search loop before the screen, kept as the reference: every row of every block
-    of (predictions, witnesses) is scored by the kernel, and ties keep the first row."""
-    ex, mu_x, var_x, a = moments
+    of (predictions, witnesses) is scored by the kernel against the prepared gold, and ties
+    keep the first row."""
+    ex, mu_x, var_x, a = gold.e, gold.mu, gold.var, gold.a
     scratch = None
     best_val, worst_val = -np.inf, np.inf
     best_wit = worst_wit = None
@@ -391,7 +392,8 @@ def _frozen_extremes(moments, blocks) -> OracleReport:
 
 
 def _frozen_permutation(gold, errors, convention) -> OracleReport:
-    g, _, moments = stats._prepared_gold(gold, errors.n)
+    cg = stats._prepared_gold(gold, errors.n)
+    g = cg.gold
     combine = np.add if _adds(convention) else np.subtract
     table = _permutation_table(g.size)
     preds = np.empty((min(stats._block_rows(g.size), len(table)), g.size))
@@ -402,11 +404,12 @@ def _frozen_permutation(gold, errors, convention) -> OracleReport:
             np.take(errors.values, table[lo:lo + len(block)], out=block, mode="clip")
             yield combine(g, block, out=block), block
 
-    return _frozen_extremes(moments, blocks())
+    return _frozen_extremes(cg, blocks())
 
 
 def _frozen_sphere(gold, p: float, radius: float, trials: int, seed: int) -> OracleReport:
-    g, _, moments = stats._prepared_gold(gold)
+    cg = stats._prepared_gold(gold)
+    g = cg.gold
     rng = np.random.default_rng(seed)
     buf, preds = np.empty((2, min(stats._block_rows(g.size), trials), g.size))
 
@@ -415,7 +418,7 @@ def _frozen_sphere(gold, p: float, radius: float, trials: int, seed: int) -> Ora
             d = stats._sphere_rows(rng, buf[:trials - done], p, radius, preds[:trials - done])
             yield np.add(g, d, out=preds[:trials - done]), d
 
-    return _frozen_extremes(moments, blocks())
+    return _frozen_extremes(cg, blocks())
 
 
 def _oracle_and_frozen(oracle: str, gold, *args):

@@ -500,12 +500,8 @@ def test_pair_stats_against_exact_arithmetic_at_independent_scales(pairs, i, j):
     assert (mse(x, y), mae(x, y), mke(x, y, 2), mke(x, y, 1)) == (got["mse"], got["mae"]) * 2
     assert (ccc(x, y), pearson(x, y), covariance(x, y)) == (got["ccc"], got["pearson"], got["cov_xy"])
     assert population_variance(x) == got["var_x"]
-    if got["var_y"] == 0.0:  # nonconstant, but the variance underflows
-        with pytest.raises(DegenerateVariance):
-            center_gold(y)
-    else:
-        gold = center_gold(y)
-        assert (gold.mu_g, gold.var_g) == (got["mu_y"], got["var_y"])
+    gold = center_gold(y)  # nonconstant, so prepared, though var_y may underflow to 0
+    assert (gold.mu_g, gold.var_g) == (got["mu_y"], got["var_y"])
 
 
 @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0, 4.0], [1e20, 2e20, 3e20, 4e20], [1.0, 1.0 + 2.0**-52, 1.0, 1.0]])
